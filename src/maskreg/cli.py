@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import attacks, keygen, protocol
-from .dataio import load_csv, split_horizontal
+from .dataio import Dataset, load_csv, split_horizontal
 from .errors import MaskRegError
 from .runner import RunConfig, cross_validate_encrypted, run_protocol
 
@@ -181,25 +181,19 @@ def _gather_datasets(args, seed):
         if "has_header" in getattr(args, "_config_data", {}):
             has_header = bool(args._config_data["has_header"])
         ds = load_csv(data_path, response, has_header=has_header)
-        shards = split_horizontal(ds, k)
         inputs = {"data": data_path, "sha256": _sha256_file(data_path),
                   "n": ds.n, "p": ds.p}
-        return [(s.x, s.y) for s in shards], inputs
-    n = int(_merge(args, "n", 200))
-    p = int(_merge(args, "p", 8))
-    rng = np.random.default_rng([seed, 0x5D])
-    x = rng.standard_normal((n, p))
-    beta = rng.normal(size=p)
-    y = x @ beta + 0.1 * rng.standard_normal(n)
-    base, extra = divmod(n, k)
-    shards, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        shards.append((x[start:start + size], y[start:start + size]))
-        start += size
-    inputs = {"data": None, "sha256": _sha256_arrays(x, y), "n": n, "p": p,
-              "synthetic": True}
-    return shards, inputs
+    else:
+        n = int(_merge(args, "n", 200))
+        p = int(_merge(args, "p", 8))
+        rng = np.random.default_rng([seed, 0x5D])
+        x = rng.standard_normal((n, p))
+        beta = rng.normal(size=p)
+        y = x @ beta + 0.1 * rng.standard_normal(n)
+        ds = Dataset(x, y, tuple(f"x{j}" for j in range(p)), "y")
+        inputs = {"data": None, "sha256": _sha256_arrays(x, y), "n": n,
+                  "p": p, "synthetic": True}
+    return [(s.x, s.y) for s in split_horizontal(ds, k)], inputs
 
 
 def _run_config(args, seed, tamper=None):

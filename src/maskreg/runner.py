@@ -11,6 +11,7 @@ bytes.
 import logging
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,16 +178,24 @@ def _agency_shard_work(ctx, transport, rings, k):
 
 
 def run_pre_modeling(contexts, transport, rings=None):
-    """Execute the masking ring and return the cloud's assembled view."""
+    """Execute the masking ring and return the cloud's assembled view.
+
+    The first exception any participant records aborts the transport, so
+    everyone else stops waiting at once, and is re-raised here as itself.
+    """
     k = len(contexts)
     rings = ring_orders(k, rings)
     errors = []
 
+    def fail(exc):
+        errors.append(exc)
+        transport.abort(exc)
+
     def work(ctx):
         try:
             _agency_shard_work(ctx, transport, rings, k)
-        except Exception as exc:  # propagated after join
-            errors.append((ctx.agency_id, exc))
+        except Exception as exc:  # re-raised by the caller after join
+            fail(exc)
 
     threads = [
         threading.Thread(target=work, args=(ctx,), daemon=True)
@@ -195,80 +204,79 @@ def run_pre_modeling(contexts, transport, rings=None):
     for t in threads:
         t.start()
     shards = []
-    for origin in range(1, k + 1):
-        last_holder = rings[origin - 1][-1]
-        frame = transport.recv(last_holder, CLOUD)
-        if frame.msg_type != MSG_SHARD or frame.origin != origin:
-            raise ProtocolOrderViolation(
-                f"cloud expected completed shard {origin}, got type "
-                f"{frame.msg_type} origin {frame.origin}"
-            )
-        shards.append(_shard_from_frame(frame))
+    try:
+        for origin in range(1, k + 1):
+            last_holder = rings[origin - 1][-1]
+            frame = transport.recv(last_holder, CLOUD)
+            if frame.msg_type != MSG_SHARD or frame.origin != origin:
+                raise ProtocolOrderViolation(
+                    f"cloud expected completed shard {origin}, got type "
+                    f"{frame.msg_type} origin {frame.origin}"
+                )
+            shards.append(_shard_from_frame(frame))
+    except Exception as exc:  # wakes the agencies before the join below
+        fail(exc)
     for t in threads:
-        t.join(timeout=60.0)
+        t.join()
     if errors:
-        errors.sort(key=lambda e: e[0])
-        raise errors[0][1]
+        raise errors[0]
     block_size = contexts[0].keys.block_size
     return protocol.assemble_aggregate(shards, k, block_size)
 
 
+def ring_pass(contexts, transport, msg_type, tag, matrix, step, applied=()):
+    """Carry one matrix cloud -> 1 -> ... -> k -> cloud; return what returns.
+
+    Agency ``a`` turns the matrix and its ``applied`` ids into new ones with
+    ``step(contexts[a - 1], matrix, applied)``. Every hop carries ``tag``
+    as its round, and every receiver checks the message type and the tag.
+    """
+    k = len(contexts)
+    hops = [CLOUD, *range(1, k + 1), CLOUD]
+    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, tag, tuple(applied), (matrix,)))
+    for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
+        frame = _expect(transport.recv(prev, a), a, msg_type, tag)
+        matrix, applied = step(contexts[a - 1], frame.matrices[0], frame.applied)
+        transport.send(a, nxt, Frame(msg_type, a, tag, tuple(applied), (matrix,)))
+    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, tag)
+    return frame.matrices[0], frame.applied
+
+
+def _expect(frame, me, msg_type, tag):
+    if frame.msg_type != msg_type or frame.round != tag:
+        raise ProtocolOrderViolation(
+            f"participant {me} expected message type {msg_type} round {tag}, "
+            f"got type {frame.msg_type} round {frame.round}"
+        )
+    return frame
+
+
 def release_btb(contexts, transport):
     """Round-robin release of the stacked feature-key Gram, B^T B."""
-    k = len(contexts)
     p = contexts[0].keys.b_key.shape[0]
-    transport.send(
-        CLOUD, 1,
-        Frame(MSG_GRAM_RELEASE, CLOUD, 0, (), (np.eye(p),)),
-    )
-    for a in range(1, k + 1):
-        prev = a - 1 if a > 1 else CLOUD
-        frame = transport.recv(prev, a)
-        if frame.msg_type != MSG_GRAM_RELEASE:
-            raise ProtocolOrderViolation(
-                f"agency {a} expected a Gram release frame, got {frame.msg_type}"
-            )
-        released = protocol.gram_release_step(contexts[a - 1], frame.matrices[0])
-        nxt = a + 1 if a < k else CLOUD
-        transport.send(
-            a, nxt,
-            Frame(MSG_GRAM_RELEASE, a, frame.round + 1, (), (released,)),
-        )
-    out = transport.recv(k, CLOUD)
-    return out.matrices[0]
+
+    def step(ctx, m, applied):
+        return protocol.gram_release_step(ctx, m), applied
+
+    btb, _ = ring_pass(contexts, transport, MSG_GRAM_RELEASE, 0, np.eye(p), step)
+    return btb
 
 
 def run_decrypt(contexts, transport, est):
     """Send the masked estimate around the decryption ring; returns plain."""
-    k = len(contexts)
-    transport.send(
-        CLOUD, 1,
-        Frame(MSG_ESTIMATE, CLOUD, 0, tuple(est.applied), (est.values,)),
-    )
-    for a in range(1, k + 1):
-        prev = a - 1 if a > 1 else CLOUD
-        frame = transport.recv(prev, a)
-        if frame.msg_type != MSG_ESTIMATE:
-            raise ProtocolOrderViolation(
-                f"agency {a} expected an estimate frame, got {frame.msg_type}"
-            )
-        current = protocol.EstimateMatrix(
-            values=frame.matrices[0],
-            stage="encrypted" if not frame.applied else "partially_decrypted",
-            applied=tuple(frame.applied),
+
+    def step(ctx, values, applied):
+        stage = "partially_decrypted" if applied else "encrypted"
+        done = protocol.decrypt_round(
+            ctx, protocol.EstimateMatrix(values, stage, applied)
         )
-        done = protocol.decrypt_round(contexts[a - 1], current)
-        nxt = a + 1 if a < k else CLOUD
-        transport.send(
-            a, nxt,
-            Frame(MSG_ESTIMATE, a, frame.round + 1, tuple(done.applied),
-                  (done.values,)),
-        )
-    final = transport.recv(k, CLOUD)
-    stage = "plain" if len(final.applied) == k else "partially_decrypted"
-    return protocol.EstimateMatrix(
-        values=final.matrices[0], stage=stage, applied=tuple(final.applied)
+        return done.values, done.applied
+
+    values, applied = ring_pass(
+        contexts, transport, MSG_ESTIMATE, 0, est.values, step, est.applied
     )
+    stage = "plain" if len(applied) == len(contexts) else "partially_decrypted"
+    return protocol.EstimateMatrix(values=values, stage=stage, applied=applied)
 
 
 def fold_rows(agg, folds):
@@ -292,28 +300,6 @@ def fold_rows(agg, folds):
         for j, (a, b) in enumerate(agency_blocks):
             assignments[j % folds].extend(range(a, b))
     return [np.asarray(rows, dtype=np.intp) for rows in assignments]
-
-
-def _residual_gram_ring(contexts, transport, s_masked, tag):
-    """Conjugation-decrypt a masked 3x3 residual Gram around the ring."""
-    k = len(contexts)
-    transport.send(
-        CLOUD, 1, Frame(MSG_RESIDUAL_GRAM, CLOUD, tag, (), (s_masked,))
-    )
-    for a in range(1, k + 1):
-        prev = a - 1 if a > 1 else CLOUD
-        frame = transport.recv(prev, a)
-        if frame.msg_type != MSG_RESIDUAL_GRAM or frame.round != tag:
-            raise ProtocolOrderViolation(
-                f"agency {a} expected residual Gram {tag}, got type "
-                f"{frame.msg_type} round {frame.round}"
-            )
-        stripped = protocol.residual_gram_decrypt_step(
-            contexts[a - 1], frame.matrices[0]
-        )
-        nxt = a + 1 if a < k else CLOUD
-        transport.send(a, nxt, Frame(MSG_RESIDUAL_GRAM, a, tag, (), (stripped,)))
-    return transport.recv(k, CLOUD).matrices[0]
 
 
 @dataclass
@@ -387,38 +373,96 @@ def _metrics(datasets, beta):
 
 def run_protocol(datasets, config):
     """Full run: keygen, masking ring, cloud fit, decryption, verification."""
+    return _run(datasets, config)
+
+
+def cross_validate_encrypted(datasets, config):
+    """K-fold ridge cross-validation entirely on masked data.
+
+    Fits every (lambda, fold) pair on the masked aggregate, decrypts only
+    3x3 residual Grams (never per-fold estimates), picks the lambda with
+    the smallest mean fold MSE (ties favor the smallest lambda), refits on
+    all rows and decrypts that single final estimate.
+    """
+    if config.mode != "ridge":
+        raise ValueError("cross-validation tunes lambda; use mode='ridge'")
+    return _run(datasets, config, select_lambda=_select_lambda)
+
+
+def _select_lambda(contexts, transport, agg, config):
+    """Encrypted CV over ``config.lambda_grid``; returns (lambda, cv info)."""
+
+    def step(ctx, s, applied):
+        return protocol.residual_gram_decrypt_step(ctx, s), applied
+
+    folds = fold_rows(agg, config.folds)
+    n = agg.x_star.shape[0]
+    grid = [float(v) for v in config.lambda_grid]
+    fold_mse = np.zeros((len(grid), config.folds))
+    for li, lam in enumerate(grid):
+        for f, test_rows in enumerate(folds):
+            mask = np.ones(n, dtype=bool)
+            mask[test_rows] = False
+            train_rows = np.flatnonzero(mask)
+            fit = protocol.cloud_fit(agg, "ridge", lam=lam, rows=train_rows)
+            resid = agg.y_star[test_rows] - agg.x_star[test_rows] @ fit.values
+            s_plain, _ = ring_pass(
+                contexts, transport, MSG_RESIDUAL_GRAM, li * config.folds + f,
+                resid.T @ resid, step,
+            )
+            fold_mse[li, f] = s_plain[0, 0] / test_rows.size
+    mean_mse = fold_mse.mean(axis=1)
+    chosen_idx = int(np.argmin(mean_mse))  # argmin takes the first of ties
+    logger.info("cv chose lambda=%g", grid[chosen_idx])
+    return grid[chosen_idx], {
+        "lambda_grid": grid,
+        "fold_mse": [[float(v) for v in row] for row in fold_mse],
+        "mean_mse": [float(v) for v in mean_mse],
+        "chosen_lambda": grid[chosen_idx],
+        "chosen_index": chosen_idx,
+        "folds": config.folds,
+    }
+
+
+@contextmanager
+def _timed(timings, name):
+    t = time.perf_counter()
+    yield
+    timings[name] = (time.perf_counter() - t) * 1e3
+
+
+def _run(datasets, config, select_lambda=None):
+    """One run from keygen to verdict; ``select_lambda`` picks the final
+    fit's lambda on the masked aggregate, as encrypted CV does."""
     t0 = time.perf_counter()
     timings = {}
     datasets = [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets]
 
-    t = time.perf_counter()
-    contexts, bases = build_contexts(datasets, config)
-    timings["keygen"] = (time.perf_counter() - t) * 1e3
+    with _timed(timings, "keygen"):
+        contexts, _ = build_contexts(datasets, config)
 
     participants = [CLOUD] + [c.agency_id for c in contexts]
     transport = make_transport(config.transport, participants)
     try:
-        t = time.perf_counter()
-        agg = run_pre_modeling(contexts, transport, config.rings)
-        timings["masking"] = (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        if config.mode == "ridge":
-            agg.btb = release_btb(contexts, transport)
-        est = protocol.cloud_fit(agg, config.mode, lam=config.lam)
-        if config.tamper.action == "perturb_result":
-            est.values[0, 0] += config.tamper.magnitude
-        timings["fit"] = (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        plain = run_decrypt(contexts, transport, est)
-        timings["decrypt"] = (time.perf_counter() - t) * 1e3
+        with _timed(timings, "masking"):
+            agg = run_pre_modeling(contexts, transport, config.rings)
+            if config.mode == "ridge":
+                agg.btb = release_btb(contexts, transport)
+        lam, cv = config.lam, None
+        if select_lambda is not None:
+            with _timed(timings, "cv"):
+                lam, cv = select_lambda(contexts, transport, agg, config)
+        with _timed(timings, "fit"):
+            est = protocol.cloud_fit(agg, config.mode, lam=lam)
+            if config.tamper.action == "perturb_result":
+                est.values[0, 0] += config.tamper.magnitude
+        with _timed(timings, "decrypt"):
+            plain = run_decrypt(contexts, transport, est)
     finally:
         transport.close()
 
-    t = time.perf_counter()
-    verify = protocol.verify_estimate(plain, config.mode, tol=config.verify_tol)
-    timings["verify"] = (time.perf_counter() - t) * 1e3
+    with _timed(timings, "verify"):
+        verify = protocol.verify_estimate(plain, config.mode, tol=config.verify_tol)
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     p = datasets[0][0].shape[1]
@@ -439,91 +483,5 @@ def run_protocol(datasets, config):
         verify=verify,
         metrics=_metrics(datasets, plain.values[:, 0]),
         timings_ms=timings,
-    )
-
-
-def cross_validate_encrypted(datasets, config):
-    """K-fold ridge cross-validation entirely on masked data.
-
-    Fits every (lambda, fold) pair on the masked aggregate, decrypts only
-    3x3 residual Grams (never per-fold estimates), picks the lambda with
-    the smallest mean fold MSE (ties favor the smallest lambda), refits on
-    all rows and decrypts that single final estimate.
-    """
-    if config.mode != "ridge":
-        raise ValueError("cross-validation tunes lambda; use mode='ridge'")
-    t0 = time.perf_counter()
-    timings = {}
-    datasets = [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets]
-
-    t = time.perf_counter()
-    contexts, bases = build_contexts(datasets, config)
-    timings["keygen"] = (time.perf_counter() - t) * 1e3
-
-    participants = [CLOUD] + [c.agency_id for c in contexts]
-    transport = make_transport(config.transport, participants)
-    try:
-        t = time.perf_counter()
-        agg = run_pre_modeling(contexts, transport, config.rings)
-        agg.btb = release_btb(contexts, transport)
-        timings["masking"] = (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        folds = fold_rows(agg, config.folds)
-        n = agg.x_star.shape[0]
-        grid = [float(v) for v in config.lambda_grid]
-        fold_mse = np.zeros((len(grid), config.folds))
-        for li, lam in enumerate(grid):
-            for f, test_rows in enumerate(folds):
-                mask = np.ones(n, dtype=bool)
-                mask[test_rows] = False
-                train_rows = np.flatnonzero(mask)
-                fit = protocol.cloud_fit(agg, "ridge", lam=lam, rows=train_rows)
-                resid = (agg.y_star[test_rows]
-                         - agg.x_star[test_rows] @ fit.values)
-                s_plain = _residual_gram_ring(
-                    contexts, transport, resid.T @ resid,
-                    tag=li * config.folds + f,
-                )
-                fold_mse[li, f] = s_plain[0, 0] / test_rows.size
-        mean_mse = fold_mse.mean(axis=1)
-        chosen_idx = int(np.argmin(mean_mse))  # argmin takes the first of ties
-        chosen_lambda = grid[chosen_idx]
-        timings["cv"] = (time.perf_counter() - t) * 1e3
-
-        t = time.perf_counter()
-        final = protocol.cloud_fit(agg, "ridge", lam=chosen_lambda)
-        plain = run_decrypt(contexts, transport, final)
-        timings["decrypt"] = (time.perf_counter() - t) * 1e3
-    finally:
-        transport.close()
-
-    verify = protocol.verify_estimate(plain, "ridge", tol=config.verify_tol)
-    timings["total"] = (time.perf_counter() - t0) * 1e3
-
-    p = datasets[0][0].shape[1]
-    n_total = sum(x.shape[0] for x, _ in datasets)
-    cv_info = {
-        "lambda_grid": grid,
-        "fold_mse": [[float(v) for v in row] for row in fold_mse],
-        "mean_mse": [float(v) for v in mean_mse],
-        "chosen_lambda": float(chosen_lambda),
-        "chosen_index": chosen_idx,
-        "folds": config.folds,
-    }
-    logger.info(
-        "cv complete: chose lambda=%g verdict=%s", chosen_lambda, verify.verdict
-    )
-    return RunReport(
-        config=_config_echo(config, p, n_total),
-        protocol_info={
-            "rounds": config.k,
-            "transport": config.transport,
-            "verification": "zero response",
-        },
-        estimate=plain.values,
-        verify=verify,
-        metrics=_metrics(datasets, plain.values[:, 0]),
-        timings_ms=timings,
-        cv=cv_info,
+        cv=cv,
     )

@@ -17,6 +17,7 @@ bit-for-bit regardless of which one carries it.
 """
 
 import logging
+import selectors
 import socket
 import struct
 import threading
@@ -116,48 +117,12 @@ def decode_frame(data):
                  applied=applied, matrices=tuple(matrices))
 
 
-class BusTransport:
-    """In-process transport: one blocking FIFO per directed participant pair.
-
-    Thread-safe, so a run may drive all participants from one thread or one
-    thread each; message content is identical either way.
-    """
-
-    def __init__(self, participants):
-        self._queues = {}
-        self._participants = tuple(participants)
-        for src in participants:
-            for dst in participants:
-                if src != dst:
-                    self._queues[(src, dst)] = _BlockingQueue()
-
-    def send(self, src, dst, frame):
-        try:
-            q = self._queues[(src, dst)]
-        except KeyError:
-            raise TransportFailure(f"no channel {src} -> {dst}") from None
-        q.put(encode_frame(frame))
-
-    def recv(self, src, dst, timeout=30.0):
-        """Receive the next frame sent from ``src`` to ``dst``."""
-        try:
-            q = self._queues[(src, dst)]
-        except KeyError:
-            raise TransportFailure(f"no channel {src} -> {dst}") from None
-        data = q.get(timeout)
-        if data is None:
-            raise TransportFailure(f"timed out waiting on {src} -> {dst}")
-        return decode_frame(data)
-
-    def close(self):
-        self._queues.clear()
-
-
 class _BlockingQueue:
-    """Tiny blocking FIFO (queue.SimpleQueue lacks a deterministic close)."""
+    """Tiny blocking FIFO that a failure can wake (queue.SimpleQueue can't)."""
 
     def __init__(self):
         self._items = []
+        self._error = None
         self._cond = threading.Condition()
 
     def put(self, item):
@@ -165,90 +130,180 @@ class _BlockingQueue:
             self._items.append(item)
             self._cond.notify()
 
-    def get(self, timeout):
+    def fail(self, exc):
+        """Wake every waiter; once the queue is empty, ``get`` raises ``exc``.
+
+        Items already queued are still handed out first, and the first
+        failure sticks.
+        """
         with self._cond:
-            if not self._items and not self._cond.wait_for(
-                lambda: bool(self._items), timeout
+            if self._error is None:
+                self._error = exc
+            self._cond.notify_all()
+
+    def get(self, timeout):
+        """Next item, or None on timeout."""
+        with self._cond:
+            if not self._cond.wait_for(
+                lambda: self._items or self._error is not None, timeout
             ):
                 return None
-            return self._items.pop(0)
+            if self._items:
+                return self._items.pop(0)
+            raise self._error
 
 
-class TcpTransport:
-    """Loopback TCP mesh carrying the same frames as the bus.
+class _Mailboxes:
+    """One queue of encoded frames per directed participant pair.
 
-    Every participant listens on an ephemeral localhost port; construction
-    opens one socket per directed pair, so ``recv(src, dst)`` reads from a
-    dedicated stream and per-pair ordering is guaranteed by TCP itself.
+    This is the receive side of both transports: the bus puts frames in
+    directly, the TCP mesh's reader thread puts in what arrives on the
+    sockets, and ``recv`` takes them out the same way for both.
     """
 
     def __init__(self, participants):
         self._participants = tuple(participants)
-        self._listeners = {}
-        self._conns = {}
-        self._lock = threading.Lock()
-        self._accepting = []
+        self._queues = {
+            (src, dst): _BlockingQueue()
+            for src in self._participants
+            for dst in self._participants
+            if src != dst
+        }
+
+    def _queue(self, src, dst):
+        try:
+            return self._queues[(src, dst)]
+        except KeyError:
+            raise TransportFailure(f"no channel {src} -> {dst}") from None
+
+    def _recv(self, src, dst, timeout):
+        data = self._queue(src, dst).get(timeout)
+        if data is None:
+            raise TransportFailure(f"timed out waiting on {src} -> {dst}")
+        return decode_frame(data)
+
+    def abort(self, exc):
+        """Fail the run: every ``recv`` now waiting, or waiting later on an
+        empty channel, raises ``exc`` at once."""
+        for q in self._queues.values():
+            q.fail(exc)
+
+
+# ``send`` and ``recv`` are defined on each transport class itself, not
+# inherited, so that code which patches one class's methods and later
+# restores them leaves the other class untouched.
+
+
+class BusTransport(_Mailboxes):
+    """In-process transport: one blocking FIFO per directed participant pair.
+
+    Thread-safe, so a run may drive all participants from one thread or one
+    thread each; message content is identical either way.
+    """
+
+    def send(self, src, dst, frame):
+        self._queue(src, dst).put(encode_frame(frame))
+
+    def recv(self, src, dst, timeout=30.0):
+        """Receive the next frame sent from ``src`` to ``dst``."""
+        return self._recv(src, dst, timeout)
+
+    def close(self):
+        self.abort(TransportFailure("transport closed"))
+
+
+def _read_frame(conn):
+    """Read one whole frame, length prefix included, from a blocking socket.
+
+    Once a frame's first bytes arrive its sender is inside ``sendall`` of
+    the whole frame, so reading the rest never waits on anything else.
+    """
+    prefix = bytearray(_LEN.size)
+    _fill(conn, memoryview(prefix))
+    frame = bytearray(_LEN.size + _LEN.unpack(prefix)[0])
+    frame[:_LEN.size] = prefix
+    _fill(conn, memoryview(frame)[_LEN.size:])
+    return frame
+
+
+def _fill(conn, view):
+    while view:
+        n = conn.recv_into(view)
+        if n == 0:
+            raise TransportFailure("peer closed the connection")
+        view = view[n:]
+
+
+class TcpTransport(_Mailboxes):
+    """Loopback TCP mesh carrying the same frames as the bus.
+
+    Every participant listens on an ephemeral localhost port, and there is
+    one connection per directed pair, so TCP itself keeps each pair's
+    frames in order. One reader thread moves every whole inbound frame
+    into its pair's queue as it arrives. A sender therefore never waits on
+    a peer that is itself blocked sending, whatever the frame sizes.
+    """
+
+    def __init__(self, participants):
+        super().__init__(participants)
+        self._socks = []
+        self._out = {}
+        self._selector = selectors.DefaultSelector()
+        self._wake, wake_end = socket.socketpair()
+        self._socks += [self._wake, wake_end]
+        self._selector.register(wake_end, selectors.EVENT_READ, None)
+        self._reader = None
         try:
             self._open_mesh()
         except OSError as exc:
             self.close()
             raise TransportFailure(f"could not open loopback mesh: {exc}") from exc
+        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader.start()
 
     def _open_mesh(self):
-        ports = {}
+        listeners = {}
         for pid in self._participants:
-            lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            lst.bind(("127.0.0.1", 0))
-            lst.listen(len(self._participants))
-            self._listeners[pid] = lst
-            ports[pid] = lst.getsockname()[1]
-        # Accept in background while the mesh dials out, then join.
-        threads = []
-        for pid in self._participants:
-            t = threading.Thread(target=self._accept_all, args=(pid,), daemon=True)
-            t.start()
-            threads.append(t)
-        for src in self._participants:
-            for dst in self._participants:
-                if src == dst:
-                    continue
-                s = socket.create_connection(("127.0.0.1", ports[dst]), timeout=10)
-                s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                s.sendall(struct.pack("<BB", src, dst))
-                with self._lock:
-                    self._conns[("out", src, dst)] = s
-        for t in threads:
-            t.join(timeout=10)
-            if t.is_alive():
-                raise TransportFailure("mesh accept did not finish")
+            lst = socket.create_server(
+                ("127.0.0.1", 0), backlog=len(self._participants)
+            )
+            lst.settimeout(10)
+            self._socks.append(lst)
+            listeners[pid] = lst
+        # The accepting side tells connections apart by listener and dialer
+        # address, so no hello message is needed. The dialer address alone
+        # is not enough: one source port may serve several listeners.
+        dialed = {}
+        for src, dst in self._queues:
+            s = socket.create_connection(listeners[dst].getsockname(), timeout=10)
+            self._socks.append(s)
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._out[(src, dst)] = s
+            dialed[(dst, s.getsockname())] = (src, dst)
+        for dst, lst in listeners.items():
+            for _ in range(len(self._participants) - 1):
+                conn, addr = lst.accept()
+                self._socks.append(conn)
+                if (dst, addr) not in dialed:
+                    raise OSError(f"unexpected connection from {addr}")
+                conn.settimeout(10)
+                self._selector.register(
+                    conn, selectors.EVENT_READ, dialed[(dst, addr)]
+                )
 
-    def _accept_all(self, pid):
-        expected = len(self._participants) - 1
-        for _ in range(expected):
-            conn, _addr = self._listeners[pid].accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = self._read_exact(conn, 2)
-            src, dst = struct.unpack("<BB", hello)
-            if dst != pid:
-                raise TransportFailure(f"hello addressed to {dst}, expected {pid}")
-            with self._lock:
-                self._conns[("in", src, dst)] = conn
-
-    @staticmethod
-    def _read_exact(conn, n):
-        chunks = []
-        got = 0
-        while got < n:
-            chunk = conn.recv(n - got)
-            if not chunk:
-                raise TransportFailure("peer closed the connection")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+    def _pump(self):
+        """Reader thread: queue each whole inbound frame until ``close``."""
+        try:
+            while True:
+                for key, _ in self._selector.select():
+                    if key.data is None:
+                        return
+                    self._queues[key.data].put(_read_frame(key.fileobj))
+        except (OSError, TransportFailure) as exc:
+            self.abort(TransportFailure(f"TCP reader stopped: {exc}"))
 
     def send(self, src, dst, frame):
-        with self._lock:
-            conn = self._conns.get(("out", src, dst))
+        conn = self._out.get((src, dst))
         if conn is None:
             raise TransportFailure(f"no connection {src} -> {dst}")
         try:
@@ -257,36 +312,20 @@ class TcpTransport:
             raise TransportFailure(f"send {src} -> {dst} failed: {exc}") from exc
 
     def recv(self, src, dst, timeout=30.0):
-        with self._lock:
-            conn = self._conns.get(("in", src, dst))
-        if conn is None:
-            raise TransportFailure(f"no connection {src} -> {dst}")
-        conn.settimeout(timeout)
-        try:
-            prefix = self._read_exact(conn, _LEN.size)
-            (length,) = _LEN.unpack(prefix)
-            body = self._read_exact(conn, length)
-        except socket.timeout:
-            raise TransportFailure(f"timed out waiting on {src} -> {dst}") from None
-        except OSError as exc:
-            raise TransportFailure(f"recv {src} -> {dst} failed: {exc}") from exc
-        return decode_frame(prefix + body)
+        """Receive the next frame sent from ``src`` to ``dst``."""
+        return self._recv(src, dst, timeout)
 
     def close(self):
-        with self._lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
-        for lst in self._listeners.values():
-            try:
-                lst.close()
-            except OSError:
-                pass
-        self._listeners.clear()
+        if self._reader is not None:
+            self._wake.send(b"\0")
+            self._reader.join()
+            self._reader = None
+        self._selector.close()
+        for s in self._socks:
+            s.close()
+        self._socks.clear()
+        self._out.clear()
+        self.abort(TransportFailure("transport closed"))
 
 
 def make_transport(kind, participants):

@@ -342,17 +342,22 @@ def _comparable(report):
 def test_c9_transport_determinism():
     ok = True
     detail = []
-    for seed, mode in ((0, "linear"), (1, "ridge"), (2, "linear")):
-        datasets, _, _ = synth_datasets(120, 6, 3, seed)
+    # The last case sends 7.6 MB shards, more than the loopback socket
+    # buffers hold, so TCP senders block until their peers read.
+    cases = ((0, "linear", 120, 6, 3), (1, "ridge", 120, 6, 3),
+             (2, "linear", 120, 6, 3), (3, "linear", 100_000, 16, 2))
+    for seed, mode, n, p, k in cases:
+        datasets, _, _ = synth_datasets(n, p, k, seed)
         r_bus = run_protocol(
-            datasets, RunConfig(k=3, mode=mode, seed=seed, transport="bus")
+            datasets, RunConfig(k=k, mode=mode, seed=seed, transport="bus")
         )
         r_tcp = run_protocol(
-            datasets, RunConfig(k=3, mode=mode, seed=seed, transport="tcp")
+            datasets, RunConfig(k=k, mode=mode, seed=seed, transport="tcp")
         )
         same_bytes = r_bus.estimate.tobytes() == r_tcp.estimate.tobytes()
         same_report = _comparable(r_bus) == _comparable(r_tcp)
-        ok &= same_bytes and same_report
-        detail.append(f"seed {seed} {mode}: bytes={same_bytes}")
+        accepted = r_bus.verify.accepted and r_tcp.verify.accepted
+        ok &= same_bytes and same_report and accepted
+        detail.append(f"seed {seed} {mode} n={n}: bytes={same_bytes}")
     report_line(9, "bus and TCP byte-identical", ok, "; ".join(detail))
     assert ok

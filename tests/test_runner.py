@@ -1,8 +1,11 @@
 """End-to-end orchestration tests: rings, folds, full runs, encrypted CV."""
 
+import time
+
 import numpy as np
 import pytest
 
+from maskreg import protocol
 from maskreg.errors import (
     DimMismatch,
     FoldBlockMisaligned,
@@ -156,6 +159,24 @@ def test_tampered_run_flagged():
     assert report.verify.verdict == "tampered"
 
 
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+def test_agency_error_aborts_run_at_once(monkeypatch, transport):
+    """An exception in one agency's thread ends the run as itself."""
+    original = protocol.pass_encrypt
+
+    def failing(ctx, shard):
+        if ctx.agency_id == 2:
+            raise ValueError("agency 2 cannot mask")
+        return original(ctx, shard)
+
+    monkeypatch.setattr(protocol, "pass_encrypt", failing)
+    datasets = make_datasets(3, 40, 3, seed=6)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="agency 2 cannot mask"):
+        run_protocol(datasets, RunConfig(k=3, seed=6, transport=transport))
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_binary_response_reports_auc():
     rng = np.random.default_rng(4)
     datasets = []
@@ -245,6 +266,16 @@ def test_encrypted_cv_matches_plaintext_oracle():
     assert rel_err(
         report.beta(), ridge_fit(x, y, oracle.chosen_lambda)
     ) < 1e-8
+
+
+def test_encrypted_cv_flags_perturbed_result():
+    datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
+    config = RunConfig(
+        k=2, mode="ridge", block_size=8, folds=3, seed=21,
+        tamper=TamperPlan(action="perturb_result", magnitude=1.0),
+    )
+    report = cross_validate_encrypted(datasets, config)
+    assert report.verify.verdict == "tampered"
 
 
 def test_encrypted_cv_requires_ridge():

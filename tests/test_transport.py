@@ -1,6 +1,7 @@
 """Tests for the wire format and both transports."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,66 @@ def test_tcp_concurrent_large_frames():
         assert np.array_equal(result["frame"].matrices[0], big)
     finally:
         tcp.close()
+
+
+def test_tcp_crossing_large_frames():
+    # both peers send 8 MB, more than the socket buffers hold, before
+    # either one reads
+    tcp = TcpTransport([1, 2])
+    try:
+        rng = np.random.default_rng(8)
+        frames = {
+            (1, 2): Frame(MSG_SHARD, 1, 1, (1,), (rng.standard_normal((1024, 1024)),)),
+            (2, 1): Frame(MSG_SHARD, 2, 1, (2,), (rng.standard_normal((1024, 1024)),)),
+        }
+        senders = [
+            threading.Thread(target=tcp.send, args=(src, dst, f), daemon=True)
+            for (src, dst), f in frames.items()
+        ]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        for (src, dst), f in frames.items():
+            got = tcp.recv(src, dst, timeout=10.0)
+            assert np.array_equal(got.matrices[0], f.matrices[0])
+    finally:
+        tcp.close()
+
+
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_abort_wakes_blocked_recv(kind):
+    transport = make_transport(kind, [0, 1])
+    try:
+        exc = ValueError("agency failed")
+        caught = {}
+
+        def receiver():
+            try:
+                transport.recv(0, 1, timeout=10.0)
+            except ValueError as err:
+                caught["exc"] = err
+
+        thread = threading.Thread(target=receiver, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        transport.abort(exc)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert caught["exc"] is exc
+    finally:
+        transport.close()
+
+
+def test_abort_delivers_queued_frames_first():
+    bus = BusTransport([0, 1])
+    frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.ones((1, 1)),))
+    bus.send(0, 1, frame)
+    bus.abort(ValueError("agency failed"))
+    assert bus.recv(0, 1).matrices[0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        bus.recv(0, 1)
 
 
 def test_both_transports_carry_identical_bytes():
