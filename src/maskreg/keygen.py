@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ResampleExhausted
-from .matrix_core import OrthoBlocks, commute_materialize, random_ortho_blocks
+from .matrix_core import commute_materialize, random_ortho_blocks
 
 #: Hard cap on polynomial degree for feature-side keys.
 MAX_KEY_DEGREE = 16

@@ -29,19 +29,26 @@ def random_orthogonal(dim, rng):
     -------
     (dim, dim) ndarray
         Orthogonal matrix ``Q`` with ``Q.T @ Q == I`` to machine precision.
-
-    Notes
-    -----
-    QR of a square Gaussian matrix alone does not give the Haar measure:
-    the factorization is only unique up to the signs of the diagonal of
-    ``R``. Multiplying each column of ``Q`` by the sign of the matching
-    diagonal entry of ``R`` removes the bias.
     """
     if dim < 1:
         raise DimMismatch(f"orthogonal dimension must be >= 1, got {dim}")
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    d = np.diagonal(r)
-    return q * np.where(d >= 0.0, 1.0, -1.0)
+    return _haar(rng.standard_normal((dim, dim)))
+
+
+def _haar(gaussian):
+    """Haar-distributed orthogonal factor of each square Gaussian matrix.
+
+    ``gaussian`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack.
+    QR of a square Gaussian matrix alone does not give the Haar measure:
+    the factorization is only unique up to the signs of the diagonal of
+    ``R``. Multiplying each column of ``Q`` by the sign of the matching
+    diagonal entry of ``R`` removes the bias. A stack is factored by one
+    batched QR whose output equals per-matrix QR bit for bit.
+    """
+    q, r = np.linalg.qr(gaussian)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= np.where(d >= 0.0, 1.0, -1.0)[..., np.newaxis, :]
+    return q
 
 
 def random_gaussian_basis(dim, sigma, rng, cond_max=1e8):
@@ -88,11 +95,6 @@ def commute_materialize(basis, coeffs):
     return basis @ acc
 
 
-def block_diag(blocks):
-    """Assemble a dense block-diagonal matrix from square blocks."""
-    return scipy.linalg.block_diag(*blocks)
-
-
 def solve_spd(gram, rhs):
     """Solve ``gram @ x = rhs`` for symmetric positive definite ``gram``.
 
@@ -114,48 +116,61 @@ def solve_spd(gram, rhs):
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
+#: Most full blocks factored by one batched QR; bounds its temporaries.
+QR_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class OrthoBlocks:
     """A block-diagonal orthogonal matrix stored as its diagonal blocks.
 
-    The blocks partition the row range in order; the trailing block is
-    allowed to be smaller when the row count is not a multiple of the
-    block size.
+    The blocks partition the row range in order: ``full`` stacks the
+    ``(nb, bs, bs)`` full-size blocks, and ``tail`` is the smaller trailing
+    block, or ``None`` when the row count is a multiple of ``bs``.
     """
 
-    blocks: tuple
+    full: np.ndarray
+    tail: np.ndarray = None
+
+    @property
+    def blocks(self):
+        """One ``(s, s)`` array per block, in row order."""
+        tail = () if self.tail is None else (self.tail,)
+        return tuple(self.full) + tail
 
     @property
     def n_rows(self):
-        return sum(b.shape[0] for b in self.blocks)
+        nb, bs, _ = self.full.shape
+        return nb * bs + (0 if self.tail is None else self.tail.shape[0])
 
     def ranges(self):
         """Row range ``(start, stop)`` covered by each block."""
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append((start, start + b.shape[0]))
-            start += b.shape[0]
+        nb, bs, _ = self.full.shape
+        out = [(i * bs, (i + 1) * bs) for i in range(nb)]
+        if self.tail is not None:
+            out.append((nb * bs, self.n_rows))
         return tuple(out)
 
     def apply(self, m):
-        """Left-multiply ``m`` by the block-diagonal matrix."""
+        """Left-multiply the ``(n_rows, p)`` matrix ``m`` by the mask."""
         m = np.asarray(m, dtype=np.float64)
-        if m.shape[0] != self.n_rows:
+        if m.ndim != 2 or m.shape[0] != self.n_rows:
             raise DimMismatch(
-                f"matrix has {m.shape[0]} rows, blocks cover {self.n_rows}"
+                f"matrix has shape {m.shape}, blocks cover {self.n_rows} rows"
             )
-        out = np.empty_like(m)
-        start = 0
-        for b in self.blocks:
-            stop = start + b.shape[0]
-            out[start:stop] = b @ m[start:stop]
-            start = stop
+        nb, bs, _ = self.full.shape
+        cut = nb * bs
+        p = m.shape[1]
+        out = np.empty(m.shape)
+        np.matmul(self.full, m[:cut].reshape(nb, bs, p),
+                  out=out[:cut].reshape(nb, bs, p))
+        if self.tail is not None:
+            np.matmul(self.tail, m[cut:], out=out[cut:])
         return out
 
     def materialize(self):
         """Dense ``(n_rows, n_rows)`` form; intended for tests and demos."""
-        return block_diag(list(self.blocks))
+        return scipy.linalg.block_diag(*self.blocks)
 
 
 def split_block_sizes(n_rows, block_size):
@@ -171,8 +186,18 @@ def split_block_sizes(n_rows, block_size):
 
 
 def random_ortho_blocks(n_rows, block_size, rng):
-    """Draw a block-diagonal orthogonal mask covering ``n_rows`` rows."""
-    blocks = tuple(
-        random_orthogonal(s, rng) for s in split_block_sizes(n_rows, block_size)
-    )
-    return OrthoBlocks(blocks=blocks)
+    """Draw a block-diagonal orthogonal mask covering ``n_rows`` rows.
+
+    Blocks are drawn in row order from one stream, so the mask equals the
+    sequence of ``random_orthogonal`` draws of each block's size.
+    """
+    split_block_sizes(n_rows, block_size)  # raises DimMismatch on bad sizes
+    nb, rem = divmod(n_rows, block_size)
+    full = np.empty((nb, block_size, block_size))
+    for start in range(0, nb, QR_CHUNK):
+        stop = min(start + QR_CHUNK, nb)
+        full[start:stop] = _haar(
+            rng.standard_normal((stop - start, block_size, block_size))
+        )
+    tail = random_orthogonal(rem, rng) if rem else None
+    return OrthoBlocks(full=full, tail=tail)

@@ -33,6 +33,13 @@ from maskreg.runner import (
     run_protocol,
 )
 from maskreg.transport import make_transport
+from toy_instance import (
+    TOY_BASE,
+    TOY_COLUMN_SOLUTIONS,
+    TOY_OBSERVED,
+    TOY_TARGET,
+    TOY_TRUE_COEFFS,
+)
 
 
 def report_line(num, label, ok, detail=""):
@@ -145,29 +152,6 @@ def test_c3_verification_soundness():
 
 # ------------------------------------------------------------------ 4
 
-# The fixed 3x3 workbench instance: observed masked rows, the re-encrypted
-# probe, the shared key basis, and the key coefficients that produced it.
-TOY_BASE = np.array([[-0.626, 1.595, 0.487],
-                     [0.184, 0.330, 0.738],
-                     [-0.836, -0.820, 0.576]])
-TOY_OBSERVED = np.array([[0.695, 0.379, 0.955],
-                         [2.512, -1.215, 0.984],
-                         [1.390, 2.125, 1.944]])
-TOY_TARGET = np.array([[7.517, -5.452, -6.865],
-                       [11.13, -16.98, -2.897],
-                       [17.12, -23.77, -38.04]])
-TOY_TRUE_COEFFS = np.array([8.0, 0.3, -2.0])
-
-# Exact per-column solutions of the same instance, to 4 decimals. The
-# triples once printed for it do not solve it (residuals 12.8, 8.8, 17.0);
-# DECISIONS.md records them and the recomputation.
-TOY_PUBLISHED_SOLUTIONS = np.array([
-    [-5.6922, -3.4895, -0.4194],
-    [-8.2412, -1.6722, 4.1230],
-    [-25.8296, 0.6838, -12.8198],
-])
-
-
 def toy_attack():
     return cpa_attack(TOY_OBSERVED, TOY_TARGET, TOY_BASE, degree=3,
                       true_coeffs=TOY_TRUE_COEFFS)
@@ -176,7 +160,7 @@ def toy_attack():
 def test_c4a_toy_instance_published_solutions():
     # The reference must solve the instance on its own terms: column j of
     # TOY_TARGET from [O B, O B^2, O B^3][:, j], built without cpa_attack.
-    for j, w in enumerate(TOY_PUBLISHED_SOLUTIONS):
+    for j, w in enumerate(TOY_COLUMN_SOLUTIONS):
         design = np.column_stack([
             (TOY_OBSERVED @ np.linalg.matrix_power(TOY_BASE, m))[:, j]
             for m in (1, 2, 3)
@@ -185,7 +169,7 @@ def test_c4a_toy_instance_published_solutions():
         assert resid <= 1e-3, (j, resid)
     rep = toy_attack()
     gap = float(np.max(np.abs(np.asarray(rep.solutions)
-                              - TOY_PUBLISHED_SOLUTIONS)))
+                              - TOY_COLUMN_SOLUTIONS)))
     ok = gap <= 0.01
     report_line(4, "toy instance matches published per-column solutions", ok,
                 f"max gap {gap:.4f} vs 0.01 allowed")

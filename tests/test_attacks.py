@@ -20,28 +20,13 @@ from maskreg.attacks import (
 from maskreg.errors import DimMismatch, SingularResult
 from maskreg.keygen import derive_bases, draw_commuting_key
 from maskreg.matrix_core import commute_materialize, random_orthogonal
-
-# Fixed 3x3 workbench instance: a cubic re-encryption key with coefficients
-# (8, 0.3, -2) applied to data whose row mask the attacker cannot see.
-TOY_BASE = np.array([[-0.626, 1.595, 0.487],
-                     [0.184, 0.330, 0.738],
-                     [-0.836, -0.820, 0.576]])
-TOY_OBSERVED = np.array([[0.695, 0.379, 0.955],
-                         [2.512, -1.215, 0.984],
-                         [1.390, 2.125, 1.944]])
-TOY_TARGET = np.array([[7.517, -5.452, -6.865],
-                       [11.13, -16.98, -2.897],
-                       [17.12, -23.77, -38.04]])
-TOY_TRUE_COEFFS = np.array([8.0, 0.3, -2.0])
-
-# Per-column solves of the toy instance, frozen from an independent
-# recomputation: the three columns contradict each other, which is the
-# whole point -- the naive attacker cannot settle on one key.
-TOY_COLUMN_SOLUTIONS = np.array([
-    [-5.6922, -3.4895, -0.4194],
-    [-8.2412, -1.6722, 4.1230],
-    [-25.8296, 0.6838, -12.8198],
-])
+from toy_instance import (
+    TOY_BASE,
+    TOY_COLUMN_SOLUTIONS,
+    TOY_OBSERVED,
+    TOY_TARGET,
+    TOY_TRUE_COEFFS,
+)
 
 
 def test_toy_instance_regression():

@@ -5,7 +5,6 @@ import pytest
 
 from maskreg.errors import DimMismatch, NotPD, ResampleExhausted
 from maskreg.matrix_core import (
-    OrthoBlocks,
     commute_materialize,
     random_gaussian_basis,
     random_ortho_blocks,
@@ -121,14 +120,35 @@ def test_split_block_sizes():
     assert split_block_sizes(1, 1) == [1]
 
 
+# (n_rows, block_size): a multiple of the block size, a remainder, more
+# full blocks than one batched-QR chunk, and fewer rows than one block.
+ORTHO_SHAPES = [(12, 4), (11, 4), (1029, 4), (5, 16)]
+
+
+@pytest.mark.parametrize("n_rows,block_size", ORTHO_SHAPES)
+def test_ortho_blocks_equal_per_block_draws(n_rows, block_size):
+    # the batched draw consumes the stream exactly as one random_orthogonal
+    # call per block, in row order, so masks are bit-identical to it
+    blocks = random_ortho_blocks(n_rows, block_size, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    expected = [random_orthogonal(s, rng)
+                for s in split_block_sizes(n_rows, block_size)]
+    assert len(blocks.blocks) == len(expected) == len(blocks.ranges())
+    for got, want in zip(blocks.blocks, expected):
+        assert np.array_equal(got, want)
+    assert blocks.n_rows == n_rows
+
+
 def test_ortho_blocks_apply_matches_materialized():
     rng = np.random.default_rng(7)
     blocks = random_ortho_blocks(11, 4, rng)
     assert [b.shape[0] for b in blocks.blocks] == [4, 4, 3]
-    m = rng.standard_normal((11, 3))
-    np.testing.assert_allclose(
-        blocks.apply(m), blocks.materialize() @ m, atol=1e-12
-    )
+    for n_rows, block_size in ORTHO_SHAPES:
+        blocks = random_ortho_blocks(n_rows, block_size, rng)
+        m = rng.standard_normal((n_rows, 3))
+        np.testing.assert_allclose(
+            blocks.apply(m), blocks.materialize() @ m, atol=1e-12
+        )
 
 
 def test_ortho_blocks_ranges_partition_rows():
