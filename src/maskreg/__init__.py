@@ -8,179 +8,26 @@ tamper check. The attacks module plays the adversary against the same
 constructions.
 """
 
-from .attacks import (
-    CpaReport,
-    KpaReport,
-    LdpCurve,
-    cpa_attack,
-    cpa_rank_analysis,
-    kpa_gram_sweep,
-    kpa_scenario_one,
-    kpa_scenario_two,
-    ldp_ratio,
-    ldp_sweep,
-)
-from .dataio import Dataset, load_csv, split_horizontal
-from .errors import (
-    DimMismatch,
-    DoubleDecrypt,
-    DuplicatePass,
-    FoldBlockMisaligned,
-    MaskRegError,
-    MissingResponse,
-    NonNumericCell,
-    NotPD,
-    ParseError,
-    ProtocolOrderViolation,
-    RankDeficient,
-    ResampleExhausted,
-    SingleClass,
-    SingularResult,
-    TooManyAgencies,
-    TransportFailure,
-)
-from .keygen import (
-    AgencyKeys,
-    MaskBases,
-    agency_rng,
-    default_degree,
-    derive_bases,
-    draw_commuting_key,
-    gen_agency_keys,
-    key_fingerprint,
-    make_responses,
-)
-from .matrix_core import (
-    OrthoBlocks,
-    commute_materialize,
-    random_gaussian_basis,
-    random_ortho_blocks,
-    random_orthogonal,
-    solve_spd,
-    split_block_sizes,
-)
-from .model import CvReport, auc, cross_validate, mse, ols_fit, ridge_fit
-from .protocol import (
-    AgencyContext,
-    EncryptedAggregate,
-    EncryptedShard,
-    EstimateMatrix,
-    TamperPlan,
-    VerifyReport,
-    assemble_aggregate,
-    cloud_fit,
-    decrypt_round,
-    gram_release_step,
-    inject_tamper,
-    local_encrypt,
-    pass_encrypt,
-    residual_gram_decrypt_step,
-    verify_estimate,
-)
-from .runner import (
-    RunConfig,
-    RunReport,
-    build_contexts,
-    cross_validate_encrypted,
-    fold_rows,
-    release_btb,
-    ring_orders,
-    run_decrypt,
-    run_pre_modeling,
-    run_protocol,
-)
-from .transport import (
-    BusTransport,
-    Frame,
-    TcpTransport,
-    decode_frame,
-    encode_frame,
-    make_transport,
-)
+from .attacks import cpa_attack, cpa_rank_analysis, kpa_gram_sweep, ldp_sweep
+from .keygen import derive_bases, draw_commuting_key
+from .matrix_core import random_orthogonal
+from .model import ols_fit
+from .protocol import TamperPlan
+from .runner import RunConfig, cross_validate_encrypted, run_protocol
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgencyContext",
-    "AgencyKeys",
-    "BusTransport",
-    "CpaReport",
-    "CvReport",
-    "Dataset",
-    "DimMismatch",
-    "DoubleDecrypt",
-    "DuplicatePass",
-    "EncryptedAggregate",
-    "EncryptedShard",
-    "EstimateMatrix",
-    "FoldBlockMisaligned",
-    "Frame",
-    "KpaReport",
-    "LdpCurve",
-    "MaskBases",
-    "MaskRegError",
-    "MissingResponse",
-    "NonNumericCell",
-    "NotPD",
-    "OrthoBlocks",
-    "ParseError",
-    "ProtocolOrderViolation",
-    "RankDeficient",
-    "ResampleExhausted",
     "RunConfig",
-    "RunReport",
-    "SingleClass",
-    "SingularResult",
     "TamperPlan",
-    "TcpTransport",
-    "TooManyAgencies",
-    "TransportFailure",
-    "VerifyReport",
-    "agency_rng",
-    "assemble_aggregate",
-    "auc",
-    "build_contexts",
-    "cloud_fit",
-    "commute_materialize",
     "cpa_attack",
     "cpa_rank_analysis",
-    "cross_validate",
     "cross_validate_encrypted",
-    "decode_frame",
-    "decrypt_round",
-    "default_degree",
     "derive_bases",
     "draw_commuting_key",
-    "encode_frame",
-    "fold_rows",
-    "gen_agency_keys",
-    "gram_release_step",
-    "inject_tamper",
-    "key_fingerprint",
     "kpa_gram_sweep",
-    "kpa_scenario_one",
-    "kpa_scenario_two",
-    "ldp_ratio",
     "ldp_sweep",
-    "load_csv",
-    "local_encrypt",
-    "make_responses",
-    "make_transport",
-    "mse",
     "ols_fit",
-    "pass_encrypt",
-    "random_gaussian_basis",
-    "random_ortho_blocks",
     "random_orthogonal",
-    "release_btb",
-    "residual_gram_decrypt_step",
-    "ridge_fit",
-    "ring_orders",
-    "run_decrypt",
-    "run_pre_modeling",
     "run_protocol",
-    "solve_spd",
-    "split_block_sizes",
-    "split_horizontal",
-    "verify_estimate",
 ]

@@ -6,12 +6,13 @@ feature-side keys are polynomials in the same base matrix (and likewise for
 the response side), any two agencies' keys commute, which is what lets the
 ring protocol apply them in arbitrary order.
 
-The base sampler is deliberately picky. The final decrypted estimate has to
-match a plaintext solve to ~1e-8 relative even though every intermediate
-matrix crosses the wire in float64, so the conditioning of the *product* of
-all agencies' keys must stay small. Three screens on the base and one on
-each key keep that product tame; see ``derive_bases`` and
-``gen_agency_keys``.
+The decrypted estimate has to match a plaintext solve to ~1e-8 relative
+even though every intermediate matrix crosses the wire in float64, so the
+product of all agencies' keys must stay well conditioned. The bases are
+built, not screened: each is ``V·Λ·V⁻¹`` with cond(V) ≤ 2 and no
+eigenvalue modulus below 0.6 times the largest (see ``_constructed_base``).
+The one remaining screen is per key, on the spread of its polynomial over
+the base spectrum (see ``draw_commuting_key``).
 """
 
 import hashlib
@@ -20,7 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ResampleExhausted
-from .matrix_core import commute_materialize, random_ortho_blocks
+from .matrix_core import (
+    commute_materialize,
+    random_ortho_blocks,
+    random_orthogonal,
+)
 
 #: Hard cap on polynomial degree for feature-side keys.
 MAX_KEY_DEGREE = 16
@@ -28,25 +33,8 @@ MAX_KEY_DEGREE = 16
 #: Degree of response-side keys (the response bundle always has 3 columns).
 RESPONSE_KEY_DEGREE = 3
 
-#: Attempts when screening a base matrix.
-BASE_ATTEMPTS = 500
-
 #: Attempts when drawing one key's coefficient vector.
 KEY_ATTEMPTS = 100
-
-#: Eigenvalue moduli of an accepted base stay within this ratio of the
-#: largest, so no key polynomial (they all vanish at zero) is forced tiny.
-EV_RATIO_MIN = 0.2
-
-#: Cap on the condition number of the base's normalized eigenvector matrix.
-EIGVEC_COND_MAX = 40.0
-
-#: Probe screen: an accepted base must give at least PROBE_MIN_HITS out of
-#: PROBE_COUNT random coefficient draws a spectral spread <= PROBE_SPREAD,
-#: so the per-key rejection sampling below cannot stall.
-PROBE_COUNT = 40
-PROBE_SPREAD = 4.0
-PROBE_MIN_HITS = 6
 
 #: Budget for max|poly|/min|poly| over the base spectrum of the *product*
 #: of all agencies' keys; each agency targets the K-th root of this.
@@ -122,45 +110,31 @@ class AgencyKeys:
             self.decrypt_c_key = self.c_key
 
 
-def _screened_base(dim, degree, rng):
-    """Draw one unit-spectral-norm Gaussian base passing all quality screens.
+def _constructed_base(dim, rng):
+    """Unit-spectral-norm base ``V·Λ·V⁻¹`` with a well-conditioned ``V``.
 
-    Screens, in order of cost:
-      1. condition number of the raw draw <= max(100, 4*dim);
-      2. eigenvalue moduli within EV_RATIO_MIN of the largest;
-      3. normalized eigenvector matrix condition <= EIGVEC_COND_MAX;
-      4. enough random key polynomials achieve a small spectral spread.
-
-    For dimensions beyond ~40 the fixed thresholds become too strict for
-    Gaussian draws, so screens 2 and 3 relax with the dimension.
+    ``V = Q₁·diag(s)·Q₂`` with Haar ``Q₁``, ``Q₂`` and ``s ~ U[1, 2]``, so
+    cond(V) ≤ 2 and ``V⁻¹ = Q₂ᵀ·diag(1/s)·Q₁ᵀ`` needs no solve. ``Λ`` is
+    block diagonal: 2×2 rotations scaled by moduli ``~ U[0.6, 1]``, plus
+    one real ±r entry when ``dim`` is odd. The base is therefore
+    non-symmetric with complex-conjugate eigenvalue pairs, like a Gaussian
+    draw, but no eigenvalue modulus is below 0.6 times the largest.
     """
-    cond_cap = max(100.0, 4.0 * dim)
-    ev_ratio = min(EV_RATIO_MIN, 6.0 / dim)
-    eigvec_cap = max(EIGVEC_COND_MAX, 1.5 * dim)
-    for _ in range(BASE_ATTEMPTS):
-        m = rng.standard_normal((dim, dim))
-        if np.linalg.cond(m) > cond_cap:
-            continue
-        eigvals, eigvecs = np.linalg.eig(m)
-        moduli = np.abs(eigvals)
-        if moduli.min() < ev_ratio * moduli.max():
-            continue
-        eigvecs = eigvecs / np.linalg.norm(eigvecs, axis=0)
-        if np.linalg.cond(eigvecs) > eigvec_cap:
-            continue
-        spectral = np.linalg.norm(m, 2)
-        lam = eigvals / spectral
-        hits = 0
-        for _ in range(PROBE_COUNT):
-            spread = _poly_spread(rng.standard_normal(degree), lam)
-            if spread <= PROBE_SPREAD:
-                hits += 1
-        if hits < PROBE_MIN_HITS:
-            continue
-        return m / spectral
-    raise ResampleExhausted(
-        f"no acceptable {dim}x{dim} base in {BASE_ATTEMPTS} attempts"
-    )
+    q1 = random_orthogonal(dim, rng)
+    q2 = random_orthogonal(dim, rng)
+    s = rng.uniform(1.0, 2.0, dim)
+    radii = rng.uniform(0.6, 1.0, (dim + 1) // 2)
+    angles = rng.uniform(0.0, np.pi, dim // 2)
+    lam = np.zeros((dim, dim))
+    for i, (r, t) in enumerate(zip(radii, angles)):
+        c, sn = r * np.cos(t), r * np.sin(t)
+        lam[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -sn], [sn, c]]
+    if dim % 2:
+        lam[-1, -1] = radii[-1] * rng.choice((-1.0, 1.0))
+    v = (q1 * s) @ q2
+    v_inv = (q2.T / s) @ q1.T
+    base = v @ lam @ v_inv
+    return base / np.linalg.norm(base, 2)
 
 
 def _poly_spread(coeffs, eigvals):
@@ -189,13 +163,9 @@ def derive_bases(shared_seed, p, degree=None):
     if p < 1:
         raise DimMismatch(f"need at least one feature, got p={p}")
     degree = default_degree(p) if degree is None else int(degree)
-    if not 1 <= degree <= MAX_KEY_DEGREE:
-        raise DimMismatch(
-            f"degree must be in [1, {MAX_KEY_DEGREE}], got {degree}"
-        )
     rng = np.random.default_rng([int(shared_seed) % 2**64, _TAG_BASES])
-    b_basis = _screened_base(p, degree, rng)
-    c_basis = _screened_base(3, RESPONSE_KEY_DEGREE, rng)
+    b_basis = _constructed_base(p, rng)
+    c_basis = _constructed_base(3, rng)
     return MaskBases(b_basis=b_basis, c_basis=c_basis, degree=degree)
 
 

@@ -9,10 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch, NotPD, ResampleExhausted
-
-#: Attempts before a rejection sampler gives up.
-MAX_RESAMPLE = 100
+from .errors import DimMismatch, NotPD
 
 
 def random_orthogonal(dim, rng):
@@ -49,29 +46,6 @@ def _haar(gaussian):
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= np.where(d >= 0.0, 1.0, -1.0)[..., np.newaxis, :]
     return q
-
-
-def random_gaussian_basis(dim, sigma, rng, cond_max=1e8):
-    """Sample a dense Gaussian matrix suitable as a commuting-mask base.
-
-    Entries are i.i.d. ``N(0, sigma**2)``. Draws whose condition number
-    exceeds ``cond_max`` are rejected and resampled (at most
-    ``MAX_RESAMPLE`` times, then :class:`ResampleExhausted` is raised).
-    The accepted draw is rescaled to unit spectral norm so that matrix
-    powers of the result neither explode nor vanish.
-    """
-    if dim < 1:
-        raise DimMismatch(f"basis dimension must be >= 1, got {dim}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    for _ in range(MAX_RESAMPLE):
-        m = rng.normal(0.0, sigma, size=(dim, dim))
-        if np.linalg.cond(m) <= cond_max:
-            return m / np.linalg.norm(m, 2)
-    raise ResampleExhausted(
-        f"no {dim}x{dim} Gaussian draw with condition <= {cond_max:g} "
-        f"in {MAX_RESAMPLE} attempts"
-    )
 
 
 def commute_materialize(basis, coeffs):

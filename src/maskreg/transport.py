@@ -58,8 +58,13 @@ class Frame:
 
 
 def encode_frame(frame):
-    """Serialize a Frame to bytes, length prefix included."""
+    """Serialize a Frame to bytes, length prefix included.
+
+    The arrays go into the one ``join`` as buffers, so each payload is
+    copied once, into the frame itself.
+    """
     parts = [
+        b"",  # the length prefix, filled in once the size is known
         _HEADER.pack(PROTOCOL_VERSION, frame.msg_type, frame.origin,
                      frame.round),
         _COUNT.pack(len(frame.applied)),
@@ -67,20 +72,25 @@ def encode_frame(frame):
         _COUNT.pack(len(frame.matrices)),
     ]
     for m in frame.matrices:
-        m = np.ascontiguousarray(m, dtype=np.float64)
+        m = np.ascontiguousarray(m, dtype="<f8")
         if m.ndim != 2:
             raise TransportFailure(f"matrix payload must be 2-d, got {m.ndim}-d")
         parts.append(_MATRIX.pack(m.shape[0], m.shape[1]))
-        parts.append(m.tobytes())
-    body = b"".join(parts)
-    return _LEN.pack(len(body)) + body
+        parts.append(m)
+    parts[0] = _LEN.pack(sum(memoryview(part).nbytes for part in parts))
+    return b"".join(parts)
 
 
 def decode_frame(data):
-    """Parse one complete frame, length prefix included."""
+    """Parse one complete frame, length prefix included.
+
+    The input is read through a ``memoryview``; each matrix is copied once
+    out of it, so the arrays returned are owned and writeable.
+    """
+    view = memoryview(data)
     try:
-        (length,) = _LEN.unpack_from(data, 0)
-        body = data[_LEN.size:]
+        (length,) = _LEN.unpack_from(view, 0)
+        body = view[_LEN.size:]
         if len(body) != length:
             raise TransportFailure(
                 f"frame length prefix says {length} bytes, got {len(body)}"
@@ -102,12 +112,12 @@ def decode_frame(data):
             rows, cols = _MATRIX.unpack_from(body, off)
             off += _MATRIX.size
             nbytes = rows * cols * 8
-            data = body[off:off + nbytes]
-            if len(data) != nbytes:
+            payload = body[off:off + nbytes]
+            if len(payload) != nbytes:
                 raise TransportFailure("truncated matrix payload")
             off += nbytes
             matrices.append(
-                np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+                np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
             )
         if off != len(body):
             raise TransportFailure(f"{len(body) - off} trailing bytes in frame")

@@ -50,6 +50,19 @@ def test_derive_bases_rejects_bad_degree():
         derive_bases(0, 5, degree=99)
 
 
+@pytest.mark.parametrize("p", [48, 64, 128])
+def test_derive_bases_wide(p):
+    # The bases are constructed, so any width works on every seed, with a
+    # bounded eigenvalue spread and no symmetry (keys must not be normal).
+    for seed in range(5):
+        bases = derive_bases(seed, p)
+        for basis in (bases.b_basis, bases.c_basis):
+            assert abs(np.linalg.norm(basis, 2) - 1.0) < 1e-12
+            moduli = np.abs(np.linalg.eigvals(basis))
+            assert moduli.min() >= 0.6 * moduli.max()
+            assert not np.allclose(basis, basis.T)
+
+
 def test_drawn_keys_commute_and_invert():
     bases = derive_bases(7, 6)
     rng = np.random.default_rng(1)

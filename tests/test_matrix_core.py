@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from maskreg.errors import DimMismatch, NotPD, ResampleExhausted
+from maskreg.errors import DimMismatch, NotPD
+from maskreg.keygen import derive_bases
 from maskreg.matrix_core import (
     commute_materialize,
-    random_gaussian_basis,
     random_ortho_blocks,
     random_orthogonal,
     solve_spd,
@@ -37,23 +37,9 @@ def test_random_orthogonal_covers_both_determinant_signs():
     assert dets == {-1, 1}
 
 
-def test_gaussian_basis_unit_spectral_norm():
-    rng = np.random.default_rng(1)
-    for dim in (2, 5, 12):
-        b = random_gaussian_basis(dim, 0.5, rng)
-        assert abs(np.linalg.norm(b, 2) - 1.0) < 1e-12
-        assert np.linalg.cond(b) < 1e8
-
-
-def test_gaussian_basis_exhaustion():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ResampleExhausted):
-        random_gaussian_basis(4, 1.0, rng, cond_max=1.0)  # unattainable
-
-
 def test_materialize_matches_power_sum():
     rng = np.random.default_rng(2)
-    basis = random_gaussian_basis(5, 1.0, rng)
+    basis = derive_bases(2, 5).b_basis
     coeffs = rng.normal(size=4)
     direct = sum(
         c * np.linalg.matrix_power(basis, m + 1) for m, c in enumerate(coeffs)
@@ -66,19 +52,19 @@ def test_materialize_matches_power_sum():
 def test_materialize_has_no_constant_term():
     # every key is a polynomial with zero constant term, so zero
     # coefficients give the zero matrix, not the identity
-    basis = random_gaussian_basis(4, 1.0, np.random.default_rng(3))
+    basis = derive_bases(3, 4).b_basis
     out = commute_materialize(basis, np.zeros(3))
     assert np.all(out == 0.0)
 
 
 def test_materialize_degree_one():
-    basis = random_gaussian_basis(3, 1.0, np.random.default_rng(4))
+    basis = derive_bases(4, 3).b_basis
     np.testing.assert_allclose(commute_materialize(basis, [2.5]), 2.5 * basis)
 
 
 def test_materialized_keys_commute():
     rng = np.random.default_rng(5)
-    basis = random_gaussian_basis(6, 1.0, rng)
+    basis = derive_bases(5, 6).b_basis
     k1 = commute_materialize(basis, rng.normal(size=5))
     k2 = commute_materialize(basis, rng.normal(size=5))
     np.testing.assert_allclose(k1 @ k2, k2 @ k1, atol=1e-12)

@@ -105,6 +105,23 @@ def test_linear_run_matches_ols():
     assert set(report.timings_ms) >= {"keygen", "masking", "fit", "decrypt"}
 
 
+@pytest.mark.parametrize("n, p, k, seed", [
+    (4008, 8, 24, 0), (4008, 8, 24, 1), (4008, 8, 24, 2),
+    (20000, 8, 32, 0), (20000, 8, 32, 1), (20000, 8, 32, 2),
+    (8000, 64, 4, 0),
+])
+def test_honest_linear_run_accepted(n, p, k, seed):
+    # Many agencies multiply many keys together, and wide bases are the
+    # hard case for keygen; honest runs must still pass at the stock
+    # tolerance and match the plaintext fit.
+    datasets = make_datasets(k, n // k, p, seed=seed)
+    report = run_protocol(datasets, RunConfig(k=k, seed=seed))
+    assert report.verify.tolerance == protocol.VERIFY_TOL
+    assert report.verify.verdict == "accepted"
+    x, y = stacked(datasets)
+    assert rel_err(report.beta(), ols_fit(x, y)) < 1e-8
+
+
 def test_single_agency_run():
     datasets = make_datasets(1, 80, 4, seed=3)
     report = run_protocol(datasets, RunConfig(k=1, seed=3))
