@@ -9,8 +9,9 @@ X_1..X_K (row-partitioned across agencies):
    response key;
 2. shards travel around a ring so every *other* agency stacks its own
    masks on top; the completed shards go to the cloud;
-3. the cloud solves the normal equations on the masked aggregate and gets
-   a masked estimate;
+3. the cloud solves least squares by QR on the masked data: it takes the
+   R factor of the stacked masked matrix [X* | Y*] and back-substitutes,
+   and gets a masked estimate;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. anyone can then check the verification column: all ones for a linear
@@ -33,7 +34,10 @@ from .errors import (
     ProtocolOrderViolation,
     SingularResult,
 )
-from .matrix_core import solve_spd, split_block_sizes
+from .matrix_core import solve_spd, split_block_sizes  # noqa: F401
+
+# ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
+# name ``protocol.solve_spd``, so it stays importable from this module.
 
 MODES = ("linear", "ridge")
 
@@ -48,6 +52,13 @@ TAMPER_ACTIONS = (
 
 #: Default max-norm tolerance when checking the verification column.
 VERIFY_TOL = 1e-6
+
+#: Rows per block in the batched first level of :func:`r_factor`.
+TSQR_ROWS = 256
+
+#: A diagonal entry of R_xx at or below this fraction of the largest one
+#: marks the masked design as numerically singular.
+SINGULAR_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -82,13 +93,25 @@ class EncryptedShard:
 
 @dataclass
 class EncryptedAggregate:
-    """Everything the cloud sees: stacked masked shards plus row layout."""
+    """Everything the cloud sees: stacked masked shards plus row layout.
 
-    x_star: np.ndarray
-    y_star: np.ndarray
+    ``z_star`` is the one (n, p + 3) array [X* | Y*]; ``x_star`` and
+    ``y_star`` are views into it. ``key_factor`` is the released R_B of
+    the stacked feature keys (ridge only).
+    """
+
+    z_star: np.ndarray
     origin_rows: tuple
     block_ranges: tuple
-    btb: np.ndarray = None
+    key_factor: np.ndarray = None
+
+    @property
+    def x_star(self):
+        return self.z_star[:, :-3]
+
+    @property
+    def y_star(self):
+        return self.z_star[:, -3:]
 
 
 @dataclass
@@ -195,46 +218,98 @@ def assemble_aggregate(shards, num_agencies, block_size):
                 f"shard {s.origin} was masked by {len(s.applied)} of "
                 f"{num_agencies} agencies"
             )
-    xs, ys, origin_rows, block_ranges = [], [], [], []
+    p = shards[0].x_star.shape[1]
+    n_total = sum(s.x_star.shape[0] for s in shards)
+    z_star = np.empty((n_total, p + 3))
+    origin_rows, block_ranges = [], []
     offset = 0
     for origin in range(1, num_agencies + 1):
         s = by_origin[origin]
         n = s.x_star.shape[0]
-        xs.append(s.x_star)
-        ys.append(s.y_star)
+        z_star[offset:offset + n, :p] = s.x_star
+        z_star[offset:offset + n, p:] = s.y_star
         origin_rows.append((offset, offset + n))
         for size in split_block_sizes(n, block_size):
             block_ranges.append((offset, offset + size))
             offset += size
     return EncryptedAggregate(
-        x_star=np.vstack(xs),
-        y_star=np.vstack(ys),
+        z_star=z_star,
         origin_rows=tuple(origin_rows),
         block_ranges=tuple(block_ranges),
     )
 
 
-def cloud_fit(agg, mode, lam=0.0, rows=None):
-    """Solve the masked normal equations; the result is still masked.
+def r_factor(a):
+    """The (q, q) upper-triangular R of ``a = QR``, with a diagonal >= 0.
 
-    For ridge, the released Gram of the stacked feature keys is the exact
-    regularizer that makes the masked solve agree with a plaintext ridge
-    solve after decryption, so ``agg.btb`` must be present.
+    RᵀR = aᵀa, so R is all a least-squares fit on the rows of ``a`` needs,
+    and the R factors of row blocks stack: the R of their vertical stack is
+    the R of the stacked rows. One batched TSQR level (Demmel, Grigori,
+    Hoemmen & Langou, SIAM J. Sci. Comput. 2012) factors every
+    ``TSQR_ROWS``-row block at once, then factors the stacked block factors
+    and the leftover rows. Below 8x compression per block the batched
+    calls cost more than one plain QR, so narrow-enough ``a`` only is
+    batched.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n, q = a.shape
+    nb = n // TSQR_ROWS
+    if nb > 1 and 8 * q <= TSQR_ROWS:
+        head = a[:nb * TSQR_ROWS].reshape(nb, TSQR_ROWS, q)
+        a = np.vstack([np.linalg.qr(head, mode="r").reshape(-1, q),
+                       a[nb * TSQR_ROWS:]])
+    r = np.linalg.qr(a, mode="r")
+    if r.shape[0] < q:  # fewer rows than columns: the rest of R is zero
+        r = np.vstack([r, np.zeros((q - r.shape[0], q))])
+    r *= np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+    return r
+
+
+def solve_factor(r, mode, lam=0.0, r_b=None):
+    """Masked (p, 3) estimate R_xx⁻¹·R_xy from the R factor of [X* | Y*].
+
+    For ridge, √λ·[R_B | 0] is stacked under R and factored again, which
+    adds λ·R_BᵀR_B = λ·(ΠB)ᵀ(ΠB) to the Gram of the triangle: the exact
+    regularizer that makes the masked solve decrypt to a plaintext ridge
+    fit. Raises :class:`SingularResult` when a diagonal entry of R_xx is at
+    most ``SINGULAR_RTOL`` of the largest.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    x = agg.x_star if rows is None else agg.x_star[rows]
-    y = agg.y_star if rows is None else agg.y_star[rows]
-    gram = x.T @ x
+    p = r.shape[0] - 3
     if mode == "ridge":
         if lam < 0.0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
-        if agg.btb is None:
+        if r_b is None:
             raise ProtocolOrderViolation(
-                "ridge fit requested before the key Gram was released"
+                "ridge fit requested before the key factor was released"
             )
-        gram = gram + lam * agg.btb
-    values = solve_spd(gram, x.T @ y)
+        penalty = np.zeros((p, p + 3))
+        penalty[:, :p] = np.sqrt(lam) * r_b
+        r = r_factor(np.vstack([r, penalty]))
+    diag = np.abs(np.diag(r)[:p])
+    if diag.min() <= SINGULAR_RTOL * diag.max():
+        raise SingularResult(
+            f"masked design is numerically singular: smallest R diagonal "
+            f"{diag.min():.3g}, largest {diag.max():.3g}"
+        )
+    return np.linalg.solve(r[:p, :p], r[:p, p:])
+
+
+def residual_gram(r, values):
+    """(Y − X·β)ᵀ(Y − X·β) over the rows whose [X | Y] has R factor ``r``.
+
+    With M = [−β; I₃] this is (R·M)ᵀ(R·M), an O(p²) product.
+    """
+    rm = r @ np.vstack([-values, np.eye(values.shape[1])])
+    return rm.T @ rm
+
+
+def cloud_fit(agg, mode, lam=0.0, rows=None):
+    """Solve least squares by QR on the masked rows; the result is still
+    masked. For ridge, ``agg.key_factor`` must have been released."""
+    z = agg.z_star if rows is None else agg.z_star[rows]
+    values = solve_factor(r_factor(z), mode, lam, agg.key_factor)
     return EstimateMatrix(values=values, stage="encrypted", applied=())
 
 
@@ -254,9 +329,11 @@ def decrypt_round(ctx, est):
     return EstimateMatrix(values=values, stage=stage, applied=applied)
 
 
-def gram_release_step(ctx, m):
-    """One round-robin step of releasing the stacked-key Gram: B_i' m B_i."""
-    return ctx.keys.b_key.T @ m @ ctx.keys.b_key
+def gram_release_step(ctx, r):
+    """One round-robin step of releasing the stacked-key factor:
+    R <- qr(R B_i).R. From R = I the ring returns R_B, the Cholesky factor
+    with a positive diagonal of (ΠB)ᵀ(ΠB)."""
+    return r_factor(r @ ctx.keys.b_key)
 
 
 def residual_gram_decrypt_step(ctx, s):

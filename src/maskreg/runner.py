@@ -251,15 +251,16 @@ def _expect(frame, me, msg_type, tag):
     return frame
 
 
-def release_btb(contexts, transport):
-    """Round-robin release of the stacked feature-key Gram, B^T B."""
+def release_key_factor(contexts, transport):
+    """Round-robin release of R_B, the triangular factor of the stacked
+    feature keys: R_BᵀR_B = (ΠB_i)ᵀ(ΠB_i)."""
     p = contexts[0].keys.b_key.shape[0]
 
-    def step(ctx, m, applied):
-        return protocol.gram_release_step(ctx, m), applied
+    def step(ctx, r, applied):
+        return protocol.gram_release_step(ctx, r), applied
 
-    btb, _ = ring_pass(contexts, transport, MSG_GRAM_RELEASE, 0, np.eye(p), step)
-    return btb
+    r_b, _ = ring_pass(contexts, transport, MSG_GRAM_RELEASE, 0, np.eye(p), step)
+    return r_b
 
 
 def run_decrypt(contexts, transport, est):
@@ -390,25 +391,32 @@ def cross_validate_encrypted(datasets, config):
 
 
 def _select_lambda(contexts, transport, agg, config):
-    """Encrypted CV over ``config.lambda_grid``; returns (lambda, cv info)."""
+    """Encrypted CV over ``config.lambda_grid``; returns (lambda, cv info).
+
+    Each fold's rows are factored once; a fold's training factor is the R
+    of the other folds' stacked factors, so each (lambda, fold) fit and its
+    test residual Gram cost O(p³) whatever the row count.
+    """
 
     def step(ctx, s, applied):
         return protocol.residual_gram_decrypt_step(ctx, s), applied
 
     folds = fold_rows(agg, config.folds)
-    n = agg.x_star.shape[0]
+    test_r = [protocol.r_factor(agg.z_star[rows]) for rows in folds]
+    train_r = [
+        protocol.r_factor(np.vstack(test_r[:f] + test_r[f + 1:]))
+        for f in range(config.folds)
+    ]
     grid = [float(v) for v in config.lambda_grid]
     fold_mse = np.zeros((len(grid), config.folds))
     for li, lam in enumerate(grid):
         for f, test_rows in enumerate(folds):
-            mask = np.ones(n, dtype=bool)
-            mask[test_rows] = False
-            train_rows = np.flatnonzero(mask)
-            fit = protocol.cloud_fit(agg, "ridge", lam=lam, rows=train_rows)
-            resid = agg.y_star[test_rows] - agg.x_star[test_rows] @ fit.values
+            values = protocol.solve_factor(
+                train_r[f], "ridge", lam, agg.key_factor
+            )
             s_plain, _ = ring_pass(
                 contexts, transport, MSG_RESIDUAL_GRAM, li * config.folds + f,
-                resid.T @ resid, step,
+                protocol.residual_gram(test_r[f], values), step,
             )
             fold_mse[li, f] = s_plain[0, 0] / test_rows.size
     mean_mse = fold_mse.mean(axis=1)
@@ -447,7 +455,7 @@ def _run(datasets, config, select_lambda=None):
         with _timed(timings, "masking"):
             agg = run_pre_modeling(contexts, transport, config.rings)
             if config.mode == "ridge":
-                agg.btb = release_btb(contexts, transport)
+                agg.key_factor = release_key_factor(contexts, transport)
         lam, cv = config.lam, None
         if select_lambda is not None:
             with _timed(timings, "cv"):

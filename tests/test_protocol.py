@@ -8,6 +8,7 @@ from maskreg.errors import (
     DoubleDecrypt,
     DuplicatePass,
     ProtocolOrderViolation,
+    SingularResult,
 )
 from maskreg.protocol import (
     MODES,
@@ -21,7 +22,10 @@ from maskreg.protocol import (
     inject_tamper,
     local_encrypt,
     pass_encrypt,
+    r_factor,
+    residual_gram,
     residual_gram_decrypt_step,
+    solve_factor,
     verify_estimate,
 )
 
@@ -79,7 +83,7 @@ def test_full_ridge_pipeline_matches_plaintext():
     released = np.eye(5)
     for ctx in contexts:
         released = gram_release_step(ctx, released)
-    agg.btb = released
+    agg.key_factor = released
     est = decrypt_all(contexts, cloud_fit(agg, "ridge", lam=2.5))
     ref = model.ridge_fit(x, y, 2.5)
     rel = np.max(np.abs(est.beta() - ref)) / max(1.0, np.max(np.abs(ref)))
@@ -88,6 +92,8 @@ def test_full_ridge_pipeline_matches_plaintext():
 
 
 def test_released_gram_equals_product_gram():
+    # The ring releases R_B, not the Gram: an upper triangle with a
+    # non-negative diagonal whose Gram is the product keys' Gram.
     contexts, _, _ = build_contexts(2, (12, 12, 12), 4)
     released = np.eye(4)
     for ctx in contexts:
@@ -95,7 +101,62 @@ def test_released_gram_equals_product_gram():
     product = np.eye(4)
     for ctx in contexts:
         product = product @ ctx.keys.b_key
-    np.testing.assert_allclose(released, product.T @ product, atol=1e-10)
+    np.testing.assert_array_equal(np.tril(released, -1), 0.0)
+    assert np.all(np.diag(released) >= 0.0)
+    np.testing.assert_allclose(
+        released.T @ released, product.T @ product, atol=1e-10
+    )
+
+
+@pytest.mark.parametrize("n, q", [(5, 7), (100, 7), (1029, 11), (2048, 27),
+                                  (1000, 40)])
+def test_r_factor_is_triangular_cholesky_of_gram(n, q):
+    # Covers fewer rows than columns, the plain QR, and the batched first
+    # level with and without leftover rows.
+    a = np.random.default_rng(n + q).standard_normal((n, q))
+    r = r_factor(a)
+    assert r.shape == (q, q)
+    np.testing.assert_array_equal(np.tril(r, -1), 0.0)
+    assert np.all(np.diag(r) >= 0.0)
+    gram = a.T @ a
+    assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def test_r_factors_of_row_blocks_stack():
+    a = np.random.default_rng(1).standard_normal((300, 6))
+    stacked = r_factor(np.vstack([r_factor(a[:120]), r_factor(a[120:])]))
+    np.testing.assert_allclose(stacked, r_factor(a), atol=1e-12)
+
+
+def test_residual_gram_from_factor_matches_rows():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((90, 5))
+    y = rng.standard_normal((90, 3))
+    beta = rng.standard_normal((5, 3))
+    resid = y - x @ beta
+    direct = resid.T @ resid
+    got = residual_gram(r_factor(np.hstack([x, y])), beta)
+    assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_solve_factor_matches_least_squares():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((200, 6))
+    y = rng.standard_normal((200, 3))
+    values = solve_factor(r_factor(np.hstack([x, y])), "linear")
+    np.testing.assert_allclose(
+        values, np.linalg.lstsq(x, y, rcond=None)[0], atol=1e-12
+    )
+
+
+def test_duplicated_masked_column_is_singular():
+    contexts, _, _ = build_contexts(16, (40, 40), 4)
+    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg.x_star[:, 3] = agg.x_star[:, 1]  # x_star is a view of z_star
+    est = None
+    with pytest.raises(SingularResult):
+        est = cloud_fit(agg, "linear")
+    assert est is None
 
 
 def test_verification_column_regresses_to_ones():

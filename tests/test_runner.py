@@ -122,6 +122,23 @@ def test_honest_linear_run_accepted(n, p, k, seed):
     assert rel_err(report.beta(), ols_fit(x, y)) < 1e-8
 
 
+@pytest.mark.parametrize("n, p, k, mode", [
+    (20000, 128, 32, "linear"), (20000, 128, 32, "ridge"),
+    (20000, 64, 32, "linear"),
+])
+def test_wide_many_agency_run_accepted(n, p, k, mode):
+    # The product of 32 keys is ill conditioned at large p; a cloud solve
+    # that squares cond(X·ΠB) rules these honest runs "tampered" or lets
+    # ridge drift off the oracle unseen.
+    datasets = make_datasets(k, n // k, p, seed=0)
+    report = run_protocol(datasets, RunConfig(k=k, mode=mode, lam=1.0, seed=0))
+    assert report.verify.tolerance == protocol.VERIFY_TOL
+    assert report.verify.verdict == "accepted"
+    x, y = stacked(datasets)
+    ref = ols_fit(x, y) if mode == "linear" else ridge_fit(x, y, 1.0)
+    assert rel_err(report.beta(), ref) < 1e-8
+
+
 def test_single_agency_run():
     datasets = make_datasets(1, 80, 4, seed=3)
     report = run_protocol(datasets, RunConfig(k=1, seed=3))
@@ -283,6 +300,19 @@ def test_encrypted_cv_matches_plaintext_oracle():
     assert rel_err(
         report.beta(), ridge_fit(x, y, oracle.chosen_lambda)
     ) < 1e-8
+
+
+def test_encrypted_cv_fold_mse_exact():
+    datasets = make_datasets(3, 400, 6, seed=23, noise=0.5)
+    config = RunConfig(
+        k=3, mode="ridge", block_size=16, folds=5,
+        lambda_grid=(0.0, 0.1, 1.0, 10.0), seed=23,
+    )
+    report = cross_validate_encrypted(datasets, config)
+    folds = fold_rows(_aggregate(datasets, config), config.folds)
+    x, y = stacked(datasets)
+    oracle = cross_validate(x, y, config.lambda_grid, folds)
+    assert rel_err(np.asarray(report.cv["fold_mse"]), oracle.fold_mse) < 1e-10
 
 
 def test_encrypted_cv_flags_perturbed_result():
