@@ -95,8 +95,8 @@ class EncryptedShard:
 class EncryptedAggregate:
     """Everything the cloud sees: stacked masked shards plus row layout.
 
-    ``z_star`` is the one (n, p + 3) array [X* | Y*]; ``x_star`` and
-    ``y_star`` are views into it. ``key_factor`` is the released R_B of
+    ``z_star`` is the one (n, p + 3) array [X* | Y*]; ``x_star`` is a
+    view of its feature columns. ``key_factor`` is the released R_B of
     the stacked feature keys (ridge only).
     """
 
@@ -108,10 +108,6 @@ class EncryptedAggregate:
     @property
     def x_star(self):
         return self.z_star[:, :-3]
-
-    @property
-    def y_star(self):
-        return self.z_star[:, -3:]
 
 
 @dataclass
@@ -247,14 +243,12 @@ def r_factor(a):
     the R of the stacked rows. One batched TSQR level (Demmel, Grigori,
     Hoemmen & Langou, SIAM J. Sci. Comput. 2012) factors every
     ``TSQR_ROWS``-row block at once, then factors the stacked block factors
-    and the leftover rows. Below 8x compression per block the batched
-    calls cost more than one plain QR, so narrow-enough ``a`` only is
-    batched.
+    and the leftover rows.
     """
     a = np.asarray(a, dtype=np.float64)
     n, q = a.shape
     nb = n // TSQR_ROWS
-    if nb > 1 and 8 * q <= TSQR_ROWS:
+    if nb > 1:
         head = a[:nb * TSQR_ROWS].reshape(nb, TSQR_ROWS, q)
         a = np.vstack([np.linalg.qr(head, mode="r").reshape(-1, q),
                        a[nb * TSQR_ROWS:]])
