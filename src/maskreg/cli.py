@@ -222,13 +222,16 @@ def _run_config(args, seed, tamper=None):
     return RunConfig(**kwargs)
 
 
-def _write_report(out_dir, payload):
+def _write_report(out_dir, payload, *lines):
+    """Write ``report.json``, then print ``lines`` and the report's path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    for line in lines:
+        print(line)
+    print(f"report: {path}")
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -242,17 +245,21 @@ def _write_csv(out_dir, name, header, rows):
     return path
 
 
-def _cmd_run(args, seed, out_dir):
-    datasets, inputs = _gather_datasets(args, seed)
-    config = _run_config(args, seed)
-    report = run_protocol(datasets, config)
+def _finish_protocol(out_dir, report, inputs, summary):
+    """Write the run's report, print ``summary`` and map the verdict."""
     payload = report.to_dict()
     payload["inputs"] = inputs
-    path = _write_report(out_dir, payload)
-    print(f"verdict: {report.verify.verdict} "
-          f"(max deviation {report.verify.max_deviation:.3e})")
-    print(f"report: {path}")
+    _write_report(out_dir, payload, summary)
     return EXIT_OK if report.verify.accepted else EXIT_TAMPERED
+
+
+def _cmd_run(args, seed, out_dir):
+    datasets, inputs = _gather_datasets(args, seed)
+    report = run_protocol(datasets, _run_config(args, seed))
+    return _finish_protocol(
+        out_dir, report, inputs,
+        f"verdict: {report.verify.verdict} "
+        f"(max deviation {report.verify.max_deviation:.3e})")
 
 
 def _cmd_cv(args, seed, out_dir):
@@ -260,15 +267,11 @@ def _cmd_cv(args, seed, out_dir):
     if _merge(args, "mode", "ridge") != "ridge":
         raise ValueError("cv requires --mode ridge")
     args.mode = "ridge"
-    config = _run_config(args, seed)
-    report = cross_validate_encrypted(datasets, config)
-    payload = report.to_dict()
-    payload["inputs"] = inputs
-    path = _write_report(out_dir, payload)
-    print(f"chosen lambda: {report.cv['chosen_lambda']:g} "
-          f"(verdict {report.verify.verdict})")
-    print(f"report: {path}")
-    return EXIT_OK if report.verify.accepted else EXIT_TAMPERED
+    report = cross_validate_encrypted(datasets, _run_config(args, seed))
+    return _finish_protocol(
+        out_dir, report, inputs,
+        f"chosen lambda: {report.cv['chosen_lambda']:g} "
+        f"(verdict {report.verify.verdict})")
 
 
 def _cmd_tamper(args, seed, out_dir):
@@ -278,15 +281,11 @@ def _cmd_tamper(args, seed, out_dir):
         magnitude=float(_merge(args, "magnitude", 0.01)),
     )
     datasets, inputs = _gather_datasets(args, seed)
-    config = _run_config(args, seed, tamper=plan)
-    report = run_protocol(datasets, config)
-    payload = report.to_dict()
-    payload["inputs"] = inputs
-    path = _write_report(out_dir, payload)
-    print(f"tamper action {plan.action!r} -> verdict: {report.verify.verdict} "
-          f"(max deviation {report.verify.max_deviation:.3e})")
-    print(f"report: {path}")
-    return EXIT_OK if report.verify.accepted else EXIT_TAMPERED
+    report = run_protocol(datasets, _run_config(args, seed, tamper=plan))
+    return _finish_protocol(
+        out_dir, report, inputs,
+        f"tamper action {plan.action!r} -> verdict: {report.verify.verdict} "
+        f"(max deviation {report.verify.max_deviation:.3e})")
 
 
 def _cmd_attack_cpa(args, seed, out_dir):
@@ -333,10 +332,9 @@ def _cmd_attack_cpa(args, seed, out_dir):
         "informed": cpa_payload(informed),
         "rank_analysis": rank_table,
     }
-    path = _write_report(out_dir, payload)
-    print(f"naive attack consistent: {naive.consistent}; "
-          f"informed attack consistent: {informed.consistent}")
-    print(f"report: {path}")
+    _write_report(out_dir, payload,
+                  f"naive attack consistent: {naive.consistent}; "
+                  f"informed attack consistent: {informed.consistent}")
     return EXIT_OK
 
 
@@ -387,8 +385,7 @@ def _cmd_attack_kpa(args, seed, out_dir):
         print(f"scenario 2 max deviation: {rep.deviation_max:.3e} "
               f"(truth max {np.max(np.abs(x22)):.3e})")
 
-    path = _write_report(out_dir, payload)
-    print(f"report: {path}")
+    _write_report(out_dir, payload)
     return EXIT_OK
 
 
@@ -410,10 +407,9 @@ def _cmd_ldp(args, seed, out_dir):
         "ratios": list(curve.ratios),
         "implied_eps": list(curve.implied_eps),
     }
-    path = _write_report(out_dir, payload)
-    print(f"ratio at sigma={curve.sigmas[-1]:g}: {curve.ratios[-1]:.6f} "
-          f"(implied eps {curve.implied_eps[-1]:.3e})")
-    print(f"report: {path}")
+    _write_report(out_dir, payload,
+                  f"ratio at sigma={curve.sigmas[-1]:g}: {curve.ratios[-1]:.6f} "
+                  f"(implied eps {curve.implied_eps[-1]:.3e})")
     return EXIT_OK
 
 

@@ -169,8 +169,7 @@ def derive_bases(shared_seed, p, degree=None):
     return MaskBases(b_basis=b_basis, c_basis=c_basis, degree=degree)
 
 
-def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0,
-                       cond_max=KEY_COND_MAX):
+def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0):
     """Draw one key: coefficients plus the materialized matrix.
 
     Coefficients are i.i.d. ``N(0, sigma_coeff**2)``. A draw is preferred
@@ -189,14 +188,14 @@ def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0,
             best = (spread, coeffs)
         if spread <= spread_cap:
             key = commute_materialize(basis, coeffs)
-            if np.linalg.cond(key) <= cond_max:
+            if np.linalg.cond(key) <= KEY_COND_MAX:
                 return coeffs, key
     coeffs = best[1]
     key = commute_materialize(basis, coeffs)
-    if np.linalg.cond(key) <= cond_max:
+    if np.linalg.cond(key) <= KEY_COND_MAX:
         return coeffs, key
     raise ResampleExhausted(
-        f"no key with condition <= {cond_max:g} in {KEY_ATTEMPTS} attempts"
+        f"no key with condition <= {KEY_COND_MAX:g} in {KEY_ATTEMPTS} attempts"
     )
 
 

@@ -7,7 +7,6 @@ randomness is involved, so callers control determinism end to end.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatch, NotPD
 
@@ -84,10 +83,10 @@ def solve_spd(gram, rhs):
             f"rhs has {rhs.shape[0]} rows, expected {gram.shape[0]}"
         )
     try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise NotPD(f"gram matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 #: Most full blocks factored by one batched QR; bounds its temporaries.
@@ -144,7 +143,10 @@ class OrthoBlocks:
 
     def materialize(self):
         """Dense ``(n_rows, n_rows)`` form; intended for tests and demos."""
-        return scipy.linalg.block_diag(*self.blocks)
+        out = np.zeros((self.n_rows, self.n_rows))
+        for (start, stop), block in zip(self.ranges(), self.blocks):
+            out[start:stop, start:stop] = block
+        return out
 
 
 def split_block_sizes(n_rows, block_size):

@@ -9,7 +9,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import RankDeficient, SingleClass
 from .matrix_core import solve_spd
@@ -65,7 +64,10 @@ def auc(y_true, scores):
     pos = y_true == classes[1]
     n_pos = int(pos.sum())
     n_neg = y_true.size - n_pos
-    ranks = rankdata(scores)  # average ranks on ties
+    # Average ranks: a value's tied run ends at cumsum(counts).
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

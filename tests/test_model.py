@@ -1,5 +1,10 @@
 """Tests for plaintext fits and metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,6 +75,19 @@ def test_auc_ties_count_half():
     assert auc(y, scores) == 0.5
 
 
+def test_auc_partial_ties_match_pairwise_count():
+    # Mann-Whitney by brute force: each (positive, negative) pair scores 1
+    # when the positive ranks higher and 1/2 on a tie.
+    rng = np.random.default_rng(7)
+    for n, levels in [(12, 3), (40, 5), (101, 20), (7, 2)]:
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        scores = rng.integers(0, levels, size=n) / 4.0
+        diff = scores[y == 1][:, None] - scores[y == 0][None, :]
+        ref = ((diff > 0).sum() + 0.5 * (diff == 0).sum()) / diff.size
+        assert auc(y, scores) == ref
+
+
 def test_auc_any_two_values():
     # the larger response value is the positive class
     y = np.array([-1, -1, 2, 2])
@@ -111,3 +129,16 @@ def test_cross_validate_deterministic():
     a = cross_validate(x, y, (0.1, 1.0), folds)
     b = cross_validate(x, y, (0.1, 1.0), folds)
     assert np.array_equal(a.fold_mse, b.fold_mse)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, maskreg; print(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
