@@ -6,6 +6,10 @@ feature-side keys are polynomials in the same base matrix (and likewise for
 the response side), any two agencies' keys commute, which is what lets the
 ring protocol apply them in arbitrary order.
 
+Keygen holds no row masks, only one private mask seed per agency. The mask
+an agency applies to origin o's rows is drawn from the (mask seed, o)
+stream when it masks that shard, and dropped after (``AgencyKeys.mask_rng``).
+
 The decrypted estimate has to match a plaintext solve to ~1e-8 relative
 even though every intermediate matrix crosses the wire in float64, so the
 product of all agencies' keys must stay well conditioned. The bases are
@@ -21,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ResampleExhausted
-from .matrix_core import (
+from .matrix_core import (  # noqa: F401 - protocol uses random_ortho_blocks
     commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
+    split_block_sizes,
 )
 
 #: Hard cap on polynomial degree for feature-side keys.
@@ -46,6 +51,7 @@ KEY_COND_MAX = 1e4
 # Stream tags keep the seed-derived generators disjoint.
 _TAG_BASES = 0xB5
 _TAG_AGENCY = 0xA6
+_TAG_MASK = 0x3A
 
 
 def default_degree(p):
@@ -80,7 +86,7 @@ class MaskBases:
 
 @dataclass
 class AgencyKeys:
-    """One agency's private mask material.
+    """One agency's private key material.
 
     Attributes:
         agency_id: 1-based agency identifier.
@@ -88,9 +94,10 @@ class AgencyKeys:
         c_coeffs: coefficients of the response-side key polynomial.
         b_key: materialized feature-side key (p, p).
         c_key: materialized response-side key (3, 3).
-        a_blocks_for: origin id -> block-diagonal orthogonal mask this
-            agency applies to that origin's rows.
-        block_size: row-block size the orthogonal masks were drawn with.
+        row_counts: rows held by every agency, in agency order; origin o's
+            row mask covers ``row_counts[o - 1]`` rows.
+        block_size: row-block size of the orthogonal row masks.
+        mask_seed: private seed of this agency's row-mask streams.
     """
 
     agency_id: int
@@ -98,8 +105,9 @@ class AgencyKeys:
     c_coeffs: np.ndarray
     b_key: np.ndarray
     c_key: np.ndarray
-    a_blocks_for: dict
+    row_counts: tuple
     block_size: int
+    mask_seed: int = field(repr=False)
     decrypt_b_key: np.ndarray = field(default=None, repr=False)
     decrypt_c_key: np.ndarray = field(default=None, repr=False)
 
@@ -108,6 +116,15 @@ class AgencyKeys:
             self.decrypt_b_key = self.b_key
         if self.decrypt_c_key is None:
             self.decrypt_c_key = self.c_key
+
+    def mask_rng(self, origin):
+        """Generator of this agency's row mask for ``origin``: one stream
+        per (mask seed, origin), whatever order the origins come in."""
+        if not 1 <= origin <= len(self.row_counts):
+            raise DimMismatch(
+                f"origin {origin} outside 1..{len(self.row_counts)}"
+            )
+        return np.random.default_rng([self.mask_seed, _TAG_MASK, origin])
 
 
 def _constructed_base(dim, rng):
@@ -201,13 +218,13 @@ def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0):
 
 def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
                     sigma_coeff=1.0):
-    """Generate one agency's full key material.
+    """Generate one agency's keys and the seed of its row masks.
 
     Args:
         bases: shared MaskBases.
         agency_id: 1-based id of this agency.
         row_counts: rows held by every agency, in agency order; the agency
-            draws an orthogonal mask for each origin it will handle.
+            masks every origin's rows, drawing each mask when it applies it.
         block_size: row-block size for the orthogonal masks.
         rng: this agency's private generator.
         sigma_coeff: std-dev of the key polynomial coefficients.
@@ -217,24 +234,23 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
         raise DimMismatch(
             f"agency_id {agency_id} outside 1..{num_agencies}"
         )
+    for n_rows in row_counts:
+        split_block_sizes(n_rows, block_size)  # DimMismatch on bad sizes
     b_coeffs, b_key = draw_commuting_key(
         bases.b_basis, bases.degree, rng, num_agencies, sigma_coeff
     )
     c_coeffs, c_key = draw_commuting_key(
         bases.c_basis, RESPONSE_KEY_DEGREE, rng, num_agencies, sigma_coeff
     )
-    a_blocks_for = {
-        origin + 1: random_ortho_blocks(n_rows, block_size, rng)
-        for origin, n_rows in enumerate(row_counts)
-    }
     return AgencyKeys(
         agency_id=agency_id,
         b_coeffs=b_coeffs,
         c_coeffs=c_coeffs,
         b_key=b_key,
         c_key=c_key,
-        a_blocks_for=a_blocks_for,
+        row_counts=tuple(int(n) for n in row_counts),
         block_size=block_size,
+        mask_seed=int(rng.integers(0, 2**63)),
     )
 
 
@@ -279,12 +295,13 @@ def key_fingerprint(keys):
     h.update(keys.b_key.shape[0].to_bytes(4, "little"))
     h.update(len(keys.b_coeffs).to_bytes(2, "little"))
     h.update(len(keys.c_coeffs).to_bytes(2, "little"))
-    for origin in sorted(keys.a_blocks_for):
-        blocks = keys.a_blocks_for[origin]
-        h.update(int(origin).to_bytes(2, "little"))
-        for start, stop in blocks.ranges():
-            h.update(int(start).to_bytes(4, "little"))
-            h.update(int(stop).to_bytes(4, "little"))
+    for origin, n_rows in enumerate(keys.row_counts, start=1):
+        h.update(origin.to_bytes(2, "little"))
+        start = 0
+        for size in split_block_sizes(n_rows, keys.block_size):
+            h.update(start.to_bytes(4, "little"))
+            h.update((start + size).to_bytes(4, "little"))
+            start += size
     return h.hexdigest()
 
 

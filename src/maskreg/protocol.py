@@ -6,9 +6,11 @@ X_1..X_K (row-partitioned across agencies):
 1. every agency encrypts its own shard: rows are mixed by a private
    block-diagonal orthogonal mask, columns by its commuting feature key;
    the three-column response bundle is masked the same way with the
-   response key;
+   response key. The row mask is drawn from the agency's stream for that
+   origin right before it is applied, and dropped right after;
 2. shards travel around a ring so every *other* agency stacks its own
-   masks on top; the completed shards go to the cloud;
+   masks on top, each drawing its row mask for that origin the same way;
+   the completed shards go to the cloud;
 3. the cloud solves least squares by QR on the masked data: it takes the
    R factor of the stacked masked matrix [X* | Y*] and back-substitutes,
    and gets a masked estimate;
@@ -161,15 +163,43 @@ class AgencyContext:
 
     @property
     def num_agencies(self):
-        return len(self.keys.a_blocks_for)
+        return len(self.keys.row_counts)
+
+
+def _mask_shard(ctx, origin, x, y):
+    """(A·x·B, A·y·C) with this agency's keys and its row mask A for
+    ``origin``, which is drawn here and dropped on return."""
+    keys = ctx.keys
+    rng = keys.mask_rng(origin)
+    n_rows = keys.row_counts[origin - 1]
+    if n_rows != x.shape[0]:
+        raise DimMismatch(
+            f"agency {ctx.agency_id} mask covers {n_rows} rows, "
+            f"shard {origin} has {x.shape[0]}"
+        )
+    blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng)
+    return _mask_rows(blocks, x, keys.b_key), _mask_rows(blocks, y, keys.c_key)
+
+
+def _mask_rows(blocks, m, key):
+    """``blocks·m·key``; the key multiplies each row block in one batched
+    product, so no GEMM is tall enough for BLAS to split across threads
+    that would compete with the other agencies' threads."""
+    a = blocks.apply(m)
+    nb, bs, _ = blocks.full.shape
+    cut = nb * bs
+    q = key.shape[1]
+    out = np.empty((a.shape[0], q))
+    np.matmul(a[:cut].reshape(nb, bs, a.shape[1]), key,
+              out=out[:cut].reshape(nb, bs, q))
+    np.matmul(a[cut:], key, out=out[cut:])
+    return out
 
 
 def local_encrypt(ctx):
     """First masking step an origin applies to its own shard."""
     shifted = ctx.x if ctx.delta is None else ctx.x + ctx.delta
-    blocks = ctx.keys.a_blocks_for[ctx.agency_id]
-    x_star = blocks.apply(shifted) @ ctx.keys.b_key
-    y_star = blocks.apply(ctx.responses) @ ctx.keys.c_key
+    x_star, y_star = _mask_shard(ctx, ctx.agency_id, shifted, ctx.responses)
     return EncryptedShard(
         origin=ctx.agency_id,
         x_star=x_star,
@@ -185,16 +215,11 @@ def pass_encrypt(ctx, shard):
         raise DuplicatePass(
             f"agency {ctx.agency_id} already masked shard {shard.origin}"
         )
-    blocks = ctx.keys.a_blocks_for[shard.origin]
-    if blocks.n_rows != shard.x_star.shape[0]:
-        raise DimMismatch(
-            f"agency {ctx.agency_id} mask covers {blocks.n_rows} rows, "
-            f"shard {shard.origin} has {shard.x_star.shape[0]}"
-        )
+    x_star, y_star = _mask_shard(ctx, shard.origin, shard.x_star, shard.y_star)
     return EncryptedShard(
         origin=shard.origin,
-        x_star=blocks.apply(shard.x_star) @ ctx.keys.b_key,
-        y_star=blocks.apply(shard.y_star) @ ctx.keys.c_key,
+        x_star=x_star,
+        y_star=y_star,
         applied=shard.applied + (ctx.agency_id,),
         round=shard.round + 1,
     )

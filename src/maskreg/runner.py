@@ -1,7 +1,8 @@
 """Drives complete protocol runs over a transport.
 
 The shard phase (the only one moving large frames) runs one thread per
-agency; the release, decryption and cross-validation chains are strictly
+agency, and each agency draws its row masks on that thread as it masks
+each shard; the release, decryption and cross-validation chains are strictly
 sequential rings, so they run single-threaded in deterministic order. All
 messages cross the configured transport as encoded frames even when
 everything lives in one process — the bus and the TCP mesh carry identical
@@ -99,7 +100,8 @@ def ring_orders(k, rings=None):
 
 
 def build_contexts(datasets, config):
-    """Derive bases, generate every agency's keys and build their contexts."""
+    """Derive bases, generate every agency's keys and mask seed, and build
+    their contexts. No row mask is drawn here (see ``protocol``)."""
     if len(datasets) != config.k:
         raise DimMismatch(
             f"config says k={config.k} but {len(datasets)} datasets given"

@@ -14,6 +14,7 @@ from maskreg.keygen import (
     key_fingerprint,
     make_responses,
 )
+from maskreg.matrix_core import random_ortho_blocks, split_block_sizes
 
 
 def test_default_degree_caps_at_sixteen():
@@ -93,10 +94,64 @@ def test_gen_agency_keys_layout():
     assert keys.agency_id == 2
     assert keys.b_key.shape == (5, 5)
     assert keys.c_key.shape == (3, 3)
-    assert sorted(keys.a_blocks_for) == [1, 2, 3]
-    assert keys.a_blocks_for[1].n_rows == 10
-    assert keys.a_blocks_for[2].n_rows == 14
-    assert keys.a_blocks_for[3].n_rows == 9
+    assert keys.row_counts == (10, 14, 9)
+    assert keys.block_size == 4
+    for origin, n_rows in enumerate(keys.row_counts, start=1):
+        blocks = random_ortho_blocks(n_rows, keys.block_size,
+                                     keys.mask_rng(origin))
+        assert blocks.n_rows == n_rows
+        assert [b - a for a, b in blocks.ranges()] == split_block_sizes(
+            n_rows, 4
+        )
+
+
+def _array_bytes(obj):
+    """Bytes of every array reachable from ``obj``'s fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return _array_bytes(list(obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return _array_bytes(vars(obj))
+    return 0
+
+
+def test_agency_keys_hold_no_row_masks():
+    # Masks are drawn when applied, so the key material is the same size
+    # whether the agencies hold ten rows each or a thousand.
+    bases = derive_bases(5, 6)
+    small = gen_agency_keys(bases, 1, [10, 12, 9], 4, np.random.default_rng(0))
+    large = gen_agency_keys(bases, 1, [1000, 1200, 900], 4,
+                            np.random.default_rng(0))
+    assert _array_bytes(large) == _array_bytes(small)
+
+
+def test_row_mask_ignores_origin_draw_order():
+    bases = derive_bases(6, 4)
+    keys = gen_agency_keys(bases, 2, [13, 8, 21, 5], 4,
+                           np.random.default_rng(3))
+    k = len(keys.row_counts)
+
+    def draw(origin):
+        return random_ortho_blocks(keys.row_counts[origin - 1],
+                                   keys.block_size, keys.mask_rng(origin))
+
+    forward = {o: draw(o) for o in range(1, k + 1)}
+    backward = {o: draw(o) for o in range(k, 0, -1)}
+    for o in range(1, k + 1):
+        assert np.array_equal(forward[o].materialize(),
+                              backward[o].materialize())
+    assert not np.array_equal(forward[1].full[0], forward[2].full[0])
+
+
+def test_mask_rng_rejects_unknown_origin():
+    bases = derive_bases(6, 4)
+    keys = gen_agency_keys(bases, 1, [8, 8], 4, np.random.default_rng(0))
+    for origin in (0, 3):
+        with pytest.raises(DimMismatch):
+            keys.mask_rng(origin)
 
 
 def test_gen_agency_keys_rejects_bad_id():
@@ -114,6 +169,16 @@ def test_fingerprint_covers_structure_not_secrets():
     assert key_fingerprint(keys_a) == key_fingerprint(keys_b)
     # a different agency id is a different public identity
     assert key_fingerprint(keys_a) != key_fingerprint(keys_c)
+
+
+def test_fingerprint_digest_is_stable():
+    # Audit logs compare digests across versions, so the layout hash must
+    # not move when the key material's representation does.
+    bases = derive_bases(3, 5)
+    keys = gen_agency_keys(bases, 2, [10, 14, 9], 4, np.random.default_rng(0))
+    assert key_fingerprint(keys) == (
+        "59ec0a3d1e3d6603326117a15c05e8389b386f252de12a48f804ccba5420b220"
+    )
 
 
 def test_make_responses_linear():

@@ -1,11 +1,12 @@
 """End-to-end orchestration tests: rings, folds, full runs, encrypted CV."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from maskreg import protocol
+from maskreg import keygen, protocol
 from maskreg.errors import (
     DimMismatch,
     FoldBlockMisaligned,
@@ -209,6 +210,31 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     with pytest.raises(ValueError, match="agency 2 cannot mask"):
         run_protocol(datasets, RunConfig(k=3, seed=6, transport=transport))
     assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+def test_mask_draw_error_aborts_run_at_once(monkeypatch, transport):
+    """A row-mask draw that raises in an agency thread ends the run as
+    itself; masks are drawn in the agency threads, not in keygen."""
+    original = keygen.random_ortho_blocks
+    callers = []
+
+    def failing(n_rows, block_size, rng):
+        callers.append(threading.current_thread())
+        if n_rows == 41:
+            raise ValueError("mask draw for origin 3 failed")
+        return original(n_rows, block_size, rng)
+
+    monkeypatch.setattr(keygen, "random_ortho_blocks", failing)
+    datasets = make_datasets(3, 40, 3, seed=6)
+    rng = np.random.default_rng(7)
+    datasets[2] = (rng.standard_normal((41, 3)), rng.standard_normal(41))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="mask draw for origin 3 failed"):
+        run_protocol(datasets, RunConfig(k=3, seed=6, transport=transport))
+    assert time.perf_counter() - t0 < 5.0
+    assert callers
+    assert threading.main_thread() not in callers
 
 
 def test_binary_response_reports_auc():
