@@ -99,13 +99,16 @@ class EncryptedAggregate:
 
     ``z_star`` is the one (n, p + 3) array [X* | Y*]; ``x_star`` is a
     view of its feature columns. ``key_factor`` is the released R_B of
-    the stacked feature keys (ridge only).
+    the stacked feature keys (ridge only). ``z_factor``, once set, is the
+    R factor of ``z_star``, which the cloud already holds (encrypted CV
+    builds it from the fold factors), so a fit on all rows skips the rows.
     """
 
     z_star: np.ndarray
     origin_rows: tuple
     block_ranges: tuple
     key_factor: np.ndarray = None
+    z_factor: np.ndarray = None
 
     @property
     def x_star(self):
@@ -290,45 +293,64 @@ def solve_factor(r, mode, lam=0.0, r_b=None):
     For ridge, √λ·[R_B | 0] is stacked under R and factored again, which
     adds λ·R_BᵀR_B = λ·(ΠB)ᵀ(ΠB) to the Gram of the triangle: the exact
     regularizer that makes the masked solve decrypt to a plaintext ridge
-    fit. Raises :class:`SingularResult` when a diagonal entry of R_xx is at
-    most ``SINGULAR_RTOL`` of the largest.
+    fit. ``r`` may be a stack (..., q, q) of factors and ``lam`` an array
+    that broadcasts against the stack's leading axes; every member is then
+    re-factored by one batched QR and solved by one batched solve, giving
+    a (..., p, 3) stack. Raises :class:`SingularResult` when, in any
+    member, a diagonal entry of R_xx is at most ``SINGULAR_RTOL`` of the
+    largest.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    p = r.shape[0] - 3
+    p = r.shape[-1] - 3
     if mode == "ridge":
-        if lam < 0.0:
+        lam = np.asarray(lam, dtype=np.float64)
+        if np.any(lam < 0.0):
             raise ValueError(f"lambda must be >= 0, got {lam}")
         if r_b is None:
             raise ProtocolOrderViolation(
                 "ridge fit requested before the key factor was released"
             )
-        penalty = np.zeros((p, p + 3))
-        penalty[:, :p] = np.sqrt(lam) * r_b
-        r = r_factor(np.vstack([r, penalty]))
-    diag = np.abs(np.diag(r)[:p])
-    if diag.min() <= SINGULAR_RTOL * diag.max():
+        stack = np.broadcast_shapes(r.shape[:-2], lam.shape)
+        penalty = np.zeros(stack + (p, p + 3))
+        penalty[..., :p] = np.sqrt(lam)[..., None, None] * r_b
+        r = np.linalg.qr(np.concatenate(
+            [np.broadcast_to(r, stack + r.shape[-2:]), penalty], axis=-2
+        ), mode="r")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1)[..., :p])
+    low, high = np.ravel(diag.min(axis=-1)), np.ravel(diag.max(axis=-1))
+    singular = np.flatnonzero(low <= SINGULAR_RTOL * high)
+    if singular.size:
+        i = singular[0]
         raise SingularResult(
             f"masked design is numerically singular: smallest R diagonal "
-            f"{diag.min():.3g}, largest {diag.max():.3g}"
+            f"{low[i]:.3g}, largest {high[i]:.3g}"
         )
-    return np.linalg.solve(r[:p, :p], r[:p, p:])
+    return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
 def residual_gram(r, values):
     """(Y − X·β)ᵀ(Y − X·β) over the rows whose [X | Y] has R factor ``r``.
 
-    With M = [−β; I₃] this is (R·M)ᵀ(R·M), an O(p²) product.
+    With M = [−β; I₃], R·M is R's last three columns minus its first p
+    times β, and the Gram is (R·M)ᵀ(R·M), an O(p²) product. Stacks of
+    factors (..., q, q) and estimates (..., p, 3) broadcast against each
+    other and give a (..., 3, 3) stack.
     """
-    rm = r @ np.vstack([-values, np.eye(values.shape[1])])
-    return rm.T @ rm
+    p = values.shape[-2]
+    rm = r[..., p:] - r[..., :p] @ values
+    return rm.swapaxes(-1, -2) @ rm
 
 
 def cloud_fit(agg, mode, lam=0.0, rows=None):
     """Solve least squares by QR on the masked rows; the result is still
-    masked. For ridge, ``agg.key_factor`` must have been released."""
-    z = agg.z_star if rows is None else agg.z_star[rows]
-    values = solve_factor(r_factor(z), mode, lam, agg.key_factor)
+    masked. For ridge, ``agg.key_factor`` must have been released. A fit
+    on all rows uses ``agg.z_factor`` when it is set."""
+    if rows is None and agg.z_factor is not None:
+        r = agg.z_factor
+    else:
+        r = r_factor(agg.z_star if rows is None else agg.z_star[rows])
+    values = solve_factor(r, mode, lam, agg.key_factor)
     return EstimateMatrix(values=values, stage="encrypted", applied=())
 
 
@@ -356,14 +378,23 @@ def gram_release_step(ctx, r):
 
 
 def residual_gram_decrypt_step(ctx, s):
-    """One conjugation step that strips this agency's response key from a
-    masked residual Gram: C_i^{-T} s C_i^{-1}."""
+    """One conjugation step that strips this agency's response key from
+    every masked residual Gram in a vertical stack ``s`` of m 3×3 blocks,
+    shape (3m, 3): each block S becomes C_i^{-T} S C_i^{-1}."""
     c = ctx.keys.decrypt_c_key
+    q = c.shape[0]
+    s = np.asarray(s)
+    if s.ndim != 2 or s.shape[1] != q or s.shape[0] == 0 or s.shape[0] % q:
+        raise DimMismatch(
+            f"agency {ctx.agency_id} expected a stack of {q}x{q} residual "
+            f"Grams, got shape {s.shape}"
+        )
     try:
-        half = np.linalg.solve(c.T, s)
-        return np.linalg.solve(c.T, half.T).T
+        half = np.linalg.solve(c.T, s.reshape(-1, q, q))
+        out = np.linalg.solve(c.T, half.swapaxes(-1, -2)).swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularResult(f"response key is singular: {exc}") from exc
+    return out.reshape(s.shape)
 
 
 def verify_estimate(est, mode, tol=VERIFY_TOL):

@@ -382,10 +382,12 @@ def run_protocol(datasets, config):
 def cross_validate_encrypted(datasets, config):
     """K-fold ridge cross-validation entirely on masked data.
 
-    Fits every (lambda, fold) pair on the masked aggregate, decrypts only
-    3x3 residual Grams (never per-fold estimates), picks the lambda with
-    the smallest mean fold MSE (ties favor the smallest lambda), refits on
-    all rows and decrypts that single final estimate.
+    Fits every (lambda, fold) pair on the masked aggregate in one batched
+    solve, decrypts only their 3x3 residual Grams (never per-fold
+    estimates), all stacked in one matrix that makes one decryption ring
+    whatever the grid and fold count, picks the lambda with the smallest
+    mean fold MSE (ties favor the smallest lambda), refits on all rows from
+    the fold factors and decrypts that single final estimate.
     """
     if config.mode != "ridge":
         raise ValueError("cross-validation tunes lambda; use mode='ridge'")
@@ -396,31 +398,36 @@ def _select_lambda(contexts, transport, agg, config):
     """Encrypted CV over ``config.lambda_grid``; returns (lambda, cv info).
 
     Each fold's rows are factored once; a fold's training factor is the R
-    of the other folds' stacked factors, so each (lambda, fold) fit and its
-    test residual Gram cost O(p³) whatever the row count.
+    of the other folds' stacked factors, and the R of all of them is the
+    factor of every row, which is left on ``agg.z_factor`` for the final
+    fit. All L·F (lambda, fold) fits are one stacked ``solve_factor`` call,
+    each O(p³) whatever the row count. Their L·F masked residual Grams go
+    around the decryption ring once, as one (3·L·F, 3) stack.
     """
 
     def step(ctx, s, applied):
         return protocol.residual_gram_decrypt_step(ctx, s), applied
 
     folds = fold_rows(agg, config.folds)
-    test_r = [protocol.r_factor(agg.z_star[rows]) for rows in folds]
-    train_r = [
-        protocol.r_factor(np.vstack(test_r[:f] + test_r[f + 1:]))
+    test_r = np.stack([protocol.r_factor(agg.z_star[rows]) for rows in folds])
+    train_r = np.stack([
+        protocol.r_factor(np.vstack(np.delete(test_r, f, axis=0)))
         for f in range(config.folds)
-    ]
+    ])
+    agg.z_factor = protocol.r_factor(np.vstack(test_r))
     grid = [float(v) for v in config.lambda_grid]
-    fold_mse = np.zeros((len(grid), config.folds))
-    for li, lam in enumerate(grid):
-        for f, test_rows in enumerate(folds):
-            values = protocol.solve_factor(
-                train_r[f], "ridge", lam, agg.key_factor
-            )
-            s_plain, _ = ring_pass(
-                contexts, transport, MSG_RESIDUAL_GRAM, li * config.folds + f,
-                protocol.residual_gram(test_r[f], values), step,
-            )
-            fold_mse[li, f] = s_plain[0, 0] / test_rows.size
+    values = protocol.solve_factor(
+        train_r, "ridge", np.asarray(grid)[:, None], agg.key_factor
+    )
+    stack = protocol.residual_gram(test_r, values).reshape(-1, 3)
+    s_plain, _ = ring_pass(contexts, transport, MSG_RESIDUAL_GRAM, 0, stack, step)
+    if s_plain.shape != stack.shape:
+        raise ProtocolOrderViolation(
+            f"sent {len(stack) // 3} stacked residual Grams around the "
+            f"ring, got back shape {s_plain.shape}"
+        )
+    sizes = np.array([rows.size for rows in folds])
+    fold_mse = s_plain[::3, 0].reshape(len(grid), config.folds) / sizes
     mean_mse = fold_mse.mean(axis=1)
     chosen_idx = int(np.argmin(mean_mse))  # argmin takes the first of ties
     logger.info("cv chose lambda=%g", grid[chosen_idx])

@@ -5,6 +5,7 @@ import pytest
 
 from maskreg import keygen, model
 from maskreg.errors import (
+    DimMismatch,
     DoubleDecrypt,
     DuplicatePass,
     ProtocolOrderViolation,
@@ -149,6 +150,55 @@ def test_solve_factor_matches_least_squares():
     )
 
 
+def _fold_factors(seed, folds=4, n=60, p=5):
+    """R factors of ``folds`` random [X | Y] row sets and a key factor."""
+    rng = np.random.default_rng(seed)
+    z = [rng.standard_normal((n, p + 3)) for _ in range(folds)]
+    r_b = r_factor(rng.standard_normal((p, p)))
+    return z, r_b
+
+
+def test_stacked_solve_factor_matches_single_calls():
+    z, r_b = _fold_factors(17)
+    stack = np.stack([r_factor(a) for a in z])
+    lams = np.array([0.0, 0.3, 4.0])
+    got = solve_factor(stack, "ridge", lams[:, None], r_b)
+    assert got.shape == (3, 4, 5, 3)
+    for li, lam in enumerate(lams):
+        for f, r in enumerate(stack):
+            want = solve_factor(r, "ridge", lam, r_b)
+            err = np.max(np.abs(got[li, f] - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+    linear = solve_factor(stack, "linear")
+    for f, r in enumerate(stack):
+        np.testing.assert_allclose(linear[f], solve_factor(r, "linear"),
+                                   rtol=1e-12, atol=0)
+
+
+def test_stacked_solve_factor_flags_one_singular_member():
+    z, r_b = _fold_factors(18)
+    z[2][:, 3] = z[2][:, 1]  # a duplicated masked column in one fold
+    stack = np.stack([r_factor(a) for a in z])
+    with pytest.raises(SingularResult):
+        solve_factor(stack, "linear")
+    with pytest.raises(SingularResult):
+        solve_factor(stack, "ridge", np.array([[0.0], [1.0]]), r_b)
+
+
+def test_stacked_residual_gram_matches_single_calls():
+    z, _ = _fold_factors(19)
+    stack = np.stack([r_factor(a) for a in z])
+    values = np.random.default_rng(19).standard_normal((3, 4, 5, 3))
+    got = residual_gram(stack, values)
+    assert got.shape == (3, 4, 3, 3)
+    for li in range(3):
+        for f in range(4):
+            np.testing.assert_allclose(
+                got[li, f], residual_gram(stack[f], values[li, f]),
+                rtol=1e-12, atol=1e-12,
+            )
+
+
 def test_duplicated_masked_column_is_singular():
     contexts, _, _ = build_contexts(16, (40, 40), 4)
     agg = assemble_aggregate(run_rings(contexts), 2, 8)
@@ -214,6 +264,27 @@ def test_residual_gram_round_trip():
     for ctx in contexts:
         masked = residual_gram_decrypt_step(ctx, masked)
     np.testing.assert_allclose(masked, s, atol=1e-8)
+
+
+def test_residual_gram_stack_round_trip():
+    contexts, _, _ = build_contexts(9, (10, 10), 3)
+    rng = np.random.default_rng(9)
+    grams = [m.T @ m for m in rng.standard_normal((5, 3, 3))]
+    masked = list(grams)
+    for ctx in contexts:
+        masked = [ctx.keys.c_key.T @ m @ ctx.keys.c_key for m in masked]
+    stack = np.vstack(masked)
+    for ctx in contexts:
+        stack = residual_gram_decrypt_step(ctx, stack)
+    assert stack.shape == (15, 3)
+    np.testing.assert_allclose(stack, np.vstack(grams), atol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (0, 3), (9,), (2, 3, 3)])
+def test_residual_gram_step_rejects_bad_stack(shape):
+    contexts, _, _ = build_contexts(9, (10, 10), 3)
+    with pytest.raises(DimMismatch):
+        residual_gram_decrypt_step(contexts[0], np.ones(shape))
 
 
 @pytest.mark.parametrize("action", [a for a in TAMPER_ACTIONS

@@ -24,7 +24,7 @@ from maskreg.runner import (
     run_pre_modeling,
     run_protocol,
 )
-from maskreg.transport import make_transport
+from maskreg.transport import MSG_RESIDUAL_GRAM, BusTransport, make_transport
 
 
 def make_datasets(k, n_per, p, seed=0, noise=0.01):
@@ -357,6 +357,71 @@ def test_encrypted_cv_requires_ridge():
         cross_validate_encrypted(
             datasets, RunConfig(k=2, mode="linear", block_size=8, folds=3)
         )
+
+
+@pytest.mark.parametrize("k, grid_size, folds",
+                         [(2, 4, 3), (3, 4, 5), (2, 16, 5), (3, 16, 3)])
+def test_encrypted_cv_sends_one_residual_gram_ring(
+        monkeypatch, k, grid_size, folds):
+    """All (lambda, fold) residual Grams travel in one ring: k + 1 frames,
+    whatever the grid and fold count."""
+    original = BusTransport.send
+    sent = []
+
+    def counting(self, src, dst, frame):
+        sent.append(frame.msg_type)
+        return original(self, src, dst, frame)
+
+    monkeypatch.setattr(BusTransport, "send", counting)
+    datasets = make_datasets(k, 48, 3, seed=25, noise=0.5)
+    config = RunConfig(
+        k=k, mode="ridge", block_size=8, folds=folds, seed=25,
+        lambda_grid=tuple(np.logspace(-3.0, 2.0, grid_size)),
+    )
+    report = cross_validate_encrypted(datasets, config)
+    assert sent.count(MSG_RESIDUAL_GRAM) == k + 1
+
+    folds_ = fold_rows(_aggregate(datasets, config), folds)
+    x, y = stacked(datasets)
+    oracle = cross_validate(x, y, config.lambda_grid, folds_)
+    assert rel_err(np.asarray(report.cv["fold_mse"]), oracle.fold_mse) < 1e-10
+
+
+def test_encrypted_cv_rejects_short_gram_stack(monkeypatch):
+    """A ring that returns fewer stacked residual Grams than it was sent
+    fails closed."""
+    original = protocol.residual_gram_decrypt_step
+
+    def dropping(ctx, s):
+        out = original(ctx, s)
+        return out[:-3] if ctx.agency_id == ctx.num_agencies else out
+
+    monkeypatch.setattr(protocol, "residual_gram_decrypt_step", dropping)
+    datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
+    config = RunConfig(k=2, mode="ridge", block_size=8, folds=3, seed=21)
+    with pytest.raises(ProtocolOrderViolation, match="residual Grams"):
+        cross_validate_encrypted(datasets, config)
+
+
+def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
+    """The final fit solves from the R stacked from the fold factors,
+    which is the R of every masked row."""
+    original = protocol.cloud_fit
+    seen = []
+
+    def capturing(agg, mode, lam=0.0, rows=None):
+        seen.append((rows, agg))
+        return original(agg, mode, lam=lam, rows=rows)
+
+    monkeypatch.setattr(protocol, "cloud_fit", capturing)
+    datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
+    config = RunConfig(k=2, mode="ridge", block_size=8, folds=3, seed=21)
+    report = cross_validate_encrypted(datasets, config)
+    assert report.verify.verdict == "accepted"
+    assert len(seen) == 1
+    rows, agg = seen[0]
+    assert rows is None and agg.z_factor is not None
+    assert rel_err(agg.z_factor, protocol.r_factor(agg.z_star)) < 1e-12
 
 
 def test_bus_and_tcp_agree():
