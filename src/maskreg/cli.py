@@ -63,15 +63,12 @@ def _build_parser():
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="ridge penalty")
         p.add_argument("--block-size", type=int, default=None)
-        p.add_argument("--degree", type=int, default=None,
-                       help="key polynomial degree cap")
         p.add_argument("--sigma-b", "--sigma-coeff", dest="sigma_coeff",
                        type=float, default=None,
                        help="std dev of key polynomial coefficients")
         p.add_argument("--sigma-delta", type=float, default=None,
                        help="std dev of the additive noise mask (0 disables)")
         p.add_argument("--transport", choices=("bus", "tcp"), default=None)
-        p.add_argument("--verify-tol", type=float, default=None)
 
     run = sub.add_parser("run", help="one full protocol run")
     add_common(run)
@@ -139,12 +136,23 @@ def _resolve_seed(args):
 
 
 def _load_config_file(args):
+    """Read ``--config`` into ``args._config_data``. Its keys are the
+    command's flags spelled with underscores (``block_size``), plus
+    ``lambda`` for ``--lambda`` and ``has_header`` for the inverse of
+    ``--no-header``; any other key is an error."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+        flags = vars(args).keys() - {"command", "verbose", "config", "no_header"}
+        aliases = {"lambda": "lam", "has_header": "no_header"}
+        unknown = sorted(key for key in data if key not in flags
+                         and aliases.get(key) not in vars(args))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown key(s) for "
+                             f"{args.command}: {', '.join(unknown)}")
         if "lambda" in data:
             data["lam"] = data.pop("lambda")
     args._config_data = data
@@ -202,12 +210,10 @@ def _run_config(args, seed, tamper=None):
         mode=_merge(args, "mode", "linear"),
         lam=float(_merge(args, "lam", 1.0)),
         block_size=int(_merge(args, "block_size", 16)),
-        degree=_merge(args, "degree", None),
         sigma_coeff=float(_merge(args, "sigma_coeff", 1.0)),
         delta=_merge(args, "sigma_delta", None),
         seed=seed,
         transport=_merge(args, "transport", "bus"),
-        verify_tol=float(_merge(args, "verify_tol", protocol.VERIFY_TOL)),
     )
     if kwargs["delta"] is not None:
         kwargs["delta"] = float(kwargs["delta"])

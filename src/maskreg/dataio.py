@@ -123,38 +123,23 @@ def load_csv(path, response_column, has_header=True):
     )
 
 
-def split_horizontal(data, k, policy="equal"):
-    """Split rows into k contiguous shards.
-
-    policy="equal" balances sizes to within one row (earlier shards take
-    the remainder); a list of sizes must sum to the row count.
-    """
+def split_horizontal(data, k):
+    """Split rows into k contiguous shards whose sizes differ by at most
+    one row (earlier shards take the remainder)."""
     n = data.n
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise TooManyAgencies(f"cannot split {n} rows across {k} agencies")
-    if policy == "equal":
-        base, extra = divmod(n, k)
-        sizes = [base + (1 if i < extra else 0) for i in range(k)]
-    else:
-        sizes = [int(s) for s in policy]
-        if len(sizes) != k:
-            raise ValueError(f"expected {k} sizes, got {len(sizes)}")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"all shard sizes must be positive: {sizes}")
-        if sum(sizes) != n:
-            raise ValueError(f"sizes sum to {sum(sizes)}, need {n}")
-    shards = []
-    start = 0
-    for size in sizes:
-        shards.append(
-            Dataset(
-                x=data.x[start:start + size],
-                y=data.y[start:start + size],
-                feature_names=data.feature_names,
-                response_name=data.response_name,
-            )
-        )
-        start += size
+    base, extra = divmod(n, k)
+    shards, start = [], 0
+    for i in range(k):
+        stop = start + base + (1 if i < extra else 0)
+        shards.append(Dataset(
+            x=data.x[start:stop],
+            y=data.y[start:stop],
+            feature_names=data.feature_names,
+            response_name=data.response_name,
+        ))
+        start = stop
     return shards

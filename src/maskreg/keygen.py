@@ -19,7 +19,6 @@ The one remaining screen is per key, on the spread of its polynomial over
 the base spectrum (see ``draw_commuting_key``).
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +89,6 @@ class AgencyKeys:
 
     Attributes:
         agency_id: 1-based agency identifier.
-        b_coeffs: coefficients of the feature-side key polynomial.
-        c_coeffs: coefficients of the response-side key polynomial.
         b_key: materialized feature-side key (p, p).
         c_key: materialized response-side key (3, 3).
         row_counts: rows held by every agency, in agency order; origin o's
@@ -101,8 +98,6 @@ class AgencyKeys:
     """
 
     agency_id: int
-    b_coeffs: np.ndarray
-    c_coeffs: np.ndarray
     b_key: np.ndarray
     c_key: np.ndarray
     row_counts: tuple
@@ -236,16 +231,14 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
         )
     for n_rows in row_counts:
         split_block_sizes(n_rows, block_size)  # DimMismatch on bad sizes
-    b_coeffs, b_key = draw_commuting_key(
+    _, b_key = draw_commuting_key(
         bases.b_basis, bases.degree, rng, num_agencies, sigma_coeff
     )
-    c_coeffs, c_key = draw_commuting_key(
+    _, c_key = draw_commuting_key(
         bases.c_basis, RESPONSE_KEY_DEGREE, rng, num_agencies, sigma_coeff
     )
     return AgencyKeys(
         agency_id=agency_id,
-        b_coeffs=b_coeffs,
-        c_coeffs=c_coeffs,
         b_key=b_key,
         c_key=c_key,
         row_counts=tuple(int(n) for n in row_counts),
@@ -279,30 +272,6 @@ def make_responses(x, y, mode, rng, delta=None):
         raise ValueError(f"unknown mode {mode!r}")
     decoy = rng.standard_normal(x.shape[0])
     return np.column_stack([y, verify, decoy])
-
-
-def key_fingerprint(keys):
-    """Hex digest of a key's public structure (never its secret values).
-
-    Covers the agency id, key dimensions, degrees, block size and the block
-    layout per origin — enough for an audit log to confirm two runs used
-    the same shapes, while revealing nothing about coefficients.
-    """
-    h = hashlib.sha256()
-    h.update(b"maskreg-key-v1")
-    h.update(int(keys.agency_id).to_bytes(2, "little"))
-    h.update(int(keys.block_size).to_bytes(4, "little"))
-    h.update(keys.b_key.shape[0].to_bytes(4, "little"))
-    h.update(len(keys.b_coeffs).to_bytes(2, "little"))
-    h.update(len(keys.c_coeffs).to_bytes(2, "little"))
-    for origin, n_rows in enumerate(keys.row_counts, start=1):
-        h.update(origin.to_bytes(2, "little"))
-        start = 0
-        for size in split_block_sizes(n_rows, keys.block_size):
-            h.update(start.to_bytes(4, "little"))
-            h.update((start + size).to_bytes(4, "little"))
-            start += size
-    return h.hexdigest()
 
 
 def agency_rng(master_seed, agency_id):

@@ -10,7 +10,9 @@ X_1..X_K (row-partitioned across agencies):
    origin right before it is applied, and dropped right after;
 2. shards travel around a ring so every *other* agency stacks its own
    masks on top, each drawing its row mask for that origin the same way;
-   the completed shards go to the cloud;
+   the completed shards go to the cloud. A shard is the
+   :class:`~maskreg.transport.Frame` that carries it: origin, the ids
+   that masked it (its round is their count) and (X*, Y*);
 3. the cloud solves least squares by QR on the masked data: it takes the
    R factor of the stacked masked matrix [X* | Y*] and back-substitutes,
    and gets a masked estimate;
@@ -37,6 +39,7 @@ from .errors import (
     SingularResult,
 )
 from .matrix_core import solve_spd, split_block_sizes  # noqa: F401
+from .transport import MSG_SHARD, Frame
 
 # ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
 # name ``protocol.solve_spd``, so it stays importable from this module.
@@ -80,17 +83,6 @@ class TamperPlan:
     def __post_init__(self):
         if self.action not in TAMPER_ACTIONS:
             raise ValueError(f"unknown tamper action {self.action!r}")
-
-
-@dataclass
-class EncryptedShard:
-    """One origin's masked rows while they travel the ring."""
-
-    origin: int
-    x_star: np.ndarray
-    y_star: np.ndarray
-    applied: tuple
-    round: int = 0
 
 
 @dataclass
@@ -169,9 +161,10 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _mask_shard(ctx, origin, x, y):
-    """(A·x·B, A·y·C) with this agency's keys and its row mask A for
-    ``origin``, which is drawn here and dropped on return."""
+def _mask_shard(ctx, origin, applied, x, y):
+    """The shard frame of (A·x·B, A·y·C), with this agency's keys and its
+    row mask A for ``origin``, which is drawn here and dropped on return;
+    ``applied`` gains this agency's id."""
     keys = ctx.keys
     rng = keys.mask_rng(origin)
     n_rows = keys.row_counts[origin - 1]
@@ -181,7 +174,10 @@ def _mask_shard(ctx, origin, x, y):
             f"shard {origin} has {x.shape[0]}"
         )
     blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng)
-    return _mask_rows(blocks, x, keys.b_key), _mask_rows(blocks, y, keys.c_key)
+    applied = applied + (ctx.agency_id,)
+    return Frame(MSG_SHARD, origin, len(applied), applied,
+                 (_mask_rows(blocks, x, keys.b_key),
+                  _mask_rows(blocks, y, keys.c_key)))
 
 
 def _mask_rows(blocks, m, key):
@@ -200,36 +196,25 @@ def _mask_rows(blocks, m, key):
 
 
 def local_encrypt(ctx):
-    """First masking step an origin applies to its own shard."""
+    """First masking step an origin applies to its own shard; returns the
+    shard's frame, round 1."""
     shifted = ctx.x if ctx.delta is None else ctx.x + ctx.delta
-    x_star, y_star = _mask_shard(ctx, ctx.agency_id, shifted, ctx.responses)
-    return EncryptedShard(
-        origin=ctx.agency_id,
-        x_star=x_star,
-        y_star=y_star,
-        applied=(ctx.agency_id,),
-        round=0,
-    )
+    return _mask_shard(ctx, ctx.agency_id, (), shifted, ctx.responses)
 
 
 def pass_encrypt(ctx, shard):
-    """Stack this agency's masks onto a shard passing through the ring."""
+    """Stack this agency's masks onto a shard frame passing through the
+    ring; returns the next frame, one round on."""
     if ctx.agency_id in shard.applied:
         raise DuplicatePass(
             f"agency {ctx.agency_id} already masked shard {shard.origin}"
         )
-    x_star, y_star = _mask_shard(ctx, shard.origin, shard.x_star, shard.y_star)
-    return EncryptedShard(
-        origin=shard.origin,
-        x_star=x_star,
-        y_star=y_star,
-        applied=shard.applied + (ctx.agency_id,),
-        round=shard.round + 1,
-    )
+    return _mask_shard(ctx, shard.origin, shard.applied, *shard.matrices)
 
 
 def assemble_aggregate(shards, num_agencies, block_size):
-    """Stack completed shards (in origin order) into the cloud's view."""
+    """Stack completed shard frames (in origin order) into the cloud's
+    view."""
     by_origin = {s.origin: s for s in shards}
     if sorted(by_origin) != list(range(1, num_agencies + 1)):
         raise ProtocolOrderViolation(
@@ -242,16 +227,16 @@ def assemble_aggregate(shards, num_agencies, block_size):
                 f"shard {s.origin} was masked by {len(s.applied)} of "
                 f"{num_agencies} agencies"
             )
-    p = shards[0].x_star.shape[1]
-    n_total = sum(s.x_star.shape[0] for s in shards)
+    p = shards[0].matrices[0].shape[1]
+    n_total = sum(s.matrices[0].shape[0] for s in shards)
     z_star = np.empty((n_total, p + 3))
     origin_rows, block_ranges = [], []
     offset = 0
     for origin in range(1, num_agencies + 1):
-        s = by_origin[origin]
-        n = s.x_star.shape[0]
-        z_star[offset:offset + n, :p] = s.x_star
-        z_star[offset:offset + n, p:] = s.y_star
+        x_star, y_star = by_origin[origin].matrices
+        n = x_star.shape[0]
+        z_star[offset:offset + n, :p] = x_star
+        z_star[offset:offset + n, p:] = y_star
         origin_rows.append((offset, offset + n))
         for size in split_block_sizes(n, block_size):
             block_ranges.append((offset, offset + size))

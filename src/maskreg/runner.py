@@ -50,12 +50,10 @@ class RunConfig:
     lambda_grid: tuple = (0.01, 0.1, 1.0, 10.0)
     folds: int = 5
     block_size: int = 16
-    degree: int = None
     sigma_coeff: float = 1.0
     delta: float = None
     seed: int = 0
     transport: str = "bus"
-    verify_tol: float = protocol.VERIFY_TOL
     tamper: protocol.TamperPlan = field(default_factory=protocol.TamperPlan)
     rings: tuple = None
 
@@ -110,7 +108,7 @@ def build_contexts(datasets, config):
     for x, _ in datasets:
         if x.shape[1] != p:
             raise DimMismatch("all agencies must hold the same features")
-    bases = keygen.derive_bases(config.seed, p, degree=config.degree)
+    bases = keygen.derive_bases(config.seed, p)
     row_counts = [x.shape[0] for x, _ in datasets]
     contexts = []
     for i, (x, y) in enumerate(datasets, start=1):
@@ -131,52 +129,29 @@ def build_contexts(datasets, config):
     return contexts, bases
 
 
-def _shard_frame(shard, round_):
-    return Frame(
-        msg_type=MSG_SHARD,
-        origin=shard.origin,
-        round=round_,
-        applied=tuple(shard.applied),
-        matrices=(shard.x_star, shard.y_star),
-    )
-
-
-def _shard_from_frame(frame):
-    return protocol.EncryptedShard(
-        origin=frame.origin,
-        x_star=frame.matrices[0],
-        y_star=frame.matrices[1],
-        applied=tuple(frame.applied),
-        round=frame.round,
-    )
-
-
-def _agency_shard_work(ctx, transport, rings, k):
+def _agency_shard_work(ctx, transport, rings):
     """One agency's shard phase: encrypt its own, pass every visitor on."""
     me = ctx.agency_id
-    own_ring = rings[me - 1]
-    shard = protocol.local_encrypt(ctx)
-    dest = own_ring[1] if k > 1 else CLOUD
-    transport.send(me, dest, _shard_frame(shard, 1 if k > 1 else k))
+    hops = [(*ring, CLOUD) for ring in rings]  # each shard ends at the cloud
+    transport.send(me, hops[me - 1][1], protocol.local_encrypt(ctx))
     # Visiting shards, in deterministic (round, origin) order.
-    visits = sorted(
-        (r, origin)
-        for origin in range(1, k + 1)
-        for r in range(1, k)
-        if rings[origin - 1][r] == me
-    )
+    visits = sorted((ring.index(me), origin)
+                    for origin, ring in enumerate(rings, start=1)
+                    if ring[0] != me)
     for r, origin in visits:
-        frame = transport.recv(rings[origin - 1][r - 1], me)
-        if frame.msg_type != MSG_SHARD or frame.origin != origin:
-            raise ProtocolOrderViolation(
-                f"agency {me} expected shard {origin}, got type "
-                f"{frame.msg_type} origin {frame.origin}"
-            )
-        shard = protocol.pass_encrypt(ctx, _shard_from_frame(frame))
-        if r + 1 < k:
-            transport.send(me, rings[origin - 1][r + 1], _shard_frame(shard, r + 1))
-        else:
-            transport.send(me, CLOUD, _shard_frame(shard, k))
+        frame = _expect_shard(transport.recv(hops[origin - 1][r - 1], me),
+                              me, origin)
+        transport.send(me, hops[origin - 1][r + 1],
+                       protocol.pass_encrypt(ctx, frame))
+
+
+def _expect_shard(frame, me, origin):
+    if frame.msg_type != MSG_SHARD or frame.origin != origin:
+        raise ProtocolOrderViolation(
+            f"participant {me} expected shard {origin}, got type "
+            f"{frame.msg_type} origin {frame.origin}"
+        )
+    return frame
 
 
 def run_pre_modeling(contexts, transport, rings=None):
@@ -195,7 +170,7 @@ def run_pre_modeling(contexts, transport, rings=None):
 
     def work(ctx):
         try:
-            _agency_shard_work(ctx, transport, rings, k)
+            _agency_shard_work(ctx, transport, rings)
         except Exception as exc:  # re-raised by the caller after join
             fail(exc)
 
@@ -209,13 +184,8 @@ def run_pre_modeling(contexts, transport, rings=None):
     try:
         for origin in range(1, k + 1):
             last_holder = rings[origin - 1][-1]
-            frame = transport.recv(last_holder, CLOUD)
-            if frame.msg_type != MSG_SHARD or frame.origin != origin:
-                raise ProtocolOrderViolation(
-                    f"cloud expected completed shard {origin}, got type "
-                    f"{frame.msg_type} origin {frame.origin}"
-                )
-            shards.append(_shard_from_frame(frame))
+            shards.append(_expect_shard(transport.recv(last_holder, CLOUD),
+                                        CLOUD, origin))
     except Exception as exc:  # wakes the agencies before the join below
         fail(exc)
     for t in threads:
@@ -347,13 +317,12 @@ def _config_echo(config, p, n_total):
         "lambda_grid": [float(v) for v in config.lambda_grid],
         "folds": config.folds,
         "block_size": config.block_size,
-        "degree": config.degree if config.degree is not None
-        else keygen.default_degree(p),
+        "degree": keygen.default_degree(p),
         "sigma_coeff": float(config.sigma_coeff),
         "delta": None if config.delta is None else float(config.delta),
         "seed": int(config.seed),
         "transport": config.transport,
-        "verify_tol": float(config.verify_tol),
+        "verify_tol": protocol.VERIFY_TOL,
         "tamper": {
             "action": config.tamper.action,
             "agency": config.tamper.agency,
@@ -479,7 +448,7 @@ def _run(datasets, config, select_lambda=None):
         transport.close()
 
     with _timed(timings, "verify"):
-        verify = protocol.verify_estimate(plain, config.mode, tol=config.verify_tol)
+        verify = protocol.verify_estimate(plain, config.mode)
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     p = datasets[0][0].shape[1]

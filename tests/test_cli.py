@@ -135,6 +135,29 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert report["config"]["mode"] == "ridge"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("degree", 3), ("verify_tol", 1e-3), ("blocksize", 8), ("folds", 3),
+    ("no_header", True),
+])
+def test_config_file_unknown_key_exits_one(tmp_path, capsys, key, value):
+    # each value is one the command would otherwise have run with
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 60, "p": 3, key: value}))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_file_accepts_command_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 96, "p": 3, "block_size": 8, "folds": 3,
+                               "lambda_grid": [0.1, 1.0], "has_header": True}))
+    code = main(["cv", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert read_report(tmp_path)["cv"]["folds"] == 3
+
+
 def test_sigma_b_alias(tmp_path):
     code = main(["run", "--n", "50", "--p", "3", "--sigma-b", "0.01",
                  "--out", str(tmp_path)])

@@ -133,13 +133,6 @@ def test_split_preserves_row_order():
     np.testing.assert_array_equal(np.concatenate([p.y for p in parts]), ds.y)
 
 
-def test_split_explicit_sizes():
-    parts = split_horizontal(_dataset(10), 3, policy=[6, 2, 2])
-    assert [s.n for s in parts] == [6, 2, 2]
-    with pytest.raises(ValueError):
-        split_horizontal(_dataset(10), 3, policy=[6, 2, 1])
-
-
 def test_split_too_many_agencies():
     with pytest.raises(TooManyAgencies):
         split_horizontal(_dataset(3), 4)

@@ -11,7 +11,6 @@ from maskreg.keygen import (
     derive_bases,
     draw_commuting_key,
     gen_agency_keys,
-    key_fingerprint,
     make_responses,
 )
 from maskreg.matrix_core import random_ortho_blocks, split_block_sizes
@@ -158,27 +157,6 @@ def test_gen_agency_keys_rejects_bad_id():
     bases = derive_bases(3, 4)
     with pytest.raises(DimMismatch):
         gen_agency_keys(bases, 4, [5, 5], 4, np.random.default_rng(0))
-
-
-def test_fingerprint_covers_structure_not_secrets():
-    bases = derive_bases(11, 4)
-    keys_a = gen_agency_keys(bases, 1, [8, 8], 4, np.random.default_rng(1))
-    keys_b = gen_agency_keys(bases, 1, [8, 8], 4, np.random.default_rng(2))
-    keys_c = gen_agency_keys(bases, 2, [8, 8], 4, np.random.default_rng(1))
-    # same public layout, different secret draws -> same fingerprint
-    assert key_fingerprint(keys_a) == key_fingerprint(keys_b)
-    # a different agency id is a different public identity
-    assert key_fingerprint(keys_a) != key_fingerprint(keys_c)
-
-
-def test_fingerprint_digest_is_stable():
-    # Audit logs compare digests across versions, so the layout hash must
-    # not move when the key material's representation does.
-    bases = derive_bases(3, 5)
-    keys = gen_agency_keys(bases, 2, [10, 14, 9], 4, np.random.default_rng(0))
-    assert key_fingerprint(keys) == (
-        "59ec0a3d1e3d6603326117a15c05e8389b386f252de12a48f804ccba5420b220"
-    )
 
 
 def test_make_responses_linear():

@@ -16,6 +16,7 @@ from maskreg.errors import (
 from maskreg.model import cross_validate, ols_fit, ridge_fit
 from maskreg.protocol import TamperPlan
 from maskreg.runner import (
+    CLOUD,
     RunConfig,
     build_contexts,
     cross_validate_encrypted,
@@ -24,7 +25,12 @@ from maskreg.runner import (
     run_pre_modeling,
     run_protocol,
 )
-from maskreg.transport import MSG_RESIDUAL_GRAM, BusTransport, make_transport
+from maskreg.transport import (
+    MSG_RESIDUAL_GRAM,
+    MSG_SHARD,
+    BusTransport,
+    make_transport,
+)
 
 
 def make_datasets(k, n_per, p, seed=0, noise=0.01):
@@ -194,6 +200,35 @@ def test_tampered_run_flagged():
     assert report.verify.verdict == "tampered"
 
 
+def test_shard_frame_headers_follow_the_ring(monkeypatch):
+    """Each hop of a shard carries its origin, the ids that masked it in
+    ring order, and round == len(applied); the cloud receives round k."""
+    original = BusTransport.send
+    sent = []
+
+    def recording(self, src, dst, frame):
+        if frame.msg_type == MSG_SHARD:
+            sent.append((src, dst, frame))
+        return original(self, src, dst, frame)
+
+    monkeypatch.setattr(BusTransport, "send", recording)
+    rings = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
+    report = run_protocol(make_datasets(3, 40, 3, seed=5),
+                          RunConfig(k=3, seed=5, rings=rings))
+    assert report.verify.verdict == "accepted"
+    assert len(sent) == 9
+    hops = set()
+    for src, dst, frame in sent:
+        ring = rings[frame.origin - 1]
+        n_applied = len(frame.applied)
+        assert frame.applied == ring[:n_applied]
+        assert frame.round == n_applied
+        assert src == frame.applied[-1]
+        assert dst == (ring[n_applied] if n_applied < 3 else CLOUD)
+        hops.add((frame.origin, frame.round))
+    assert hops == {(o, r) for o in (1, 2, 3) for r in (1, 2, 3)}
+
+
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
 def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     """An exception in one agency's thread ends the run as itself."""
@@ -235,6 +270,20 @@ def test_mask_draw_error_aborts_run_at_once(monkeypatch, transport):
     assert time.perf_counter() - t0 < 5.0
     assert callers
     assert threading.main_thread() not in callers
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the ridge verification response is zero, and a wrong "
+    "feature-side key maps zero to zero, so key-side tampering passes"))
+@pytest.mark.parametrize("action", ["wrong_decrypt", "non_commutative_key"])
+def test_ridge_key_tampering_detected(action):
+    datasets = make_datasets(2, 200, 5, seed=3)
+    for seed in range(5):
+        report = run_protocol(datasets, RunConfig(
+            k=2, mode="ridge", seed=seed,
+            tamper=TamperPlan(action=action, agency=1 + seed % 2),
+        ))
+        assert report.verify.verdict == "tampered"
 
 
 def test_binary_response_reports_auc():
