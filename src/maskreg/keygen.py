@@ -66,11 +66,15 @@ class MaskBases:
         b_basis: (p, p) unit-spectral-norm base for feature-side keys.
         c_basis: (3, 3) unit-spectral-norm base for response-side keys.
         degree: polynomial degree for feature-side keys.
+        b_spectrum, c_spectrum: eigenvalues of each base, computed once
+            for every key drawn over it.
     """
 
     b_basis: np.ndarray
     c_basis: np.ndarray
     degree: int
+    b_spectrum: np.ndarray = field(repr=False)
+    c_spectrum: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.b_basis.shape[0] != self.b_basis.shape[1]:
@@ -178,10 +182,13 @@ def derive_bases(shared_seed, p, degree=None):
     rng = np.random.default_rng([int(shared_seed) % 2**64, _TAG_BASES])
     b_basis = _constructed_base(p, rng)
     c_basis = _constructed_base(3, rng)
-    return MaskBases(b_basis=b_basis, c_basis=c_basis, degree=degree)
+    return MaskBases(b_basis=b_basis, c_basis=c_basis, degree=degree,
+                     b_spectrum=np.linalg.eigvals(b_basis),
+                     c_spectrum=np.linalg.eigvals(c_basis))
 
 
-def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0):
+def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0,
+                       spectrum=None):
     """Draw one key: coefficients plus the materialized matrix.
 
     Coefficients are i.i.d. ``N(0, sigma_coeff**2)``. A draw is preferred
@@ -189,9 +196,11 @@ def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0):
     ``PRODUCT_SPREAD_BUDGET``; after ``KEY_ATTEMPTS`` draws the smallest
     spread seen is used instead. The materialized key must satisfy the
     condition-number cap or :class:`ResampleExhausted` is raised.
+    ``spectrum`` is the eigenvalues of ``basis`` (``MaskBases`` carries
+    them); they are computed here when it is not given.
     """
     spread_cap = PRODUCT_SPREAD_BUDGET ** (1.0 / max(1, num_agencies))
-    eigvals = np.linalg.eigvals(basis)
+    eigvals = np.linalg.eigvals(basis) if spectrum is None else spectrum
     best = None
     for _ in range(KEY_ATTEMPTS):
         coeffs = rng.normal(0.0, sigma_coeff, size=degree)
@@ -232,10 +241,12 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
     for n_rows in row_counts:
         split_block_sizes(n_rows, block_size)  # DimMismatch on bad sizes
     _, b_key = draw_commuting_key(
-        bases.b_basis, bases.degree, rng, num_agencies, sigma_coeff
+        bases.b_basis, bases.degree, rng, num_agencies, sigma_coeff,
+        bases.b_spectrum,
     )
     _, c_key = draw_commuting_key(
-        bases.c_basis, RESPONSE_KEY_DEGREE, rng, num_agencies, sigma_coeff
+        bases.c_basis, RESPONSE_KEY_DEGREE, rng, num_agencies, sigma_coeff,
+        bases.c_spectrum,
     )
     return AgencyKeys(
         agency_id=agency_id,

@@ -39,7 +39,8 @@ def _haar(gaussian):
     the factorization is only unique up to the signs of the diagonal of
     ``R``. Multiplying each column of ``Q`` by the sign of the matching
     diagonal entry of ``R`` removes the bias. A stack is factored by one
-    batched QR whose output equals per-matrix QR bit for bit.
+    batched QR whose output equals per-matrix QR bit for bit, so a stack
+    drawn in one call equals one ``random_orthogonal`` draw per matrix.
     """
     q, r = np.linalg.qr(gaussian)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -89,8 +90,56 @@ def solve_spd(gram, rhs):
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-#: Most full blocks factored by one batched QR; bounds its temporaries.
-QR_CHUNK = 256
+#: Fewest full blocks a mask draws with the reflector kernel
+#: (``_haar_reflectors``); shorter masks take one batched QR, whose fixed
+#: cost per call loses less to the other agency threads.
+REFLECTOR_MIN_BLOCKS = 256
+
+#: Most elements in one chunk of the reflector kernel's ``(bs, bs, chunk)``
+#: product (1 MB); the draw's other temporaries scale with it.
+REFLECTOR_CHUNK = 2**17
+
+
+def _haar_reflectors(nb, bs, rng):
+    """``nb`` Haar ``(bs, bs)`` blocks, each a product of Householder
+    reflectors of fresh Gaussian vectors.
+
+    Block by block, the stream gives ``x_j ~ N(0, I_{bs-j})`` for
+    ``j = 0 … bs-2`` and then one scalar: ``bs(bs+1)/2`` normals. With
+    ``u_j = x_j + sign(x_j0)·‖x_j‖·e₀`` and ``H_j = I - 2·u_j·u_jᵀ/u_jᵀu_j``,
+    the block is ``Q = H₀·diag(1, H₁)⋯diag(I, H_{bs-2})·D``, with
+    ``D_jj = -sign(x_j0)`` and a last entry of sign(scalar). That is the
+    law of the sign-fixed Householder QR of a Gaussian matrix (``_haar``):
+    after j reflectors, column j's trailing part is again a fresh
+    ``N(0, I_{bs-j})`` vector, so Q is exactly Haar. The reflectors are
+    applied to all blocks of a chunk at once, with the block index
+    innermost, and no LAPACK call per block.
+    """
+    starts = np.concatenate(([0], np.cumsum(np.arange(bs, 1, -1))))
+    idx = np.arange(bs)
+    out = np.empty((nb, bs, bs))
+    chunk = max(1, REFLECTOR_CHUNK // (bs * bs))
+    for start in range(0, nb, chunk):
+        stop = min(start + chunk, nb)
+        x = np.ascontiguousarray(
+            rng.standard_normal((stop - start, starts[-1] + 1)).T
+        )
+        lead = x[starts]
+        sign = np.where(lead >= 0.0, 1.0, -1.0)
+        norm = np.sqrt(np.add.reduceat(x * x, starts, axis=0))[:-1]
+        x[starts[:-1]] += sign[:-1] * norm  # x becomes the stacked u_j
+        tau = 1.0 / (norm * (norm + np.abs(lead[:-1])))  # 2 / u_jᵀu_j
+        q = np.zeros((bs, bs, stop - start))
+        q[idx, idx] = -sign
+        q[-1, -1] = sign[-1]
+        for j in range(bs - 2, -1, -1):
+            seg = slice(starts[j], starts[j + 1])
+            trail = q[j:, j:]
+            w = np.einsum("ac,abc->bc", x[seg], trail)  # u_jᵀ·trail
+            w *= tau[j]
+            trail -= x[seg, np.newaxis] * w
+        out[start:stop] = q.transpose(2, 0, 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,16 +213,18 @@ def split_block_sizes(n_rows, block_size):
 def random_ortho_blocks(n_rows, block_size, rng):
     """Draw a block-diagonal orthogonal mask covering ``n_rows`` rows.
 
-    Blocks are drawn in row order from one stream, so the mask equals the
-    sequence of ``random_orthogonal`` draws of each block's size.
+    The full blocks come first from the stream, then the tail. A mask of
+    fewer than ``REFLECTOR_MIN_BLOCKS`` full blocks draws them by one
+    batched QR, so it equals the sequence of ``random_orthogonal`` draws
+    of each block's size. A longer mask draws its full blocks with the
+    reflector kernel, which reads ``bs(bs+1)/2`` normals per block: the
+    same Haar law from another stream layout.
     """
     split_block_sizes(n_rows, block_size)  # raises DimMismatch on bad sizes
     nb, rem = divmod(n_rows, block_size)
-    full = np.empty((nb, block_size, block_size))
-    for start in range(0, nb, QR_CHUNK):
-        stop = min(start + QR_CHUNK, nb)
-        full[start:stop] = _haar(
-            rng.standard_normal((stop - start, block_size, block_size))
-        )
+    if nb >= REFLECTOR_MIN_BLOCKS:
+        full = _haar_reflectors(nb, block_size, rng)
+    else:
+        full = _haar(rng.standard_normal((nb, block_size, block_size)))
     tail = random_orthogonal(rem, rng) if rem else None
     return OrthoBlocks(full=full, tail=tail)

@@ -87,6 +87,21 @@ def test_draw_commuting_key_coeff_consistency():
     )
 
 
+def test_keys_drawn_on_the_base_spectrum_match_a_recomputed_one():
+    # derive_bases computes each base's spectrum once; keys drawn with it
+    # are bit-identical to keys that recompute it per draw
+    bases = derive_bases(11, 24)
+    assert np.array_equal(bases.b_spectrum, np.linalg.eigvals(bases.b_basis))
+    assert np.array_equal(bases.c_spectrum, np.linalg.eigvals(bases.c_basis))
+    keys = gen_agency_keys(bases, 2, [40, 40, 40, 40], 4,
+                           np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    _, b_key = draw_commuting_key(bases.b_basis, bases.degree, rng, 4)
+    _, c_key = draw_commuting_key(bases.c_basis, 3, rng, 4)
+    assert np.array_equal(keys.b_key, b_key)
+    assert np.array_equal(keys.c_key, c_key)
+
+
 def test_gen_agency_keys_layout():
     bases = derive_bases(3, 5)
     keys = gen_agency_keys(bases, 2, [10, 14, 9], 4, np.random.default_rng(0))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from maskreg import matrix_core
 from maskreg.errors import DimMismatch, NotPD
 from maskreg.keygen import derive_bases
 from maskreg.matrix_core import (
+    REFLECTOR_MIN_BLOCKS,
     commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
@@ -106,15 +108,20 @@ def test_split_block_sizes():
     assert split_block_sizes(1, 1) == [1]
 
 
-# (n_rows, block_size): a multiple of the block size, a remainder, more
-# full blocks than one batched-QR chunk, and fewer rows than one block.
+# (n_rows, block_size): a multiple of the block size, a remainder, enough
+# full blocks (257) for the reflector kernel, and fewer rows than one block.
 ORTHO_SHAPES = [(12, 4), (11, 4), (1029, 4), (5, 16)]
 
+# Masks on the batched-QR path, up to the longest: 255 full blocks and a
+# tail. Longer masks read another stream layout by design.
+QR_SHAPES = [(12, 4), (11, 4), (1023, 4), (5, 16)]
 
-@pytest.mark.parametrize("n_rows,block_size", ORTHO_SHAPES)
+
+@pytest.mark.parametrize("n_rows,block_size", QR_SHAPES)
 def test_ortho_blocks_equal_per_block_draws(n_rows, block_size):
-    # the batched draw consumes the stream exactly as one random_orthogonal
-    # call per block, in row order, so masks are bit-identical to it
+    # below REFLECTOR_MIN_BLOCKS full blocks the batched draw consumes the
+    # stream exactly as one random_orthogonal call per block, in row order,
+    # so masks are bit-identical to it
     blocks = random_ortho_blocks(n_rows, block_size, np.random.default_rng(11))
     rng = np.random.default_rng(11)
     expected = [random_orthogonal(s, rng)
@@ -123,6 +130,97 @@ def test_ortho_blocks_equal_per_block_draws(n_rows, block_size):
     for got, want in zip(blocks.blocks, expected):
         assert np.array_equal(got, want)
     assert blocks.n_rows == n_rows
+
+
+def test_mask_path_switches_at_reflector_threshold():
+    # 255 full blocks take the batched QR; 256 take the reflector kernel,
+    # which reads bs(bs+1)/2 normals per block before the tail's draw
+    bs, rem = 4, 3
+    assert REFLECTOR_MIN_BLOCKS == 256
+    below = random_ortho_blocks(255 * bs + rem, bs, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(below.full[0], random_orthogonal(bs, rng))
+
+    at = random_ortho_blocks(256 * bs + rem, bs, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(at.full, matrix_core._haar_reflectors(256, bs, rng))
+    assert np.array_equal(at.tail, random_orthogonal(rem, rng))
+    rng = np.random.default_rng(5)
+    rng.standard_normal(256 * bs * (bs + 1) // 2)
+    assert np.array_equal(at.tail, random_orthogonal(rem, rng))
+    assert not np.allclose(at.full[:255], below.full)
+
+
+def _draw_full_blocks(path, bs, total, seed):
+    """``total`` full blocks from masks of 255 (QR path) or 1,020
+    (reflector path) blocks each, drawn from one stream."""
+    per_mask = 255 if path == "qr" else 4 * 255
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        random_ortho_blocks(per_mask * bs, bs, rng).full
+        for _ in range(total // per_mask)
+    ])
+
+
+@pytest.mark.parametrize("bs", [1, 2, 5, 16])
+@pytest.mark.parametrize("path", ["qr", "reflector"])
+def test_mask_blocks_have_haar_moments(path, bs):
+    # For Haar Q in O(bs): E tr Q = 0, E (tr Q)^2 = 1, E tr(Q^2) = 1 and
+    # P(det Q = +1) = 1/2, for every bs >= 1; each within 5 sigma
+    q = _draw_full_blocks(path, bs, 20_400, seed=bs)
+    assert q.shape == (20_400, bs, bs)
+    tr = np.trace(q, axis1=1, axis2=2)
+    samples = {
+        "tr Q": (tr, 0.0),
+        "(tr Q)^2": (tr ** 2, 1.0),
+        "tr Q^2": (np.trace(q @ q, axis1=1, axis2=2), 1.0),
+        "det = +1": (np.linalg.det(q) > 0.0, 0.5),
+    }
+    for name, (sample, target) in samples.items():
+        sigma = np.std(sample) / np.sqrt(sample.size)
+        assert abs(np.mean(sample) - target) <= 5.0 * sigma, name
+
+
+def test_reflector_blocks_are_orthogonal():
+    # 100,000 blocks of the shipped block size, in masks of 2,000 blocks
+    bs = 16
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(50):
+        q = random_ortho_blocks(2_000 * bs, bs, rng).full
+        gram = np.matmul(q.transpose(0, 2, 1), q) - np.eye(bs)
+        worst = max(worst, np.linalg.norm(gram, axis=(1, 2)).max())
+    assert worst <= 1e-13
+
+
+def test_reflector_mask_is_chunk_invariant(monkeypatch):
+    # 700 blocks span two default chunks; chunks of 7 blocks read the same
+    # stream in the same block-major order, so they give the same mask
+    bs = 16
+    whole = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6))
+    assert 700 > matrix_core.REFLECTOR_CHUNK // bs ** 2
+    monkeypatch.setattr(matrix_core, "REFLECTOR_CHUNK", 7 * bs * bs)
+    chunked = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6))
+    np.testing.assert_allclose(chunked.full, whole.full, rtol=0, atol=1e-14)
+    assert np.array_equal(chunked.tail, whole.tail)
+
+
+@pytest.mark.parametrize("bs", [1, 2])
+def test_reflector_path_smallest_blocks(bs):
+    blocks = random_ortho_blocks(300 * bs, bs, np.random.default_rng(13))
+    q = blocks.full
+    assert q.shape == (300, bs, bs) and blocks.tail is None
+    np.testing.assert_allclose(
+        np.matmul(q.transpose(0, 2, 1), q), np.broadcast_to(np.eye(bs), q.shape),
+        rtol=0, atol=1e-14,
+    )
+    dets = np.round(np.linalg.det(q))
+    assert set(dets) == {-1.0, 1.0}
+    if bs == 1:
+        assert set(q.ravel()) == {-1.0, 1.0}
+    m = np.random.default_rng(14).standard_normal((300 * bs, 2))
+    np.testing.assert_allclose(blocks.apply(m), blocks.materialize() @ m,
+                               atol=1e-12)
 
 
 def test_ortho_blocks_apply_matches_materialized():
