@@ -33,10 +33,6 @@ class ProtocolOrderViolation(MaskRegError):
     """A protocol message arrived out of the expected order."""
 
 
-class DoubleDecrypt(MaskRegError):
-    """An agency attempted to apply its decryption round twice."""
-
-
 class FoldBlockMisaligned(MaskRegError):
     """Cross-validation folds cannot be aligned with the mask blocks."""
 

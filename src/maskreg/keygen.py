@@ -107,14 +107,6 @@ class AgencyKeys:
     row_counts: tuple
     block_size: int
     mask_seed: int = field(repr=False)
-    decrypt_b_key: np.ndarray = field(default=None, repr=False)
-    decrypt_c_key: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.decrypt_b_key is None:
-            self.decrypt_b_key = self.b_key
-        if self.decrypt_c_key is None:
-            self.decrypt_c_key = self.c_key
 
     def mask_rng(self, origin):
         """Generator of this agency's row mask for ``origin``: one stream

@@ -18,9 +18,10 @@ X_1..X_K (row-partitioned across agencies):
    and gets a masked estimate;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
-5. anyone can then check the verification column: all ones for a linear
-   fit, all zeros for a ridge fit. Any deviation beyond tolerance means
-   some step was corrupted.
+5. the cloud checks the verification column of an estimate that came
+   back through every agency: all ones for a linear fit, all zeros for a
+   ridge fit. Any deviation beyond tolerance means some step was
+   corrupted.
 
 Orchestration across a transport lives in :mod:`maskreg.runner`; functions
 here are pure single steps so they can be tested (and attacked) directly.
@@ -33,7 +34,6 @@ import numpy as np
 from . import keygen
 from .errors import (
     DimMismatch,
-    DoubleDecrypt,
     DuplicatePass,
     ProtocolOrderViolation,
     SingularResult,
@@ -112,12 +112,6 @@ class EstimateMatrix:
     """(p, 3) estimate for [response, verification, decoy] columns."""
 
     values: np.ndarray
-    stage: str
-    applied: tuple = ()
-
-    def beta(self):
-        """The real-response coefficient column."""
-        return self.values[:, 0]
 
 
 @dataclass(frozen=True)
@@ -290,8 +284,8 @@ def solve_factor(r, mode, lam=0.0, r_b=None):
     p = r.shape[-1] - 3
     if mode == "ridge":
         lam = np.asarray(lam, dtype=np.float64)
-        if np.any(lam < 0.0):
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+        if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails both
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
         if r_b is None:
             raise ProtocolOrderViolation(
                 "ridge fit requested before the key factor was released"
@@ -336,23 +330,16 @@ def cloud_fit(agg, mode, lam=0.0, rows=None):
     else:
         r = r_factor(agg.z_star if rows is None else agg.z_star[rows])
     values = solve_factor(r, mode, lam, agg.key_factor)
-    return EstimateMatrix(values=values, stage="encrypted", applied=())
+    return EstimateMatrix(values=values)
 
 
-def decrypt_round(ctx, est):
+def decrypt_round(ctx, values):
     """Apply one agency's decryption: values <- B_i @ values @ C_i^{-1}."""
-    if ctx.agency_id in est.applied:
-        raise DoubleDecrypt(
-            f"agency {ctx.agency_id} already ran its decryption round"
-        )
     try:
-        right = np.linalg.solve(ctx.keys.decrypt_c_key.T, est.values.T).T
+        right = np.linalg.solve(ctx.keys.c_key.T, values.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularResult(f"response key is singular: {exc}") from exc
-    values = ctx.keys.decrypt_b_key @ right
-    applied = est.applied + (ctx.agency_id,)
-    stage = "plain" if len(applied) == ctx.num_agencies else "partially_decrypted"
-    return EstimateMatrix(values=values, stage=stage, applied=applied)
+    return ctx.keys.b_key @ right
 
 
 def gram_release_step(ctx, r):
@@ -366,7 +353,7 @@ def residual_gram_decrypt_step(ctx, s):
     """One conjugation step that strips this agency's response key from
     every masked residual Gram in a vertical stack ``s`` of m 3×3 blocks,
     shape (3m, 3): each block S becomes C_i^{-T} S C_i^{-1}."""
-    c = ctx.keys.decrypt_c_key
+    c = ctx.keys.c_key
     q = c.shape[0]
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[1] != q or s.shape[0] == 0 or s.shape[0] % q:
@@ -382,22 +369,19 @@ def residual_gram_decrypt_step(ctx, s):
     return out.reshape(s.shape)
 
 
-def verify_estimate(est, mode, tol=VERIFY_TOL):
-    """Check the verification column of a fully decrypted estimate.
+def verify_estimate(values, mode, tol=VERIFY_TOL):
+    """Check the verification column of a decrypted (p, 3) estimate.
 
     Linear fits regress the row sums of the (offset) features, so the
     verification coefficients must all be 1; ridge fits regress the zero
     vector, so they must all be 0. A deviation beyond ``tol`` in max-norm
-    is ruled tampered.
+    is ruled tampered. That every agency decrypted exactly once is the
+    decryption ring's check (``runner.ring_pass``), not this one's.
     """
-    if est.stage != "plain":
-        raise ProtocolOrderViolation(
-            f"cannot verify an estimate in stage {est.stage!r}"
-        )
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     target = 1.0 if mode == "linear" else 0.0
-    max_dev = float(np.max(np.abs(est.values[:, 1] - target)))
+    max_dev = float(np.max(np.abs(values[:, 1] - target)))
     verdict = "accepted" if max_dev <= tol else "tampered"
     return VerifyReport(verdict=verdict, max_deviation=max_dev, tolerance=tol)
 
@@ -405,15 +389,18 @@ def verify_estimate(est, mode, tol=VERIFY_TOL):
 def inject_tamper(contexts, plan):
     """Mutate agency state according to a tamper plan.
 
-    ``perturb_result`` is cloud-side and handled by the runner; the other
-    actions corrupt the named agency in place:
+    Two actions corrupt the named agency in place before it masks:
 
     - ``skip_pseudo_response``: replaces the verification response with
       noise, i.e. the agency never computes the pseudo-response it owes;
     - ``non_commutative_key``: swaps the feature key for a random invertible
-      matrix that is *not* a polynomial in the shared base;
-    - ``wrong_decrypt``: the agency decrypts with a fresh key instead of
-      the one it encrypted with.
+      matrix that is *not* a polynomial in the shared base.
+
+    The runner applies the other two at the step they corrupt, after the
+    masking phase and the R_B release: ``perturb_result`` shifts the
+    cloud's masked estimate, and ``wrong_decrypt`` swaps the named agency's
+    feature key for ``_fresh_key``, so it decrypts with a key it did not
+    encrypt with. Here ``wrong_decrypt`` only has its agency looked up.
     """
     if plan.action in ("honest", "perturb_result"):
         return
@@ -421,14 +408,7 @@ def inject_tamper(contexts, plan):
     if plan.action == "skip_pseudo_response":
         ctx.responses[:, 1] = ctx.rng.standard_normal(ctx.n_rows)
     elif plan.action == "non_commutative_key":
-        rogue = _rogue_invertible(ctx.keys.b_key.shape[0], ctx.rng)
-        ctx.keys.b_key = rogue
-        ctx.keys.decrypt_b_key = rogue
-    elif plan.action == "wrong_decrypt":
-        _, wrong_b = _fresh_key(ctx)
-        ctx.keys.decrypt_b_key = wrong_b
-    else:  # pragma: no cover - guarded by TamperPlan.__post_init__
-        raise ValueError(f"unknown tamper action {plan.action!r}")
+        ctx.keys.b_key = _rogue_invertible(ctx.keys.b_key.shape[0], ctx.rng)
 
 
 def _find_agency(contexts, agency_id):
@@ -452,6 +432,7 @@ def _fresh_key(ctx):
     # A fresh polynomial over the shared base still commutes with every
     # honest key, which is the subtle case: decryption "works"
     # algebraically but with the wrong coefficients.
-    return keygen.draw_commuting_key(
+    _, key = keygen.draw_commuting_key(
         ctx.bases.b_basis, ctx.bases.degree, ctx.rng, ctx.num_agencies
     )
+    return key

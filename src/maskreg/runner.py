@@ -10,6 +10,7 @@ bytes.
 """
 
 import logging
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -55,7 +56,6 @@ class RunConfig:
     seed: int = 0
     transport: str = "bus"
     tamper: protocol.TamperPlan = field(default_factory=protocol.TamperPlan)
-    rings: tuple = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -69,32 +69,11 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.folds < 2:
             raise ValueError(f"need at least two folds, got {self.folds}")
-
-
-def ring_orders(k, rings=None):
-    """Per-origin holder orders; default is rotation starting at the origin.
-
-    Each order must be a permutation of 1..k that starts with the origin
-    itself, so the origin always performs the first masking step.
-    """
-    if rings is None:
-        return tuple(
-            tuple((i + j - 1) % k + 1 for j in range(k))
-            for i in range(1, k + 1)
-        )
-    rings = tuple(tuple(r) for r in rings)
-    if len(rings) != k:
-        raise ProtocolOrderViolation(f"expected {k} ring orders, got {len(rings)}")
-    for i, order in enumerate(rings, start=1):
-        if sorted(order) != list(range(1, k + 1)):
-            raise ProtocolOrderViolation(
-                f"ring for origin {i} is not a permutation of 1..{k}: {order}"
-            )
-        if order[0] != i:
-            raise ProtocolOrderViolation(
-                f"ring for origin {i} must start with {i}, got {order[0]}"
-            )
-    return rings
+        if len(self.lambda_grid) == 0:
+            raise ValueError("lambda_grid is empty")
+        for lam in (self.lam, *self.lambda_grid):
+            if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def build_contexts(datasets, config):
@@ -129,39 +108,49 @@ def build_contexts(datasets, config):
     return contexts, bases
 
 
-def _agency_shard_work(ctx, transport, rings):
-    """One agency's shard phase: encrypt its own, pass every visitor on."""
-    me = ctx.agency_id
-    hops = [(*ring, CLOUD) for ring in rings]  # each shard ends at the cloud
-    transport.send(me, hops[me - 1][1], protocol.local_encrypt(ctx))
-    # Visiting shards, in deterministic (round, origin) order.
-    visits = sorted((ring.index(me), origin)
-                    for origin, ring in enumerate(rings, start=1)
-                    if ring[0] != me)
-    for r, origin in visits:
-        frame = _expect_shard(transport.recv(hops[origin - 1][r - 1], me),
-                              me, origin)
-        transport.send(me, hops[origin - 1][r + 1],
-                       protocol.pass_encrypt(ctx, frame))
+def _holders(origin, k):
+    """The agencies that mask origin's shard, in order: origin, origin + 1,
+    ... (mod k). Agency a therefore always receives from a - 1 and sends to
+    a + 1, and a shard's last pass goes to the cloud."""
+    return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
-def _expect_shard(frame, me, origin):
-    if frame.msg_type != MSG_SHARD or frame.origin != origin:
+def _expect(frame, me, msg_type, origin, round_, applied):
+    """Return ``frame`` if its whole header is the one ``me`` expects:
+    type, origin (the sender, on a ring), round and exactly the ids applied
+    before this hop; otherwise raise :class:`ProtocolOrderViolation`."""
+    want = (msg_type, origin, round_, applied)
+    got = (frame.msg_type, frame.origin, frame.round, frame.applied)
+    if got != want:
         raise ProtocolOrderViolation(
-            f"participant {me} expected shard {origin}, got type "
-            f"{frame.msg_type} origin {frame.origin}"
+            f"participant {me} expected (type, origin, round, applied) "
+            f"{want}, got {got}"
         )
     return frame
 
 
-def run_pre_modeling(contexts, transport, rings=None):
+def _agency_shard_work(ctx, transport, k):
+    """One agency's shard phase: encrypt its own, pass every visitor on."""
+    me = ctx.agency_id
+
+    def forward(frame):  # a shard masked by all k agencies goes to the cloud
+        transport.send(me, me % k + 1 if frame.round < k else CLOUD, frame)
+
+    forward(protocol.local_encrypt(ctx))
+    for r in range(1, k):  # origin me - r's shard arrives with r masks on it
+        origin = (me - r - 1) % k + 1
+        frame = transport.recv((me - 2) % k + 1, me)
+        forward(protocol.pass_encrypt(ctx, _expect(
+            frame, me, MSG_SHARD, origin, r, _holders(origin, k)[:r])))
+
+
+def run_pre_modeling(contexts, transport):
     """Execute the masking ring and return the cloud's assembled view.
 
     The first exception any participant records aborts the transport, so
     everyone else stops waiting at once, and is re-raised here as itself.
     """
     k = len(contexts)
-    rings = ring_orders(k, rings)
     errors = []
 
     def fail(exc):
@@ -170,7 +159,7 @@ def run_pre_modeling(contexts, transport, rings=None):
 
     def work(ctx):
         try:
-            _agency_shard_work(ctx, transport, rings)
+            _agency_shard_work(ctx, transport, k)
         except Exception as exc:  # re-raised by the caller after join
             fail(exc)
 
@@ -183,9 +172,9 @@ def run_pre_modeling(contexts, transport, rings=None):
     shards = []
     try:
         for origin in range(1, k + 1):
-            last_holder = rings[origin - 1][-1]
-            shards.append(_expect_shard(transport.recv(last_holder, CLOUD),
-                                        CLOUD, origin))
+            holders = _holders(origin, k)
+            shards.append(_expect(transport.recv(holders[-1], CLOUD), CLOUD,
+                                  MSG_SHARD, origin, k, holders))
     except Exception as exc:  # wakes the agencies before the join below
         fail(exc)
     for t in threads:
@@ -196,60 +185,34 @@ def run_pre_modeling(contexts, transport, rings=None):
     return protocol.assemble_aggregate(shards, k, block_size)
 
 
-def ring_pass(contexts, transport, msg_type, tag, matrix, step, applied=()):
+def ring_pass(contexts, transport, msg_type, matrix, step):
     """Carry one matrix cloud -> 1 -> ... -> k -> cloud; return what returns.
 
-    Agency ``a`` turns the matrix and its ``applied`` ids into new ones with
-    ``step(contexts[a - 1], matrix, applied)``. Every hop carries ``tag``
-    as its round, and every receiver checks the message type and the tag.
+    Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
+    and appends its id to the frame's applied ids. Every hop carries round
+    0, and hop ``a`` must arrive from ``a - 1`` with ids (1, ..., a - 1),
+    so the cloud gets back only a matrix every agency stepped exactly once.
     """
     k = len(contexts)
     hops = [CLOUD, *range(1, k + 1), CLOUD]
-    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, tag, tuple(applied), (matrix,)))
+    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, 0, (), (matrix,)))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
-        frame = _expect(transport.recv(prev, a), a, msg_type, tag)
-        matrix, applied = step(contexts[a - 1], frame.matrices[0], frame.applied)
-        transport.send(a, nxt, Frame(msg_type, a, tag, tuple(applied), (matrix,)))
-    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, tag)
-    return frame.matrices[0], frame.applied
-
-
-def _expect(frame, me, msg_type, tag):
-    if frame.msg_type != msg_type or frame.round != tag:
-        raise ProtocolOrderViolation(
-            f"participant {me} expected message type {msg_type} round {tag}, "
-            f"got type {frame.msg_type} round {frame.round}"
-        )
-    return frame
+        frame = _expect(transport.recv(prev, a), a, msg_type, prev, 0,
+                        tuple(range(1, a)))
+        matrix = step(contexts[a - 1], frame.matrices[0])
+        transport.send(a, nxt, Frame(msg_type, a, 0, frame.applied + (a,),
+                                     (matrix,)))
+    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, k, 0,
+                    tuple(range(1, k + 1)))
+    return frame.matrices[0]
 
 
 def release_key_factor(contexts, transport):
     """Round-robin release of R_B, the triangular factor of the stacked
     feature keys: R_BᵀR_B = (ΠB_i)ᵀ(ΠB_i)."""
     p = contexts[0].keys.b_key.shape[0]
-
-    def step(ctx, r, applied):
-        return protocol.gram_release_step(ctx, r), applied
-
-    r_b, _ = ring_pass(contexts, transport, MSG_GRAM_RELEASE, 0, np.eye(p), step)
-    return r_b
-
-
-def run_decrypt(contexts, transport, est):
-    """Send the masked estimate around the decryption ring; returns plain."""
-
-    def step(ctx, values, applied):
-        stage = "partially_decrypted" if applied else "encrypted"
-        done = protocol.decrypt_round(
-            ctx, protocol.EstimateMatrix(values, stage, applied)
-        )
-        return done.values, done.applied
-
-    values, applied = ring_pass(
-        contexts, transport, MSG_ESTIMATE, 0, est.values, step, est.applied
-    )
-    stage = "plain" if len(applied) == len(contexts) else "partially_decrypted"
-    return protocol.EstimateMatrix(values=values, stage=stage, applied=applied)
+    return ring_pass(contexts, transport, MSG_GRAM_RELEASE, np.eye(p),
+                     protocol.gram_release_step)
 
 
 def fold_rows(agg, folds):
@@ -373,10 +336,6 @@ def _select_lambda(contexts, transport, agg, config):
     each O(p³) whatever the row count. Their L·F masked residual Grams go
     around the decryption ring once, as one (3·L·F, 3) stack.
     """
-
-    def step(ctx, s, applied):
-        return protocol.residual_gram_decrypt_step(ctx, s), applied
-
     folds = fold_rows(agg, config.folds)
     test_r = np.stack([protocol.r_factor(agg.z_star[rows]) for rows in folds])
     train_r = np.stack([
@@ -389,7 +348,8 @@ def _select_lambda(contexts, transport, agg, config):
         train_r, "ridge", np.asarray(grid)[:, None], agg.key_factor
     )
     stack = protocol.residual_gram(test_r, values).reshape(-1, 3)
-    s_plain, _ = ring_pass(contexts, transport, MSG_RESIDUAL_GRAM, 0, stack, step)
+    s_plain = ring_pass(contexts, transport, MSG_RESIDUAL_GRAM, stack,
+                        protocol.residual_gram_decrypt_step)
     if s_plain.shape != stack.shape:
         raise ProtocolOrderViolation(
             f"sent {len(stack) // 3} stacked residual Grams around the "
@@ -431,7 +391,7 @@ def _run(datasets, config, select_lambda=None):
     transport = make_transport(config.transport, participants)
     try:
         with _timed(timings, "masking"):
-            agg = run_pre_modeling(contexts, transport, config.rings)
+            agg = run_pre_modeling(contexts, transport)
             if config.mode == "ridge":
                 agg.key_factor = release_key_factor(contexts, transport)
         lam, cv = config.lam, None
@@ -442,8 +402,12 @@ def _run(datasets, config, select_lambda=None):
             est = protocol.cloud_fit(agg, config.mode, lam=lam)
             if config.tamper.action == "perturb_result":
                 est.values[0, 0] += config.tamper.magnitude
+            elif config.tamper.action == "wrong_decrypt":
+                rogue = protocol._find_agency(contexts, config.tamper.agency)
+                rogue.keys.b_key = protocol._fresh_key(rogue)
         with _timed(timings, "decrypt"):
-            plain = run_decrypt(contexts, transport, est)
+            plain = ring_pass(contexts, transport, MSG_ESTIMATE, est.values,
+                              protocol.decrypt_round)
     finally:
         transport.close()
 
@@ -465,9 +429,9 @@ def _run(datasets, config, select_lambda=None):
             "verification": "row-sum response" if config.mode == "linear"
             else "zero response",
         },
-        estimate=plain.values,
+        estimate=plain,
         verify=verify,
-        metrics=_metrics(datasets, plain.values[:, 0]),
+        metrics=_metrics(datasets, plain[:, 0]),
         timings_ms=timings,
         cv=cv,
     )

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from maskreg.attacks import (
     INFINITE,
@@ -234,8 +233,9 @@ def test_c6_kpa_gram_shrinkage():
 # ------------------------------------------------------------------ 7
 
 
-def gaussian_cdf_ratio_oracle(t, norm1, norm2, sigma):
-    """P(|N(0,(sigma*norm)^2)| <= t) ratio via quadrature, no erf calls."""
+def gaussian_cdf_ratio_oracle(integrate, t, norm1, norm2, sigma):
+    """P(|N(0,(sigma*norm)^2)| <= t) ratio via ``integrate.quad``, no erf
+    calls."""
 
     def mass(norm):
         z = t / (norm * sigma)
@@ -249,6 +249,7 @@ def gaussian_cdf_ratio_oracle(t, norm1, norm2, sigma):
 
 
 def test_c7_ldp_limit_and_oracle():
+    integrate = pytest.importorskip("scipy.integrate")
     sigmas = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
     gap_a = abs(ldp_ratio(1.0, 1.0, 5.0, 1e-3) - 1.0)
     gap_b = abs(ldp_ratio(1.0, 1.0, 0.5, 1e-3) - 1.0)
@@ -257,7 +258,7 @@ def test_c7_ldp_limit_and_oracle():
     mono_a = bool(np.all(np.diff(curve_a.ratios) <= 0))  # falls toward 1
     mono_b = bool(np.all(np.diff(curve_b.ratios) >= 0))  # rises toward 1
     anchor = ldp_ratio(1.0, 1.0, 5.0, 0.1)
-    oracle = gaussian_cdf_ratio_oracle(1.0, 1.0, 5.0, 0.1)
+    oracle = gaussian_cdf_ratio_oracle(integrate, 1.0, 1.0, 5.0, 0.1)
     ok = (gap_a < 1e-3 and gap_b < 1e-3 and mono_a and mono_b
           and abs(anchor - oracle) < 1e-6)
     report_line(7, "privacy ratio limit, monotone sweep, quadrature oracle",
@@ -278,7 +279,7 @@ def _plaintext_cv(datasets, config):
     )
     transport = make_transport("bus", [0] + [c.agency_id for c in contexts])
     try:
-        agg = run_pre_modeling(contexts, transport, config.rings)
+        agg = run_pre_modeling(contexts, transport)
     finally:
         transport.close()
     folds = fold_rows(agg, config.folds)

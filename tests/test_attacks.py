@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from maskreg.attacks import (
     INFINITE,
@@ -186,6 +185,7 @@ def test_ldp_ratio_reference_value():
 
 
 def test_ldp_ratio_matches_gaussian_cdf_quadrature():
+    integrate = pytest.importorskip("scipy.integrate")
     # independent oracle: integrate the standard normal density over the
     # standardized event (-t/s, t/s)
     def prob(norm, t, sigma):

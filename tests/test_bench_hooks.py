@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from maskreg.runner import RunConfig, run_protocol
+from maskreg.runner import RunConfig, cross_validate_encrypted, run_protocol
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -30,9 +30,8 @@ def test_every_patch_point_resolves():
         )
 
 
-def test_traced_run_reaches_the_mask_hooks():
-    # Each of k agencies draws one row mask per origin and applies it to
-    # the features and to the responses.
+def _traced_calls(entry, config):
+    """Span counts by name for one traced ``entry`` call at k=3."""
     spans = _spans()
     tracer = spans.Tracer()
     rng = np.random.default_rng(0)
@@ -41,14 +40,29 @@ def test_traced_run_reaches_the_mask_hooks():
     tracer.op = 0
     tracer.install(spans.patch_points())
     try:
-        report = run_protocol(datasets, RunConfig(k=3, seed=1))
+        report = entry(datasets, config)
     finally:
         tracer.uninstall()
     assert report.verify.accepted
     calls = {}
     for s in tracer.spans:
         calls[s.name] = calls.get(s.name, 0) + 1
+    return calls
+
+
+def test_traced_run_reaches_the_mask_hooks():
+    # Each of k agencies draws one row mask per origin and applies it to
+    # the features and to the responses.
+    calls = _traced_calls(run_protocol, RunConfig(k=3, seed=1))
     assert calls["matrix_core.random_ortho_blocks"] == 9
     assert calls["matrix_core.OrthoBlocks.apply"] == 18
     assert calls["protocol.local_encrypt"] == 3
     assert calls["protocol.pass_encrypt"] == 6
+    assert calls["protocol.ring_step"] == 3
+    # Ring steps are looked up on protocol when a ring runs: ridge CV has
+    # every agency step the R_B release and the decryption ring, and the
+    # one ring of residual Grams.
+    calls = _traced_calls(cross_validate_encrypted,
+                          RunConfig(k=3, mode="ridge", folds=3, seed=1))
+    assert calls["protocol.ring_step"] == 6
+    assert calls["protocol.residual_gram_step"] == 3

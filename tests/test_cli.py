@@ -70,6 +70,14 @@ def test_cv_reports_chosen_lambda(tmp_path):
     assert report["verify"]["verdict"] == "accepted"
 
 
+@pytest.mark.parametrize("args", [["run", "--mode", "ridge", "--lambda", "nan"],
+                                  ["run", "--mode", "ridge", "--lambda", "inf"],
+                                  ["cv", "--lambda-grid", "nan,1"]])
+def test_non_finite_lambda_exits_one(tmp_path, args):
+    code = main(args + ["--n", "60", "--p", "3", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+
+
 def test_cv_rejects_linear_mode(tmp_path):
     code = main(["cv", "--mode", "linear", "--out", str(tmp_path)])
     assert code == EXIT_ERROR

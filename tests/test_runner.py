@@ -1,5 +1,6 @@
 """End-to-end orchestration tests: rings, folds, full runs, encrypted CV."""
 
+import dataclasses
 import threading
 import time
 
@@ -21,11 +22,12 @@ from maskreg.runner import (
     build_contexts,
     cross_validate_encrypted,
     fold_rows,
-    ring_orders,
     run_pre_modeling,
     run_protocol,
 )
 from maskreg.transport import (
+    MSG_ESTIMATE,
+    MSG_GRAM_RELEASE,
     MSG_RESIDUAL_GRAM,
     MSG_SHARD,
     BusTransport,
@@ -55,25 +57,6 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-# ---------------------------------------------------------------- rings
-
-
-def test_default_rings_rotate():
-    assert ring_orders(3) == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    assert ring_orders(1) == ((1,),)
-
-
-def test_custom_rings_validated():
-    good = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
-    assert ring_orders(3, good) == good
-    with pytest.raises(ProtocolOrderViolation):
-        ring_orders(3, good[:2])  # wrong count
-    with pytest.raises(ProtocolOrderViolation):
-        ring_orders(2, ((1, 1), (2, 1)))  # not a permutation
-    with pytest.raises(ProtocolOrderViolation):
-        ring_orders(2, ((2, 1), (1, 2)))  # origin not first
-
-
 # ---------------------------------------------------------------- config
 
 
@@ -86,6 +69,12 @@ def test_config_validation():
         RunConfig(mode="quantile")
     with pytest.raises(ValueError):
         RunConfig(folds=1)
+    for lam in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            RunConfig(mode="ridge", lam=lam)
+    for grid in ((), (float("nan"), 1.0), (0.1, float("inf")), (-0.5,)):
+        with pytest.raises(ValueError):
+            RunConfig(mode="ridge", lambda_grid=grid)
 
 
 def test_build_contexts_shape_checks():
@@ -164,17 +153,6 @@ def test_ridge_run_matches_closed_form():
     assert report.verify.verdict == "accepted"
 
 
-def test_custom_rings_still_exact():
-    datasets = make_datasets(3, 40, 3, seed=5)
-    config = RunConfig(
-        k=3, seed=5, rings=((1, 3, 2), (2, 1, 3), (3, 2, 1))
-    )
-    report = run_protocol(datasets, config)
-    x, y = stacked(datasets)
-    assert rel_err(report.beta(), ols_fit(x, y)) < 1e-8
-    assert report.verify.verdict == "accepted"
-
-
 def test_offset_run_fits_shifted_data():
     """With row offsets on, the estimate solves the offset design exactly."""
     datasets = make_datasets(2, 60, 4, seed=13)
@@ -201,8 +179,9 @@ def test_tampered_run_flagged():
 
 
 def test_shard_frame_headers_follow_the_ring(monkeypatch):
-    """Each hop of a shard carries its origin, the ids that masked it in
-    ring order, and round == len(applied); the cloud receives round k."""
+    """Origin o's shard is masked by o, o + 1, ... (mod k): each hop
+    carries its origin, the ids that masked it in that order, and round ==
+    len(applied); the cloud receives round k."""
     original = BusTransport.send
     sent = []
 
@@ -212,9 +191,9 @@ def test_shard_frame_headers_follow_the_ring(monkeypatch):
         return original(self, src, dst, frame)
 
     monkeypatch.setattr(BusTransport, "send", recording)
-    rings = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
+    rings = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
     report = run_protocol(make_datasets(3, 40, 3, seed=5),
-                          RunConfig(k=3, seed=5, rings=rings))
+                          RunConfig(k=3, seed=5))
     assert report.verify.verdict == "accepted"
     assert len(sent) == 9
     hops = set()
@@ -320,7 +299,7 @@ def _aggregate(datasets, config):
     )
     transport = make_transport("bus", [0] + [c.agency_id for c in contexts])
     try:
-        return run_pre_modeling(contexts, transport, config.rings)
+        return run_pre_modeling(contexts, transport)
     finally:
         transport.close()
 
@@ -449,6 +428,27 @@ def test_encrypted_cv_rejects_short_gram_stack(monkeypatch):
     datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
     config = RunConfig(k=2, mode="ridge", block_size=8, folds=3, seed=21)
     with pytest.raises(ProtocolOrderViolation, match="residual Grams"):
+        cross_validate_encrypted(datasets, config)
+
+
+@pytest.mark.parametrize("forged", [(1,), (1, 2, 2)], ids=["hidden", "repeated"])
+@pytest.mark.parametrize("msg_type", [MSG_GRAM_RELEASE, MSG_RESIDUAL_GRAM,
+                                      MSG_ESTIMATE],
+                         ids=["gram_release", "residual_gram", "estimate"])
+def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type, forged):
+    """Agency 2 forwards a ring frame whose applied ids hide its step or
+    repeat it; the next hop refuses the frame."""
+    original = BusTransport.send
+
+    def forging(self, src, dst, frame):
+        if src == 2 and frame.msg_type == msg_type:
+            frame = dataclasses.replace(frame, applied=forged)
+        return original(self, src, dst, frame)
+
+    monkeypatch.setattr(BusTransport, "send", forging)
+    datasets = make_datasets(3, 48, 3, seed=21, noise=0.5)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=21)
+    with pytest.raises(ProtocolOrderViolation):
         cross_validate_encrypted(datasets, config)
 
 
