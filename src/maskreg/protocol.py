@@ -58,7 +58,7 @@ TAMPER_ACTIONS = (
 #: Default max-norm tolerance when checking the verification column.
 VERIFY_TOL = 1e-6
 
-#: Rows per block in the batched first level of :func:`r_factor`.
+#: Rows per block in each level of :func:`r_factor`; 2q for wider q columns.
 TSQR_ROWS = 256
 
 #: A diagonal entry of R_xx at or below this fraction of the largest one
@@ -177,7 +177,8 @@ def _mask_shard(ctx, origin, applied, x, y):
 def _mask_rows(blocks, m, key):
     """``blocks·m·key``; the key multiplies each row block in one batched
     product, so no GEMM is tall enough for BLAS to split across threads
-    that would compete with the other agencies' threads."""
+    that would compete with the other agencies' threads (DECISIONS.md, "No
+    BLAS call on an op's path is large enough to thread")."""
     a = blocks.apply(m)
     nb, bs, _ = blocks.full.shape
     cut = nb * bs
@@ -247,18 +248,24 @@ def r_factor(a):
 
     RᵀR = aᵀa, so R is all a least-squares fit on the rows of ``a`` needs,
     and the R factors of row blocks stack: the R of their vertical stack is
-    the R of the stacked rows. One batched TSQR level (Demmel, Grigori,
-    Hoemmen & Langou, SIAM J. Sci. Comput. 2012) factors every
-    ``TSQR_ROWS``-row block at once, then factors the stacked block factors
-    and the leftover rows.
+    the R of the stacked rows. This is the full TSQR tree (Demmel, Grigori,
+    Hoemmen & Langou, SIAM J. Sci. Comput. 2012): each level factors every
+    block of ``max(TSQR_ROWS, 2q)`` rows in one batched QR and keeps their
+    stacked factors and the leftover rows, until one block's worth is left
+    for the last QR. A block of at least 2q rows at least halves the rows a
+    level passes on, so the tree stays O(log n) deep at any width. No QR
+    sees more than one block, so for narrow ``a`` none is large enough for
+    BLAS to thread (DECISIONS.md, "No BLAS call on an op's path is large
+    enough to thread").
     """
     a = np.asarray(a, dtype=np.float64)
     n, q = a.shape
-    nb = n // TSQR_ROWS
-    if nb > 1:
-        head = a[:nb * TSQR_ROWS].reshape(nb, TSQR_ROWS, q)
+    rows = max(TSQR_ROWS, 2 * q)
+    while a.shape[0] > rows:
+        nb = a.shape[0] // rows
+        head = a[:nb * rows].reshape(nb, rows, q)
         a = np.vstack([np.linalg.qr(head, mode="r").reshape(-1, q),
-                       a[nb * TSQR_ROWS:]])
+                       a[nb * rows:]])
     r = np.linalg.qr(a, mode="r")
     if r.shape[0] < q:  # fewer rows than columns: the rest of R is zero
         r = np.vstack([r, np.zeros((q - r.shape[0], q))])

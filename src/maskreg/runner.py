@@ -297,9 +297,14 @@ def _config_echo(config, p, n_total):
 
 
 def _metrics(datasets, beta):
-    x = np.vstack([x for x, _ in datasets])
+    """Pooled MSE (and AUC for a binary response) of ``beta`` on every
+    agency's rows. Each agency's rows are scored by ``einsum``: one BLAS
+    matvec over all of them is large enough to wake BLAS's worker threads
+    (DECISIONS.md, "No BLAS call on an op's path is large enough to
+    thread")."""
     y = np.concatenate([y for _, y in datasets])
-    scores = x @ beta
+    scores = np.concatenate([np.einsum("ij,j->i", x, beta)
+                             for x, _ in datasets])
     out = {"mse": float(mse(y, scores))}
     if np.unique(y).size == 2:
         out["auc"] = float(auc(y, scores))

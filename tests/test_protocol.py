@@ -13,6 +13,7 @@ from maskreg.errors import (
 from maskreg.protocol import (
     MODES,
     TAMPER_ACTIONS,
+    TSQR_ROWS,
     AgencyContext,
     TamperPlan,
     _fresh_key,
@@ -108,11 +109,13 @@ def test_released_gram_equals_product_gram():
     )
 
 
-@pytest.mark.parametrize("n, q", [(5, 7), (100, 7), (1029, 11), (2048, 27),
-                                  (1000, 40)])
+@pytest.mark.parametrize("n, q", [(5, 7), (100, 7), (300, 7), (1029, 11),
+                                  (2048, 27), (1000, 40), (72_000, 19),
+                                  (20_000, 27), (1500, 300)])
 def test_r_factor_is_triangular_cholesky_of_gram(n, q):
-    # Covers fewer rows than columns, the plain QR, and the batched first
-    # level with and without leftover rows.
+    # Covers fewer rows than columns, the plain QR, one level with a single
+    # block, levels with and without leftover rows, trees of three or more
+    # levels, and blocks of 2q rows when q >= TSQR_ROWS.
     a = np.random.default_rng(n + q).standard_normal((n, q))
     r = r_factor(a)
     assert r.shape == (q, q)
@@ -120,6 +123,24 @@ def test_r_factor_is_triangular_cholesky_of_gram(n, q):
     assert np.all(np.diag(r) >= 0.0)
     gram = a.T @ a
     assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("n, q, rows", [(72_000, 19, TSQR_ROWS),
+                                        (1500, 300, 600)])
+def test_r_factor_never_factors_more_than_one_block(monkeypatch, n, q, rows):
+    # A QR over all the stacked leaf factors (5,339 rows at n=72,000) is
+    # large enough for BLAS to thread; every level, the last included,
+    # sees at most one block of max(TSQR_ROWS, 2q) rows.
+    seen = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        seen.append(a.shape[-2])
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    r_factor(np.random.default_rng(q).standard_normal((n, q)))
+    assert seen and max(seen) <= rows
 
 
 def test_r_factors_of_row_blocks_stack():

@@ -1,6 +1,7 @@
 """End-to-end orchestration tests: rings, folds, full runs, encrypted CV."""
 
 import dataclasses
+import os
 import threading
 import time
 
@@ -14,7 +15,7 @@ from maskreg.errors import (
     ProtocolOrderViolation,
     TooManyAgencies,
 )
-from maskreg.model import cross_validate, ols_fit, ridge_fit
+from maskreg.model import auc, cross_validate, mse, ols_fit, ridge_fit
 from maskreg.protocol import TamperPlan
 from maskreg.runner import (
     CLOUD,
@@ -273,8 +274,29 @@ def test_binary_response_reports_auc():
         y = (x[:, 0] > 0).astype(float)
         datasets.append((x, y))
     report = run_protocol(datasets, RunConfig(k=2, seed=4))
-    assert "auc" in report.metrics
     assert 0.5 < report.metrics["auc"] <= 1.0
+    x, y = stacked(datasets)
+    scores = x @ report.beta()
+    assert rel_err(report.metrics["mse"], mse(y, scores)) <= 1e-12
+    assert rel_err(report.metrics["auc"], auc(y, scores)) <= 1e-12
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(usable_cpus() < 2,
+                    reason="BLAS runs no worker threads on one CPU")
+def test_run_leaves_no_blas_worker_spinning():
+    # A BLAS call large enough to thread leaves OpenBLAS's workers spinning
+    # for about 0.1 s of CPU after it returns; every call on a run's path is
+    # small, so the process idles once the run is over.
+    run_protocol(make_datasets(3, 8000, 16, seed=5), RunConfig(k=3, seed=5))
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start < 0.03
 
 
 def test_report_to_dict_roundtrips_to_json():
