@@ -23,7 +23,7 @@ def main():
     n = p = 4
     degree = 3
 
-    bases = derive_bases(40, p, degree=degree)
+    bases = derive_bases(40, p)
     coeffs, key = draw_commuting_key(bases.b_basis, degree, rng, 1)
     a_mask = random_orthogonal(n, rng)
 

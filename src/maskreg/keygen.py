@@ -54,7 +54,7 @@ _TAG_MASK = 0x3A
 
 
 def default_degree(p):
-    """Feature-side key degree used when none is requested."""
+    """Feature-side key degree of every protocol key."""
     return min(p, MAX_KEY_DEGREE)
 
 
@@ -65,14 +65,12 @@ class MaskBases:
     Attributes:
         b_basis: (p, p) unit-spectral-norm base for feature-side keys.
         c_basis: (3, 3) unit-spectral-norm base for response-side keys.
-        degree: polynomial degree for feature-side keys.
         b_spectrum, c_spectrum: eigenvalues of each base, computed once
             for every key drawn over it.
     """
 
     b_basis: np.ndarray
     c_basis: np.ndarray
-    degree: int
     b_spectrum: np.ndarray = field(repr=False)
     c_spectrum: np.ndarray = field(repr=False)
 
@@ -81,10 +79,6 @@ class MaskBases:
             raise DimMismatch("b_basis must be square")
         if self.c_basis.shape != (3, 3):
             raise DimMismatch("c_basis must be 3x3")
-        if not 1 <= self.degree <= MAX_KEY_DEGREE:
-            raise DimMismatch(
-                f"degree must be in [1, {MAX_KEY_DEGREE}], got {self.degree}"
-            )
 
 
 @dataclass
@@ -154,7 +148,7 @@ def _poly_spread(coeffs, eigvals):
     return vals.max() / lo
 
 
-def derive_bases(shared_seed, p, degree=None):
+def derive_bases(shared_seed, p):
     """Derive the shared mask bases from the agencies' common seed.
 
     Deterministic: every agency calling with the same seed and shape gets
@@ -163,18 +157,16 @@ def derive_bases(shared_seed, p, degree=None):
     Args:
         shared_seed: non-negative integer seed agreed by all agencies.
         p: number of features (feature-side base is p x p).
-        degree: feature-side key degree; defaults to ``min(p, 16)``.
 
     Returns:
         MaskBases with unit-spectral-norm bases.
     """
     if p < 1:
         raise DimMismatch(f"need at least one feature, got p={p}")
-    degree = default_degree(p) if degree is None else int(degree)
     rng = np.random.default_rng([int(shared_seed) % 2**64, _TAG_BASES])
     b_basis = _constructed_base(p, rng)
     c_basis = _constructed_base(3, rng)
-    return MaskBases(b_basis=b_basis, c_basis=c_basis, degree=degree,
+    return MaskBases(b_basis=b_basis, c_basis=c_basis,
                      b_spectrum=np.linalg.eigvals(b_basis),
                      c_spectrum=np.linalg.eigvals(c_basis))
 
@@ -189,8 +181,13 @@ def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0,
     spread seen is used instead. The materialized key must satisfy the
     condition-number cap or :class:`ResampleExhausted` is raised.
     ``spectrum`` is the eigenvalues of ``basis`` (``MaskBases`` carries
-    them); they are computed here when it is not given.
+    them); they are computed here when it is not given. ``degree`` must
+    be in 1..``MAX_KEY_DEGREE``.
     """
+    if not 1 <= degree <= MAX_KEY_DEGREE:
+        raise DimMismatch(
+            f"degree must be in [1, {MAX_KEY_DEGREE}], got {degree}"
+        )
     spread_cap = PRODUCT_SPREAD_BUDGET ** (1.0 / max(1, num_agencies))
     eigvals = np.linalg.eigvals(basis) if spectrum is None else spectrum
     best = None
@@ -233,8 +230,8 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
     for n_rows in row_counts:
         split_block_sizes(n_rows, block_size)  # DimMismatch on bad sizes
     _, b_key = draw_commuting_key(
-        bases.b_basis, bases.degree, rng, num_agencies, sigma_coeff,
-        bases.b_spectrum,
+        bases.b_basis, default_degree(bases.b_basis.shape[0]), rng,
+        num_agencies, sigma_coeff, bases.b_spectrum,
     )
     _, c_key = draw_commuting_key(
         bases.c_basis, RESPONSE_KEY_DEGREE, rng, num_agencies, sigma_coeff,

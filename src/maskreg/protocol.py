@@ -440,6 +440,7 @@ def _fresh_key(ctx):
     # honest key, which is the subtle case: decryption "works"
     # algebraically but with the wrong coefficients.
     _, key = keygen.draw_commuting_key(
-        ctx.bases.b_basis, ctx.bases.degree, ctx.rng, ctx.num_agencies
+        ctx.bases.b_basis, keygen.default_degree(ctx.bases.b_basis.shape[0]),
+        ctx.rng, ctx.num_agencies,
     )
     return key

@@ -74,6 +74,14 @@ class RunConfig:
         for lam in (self.lam, *self.lambda_grid):
             if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+        if not 0.0 < self.sigma_coeff < math.inf:
+            raise ValueError(
+                f"sigma_coeff must be finite and > 0, got {self.sigma_coeff}"
+            )
+        if self.delta is not None and not 0.0 <= self.delta < math.inf:
+            raise ValueError(
+                f"delta must be None or finite and >= 0, got {self.delta}"
+            )
 
 
 def build_contexts(datasets, config):

@@ -55,7 +55,7 @@ def test_honest_attack_recovers_coefficients():
     rng = np.random.default_rng(0)
     n = p = 5
     degree = 3
-    bases = derive_bases(0, p, degree=degree)
+    bases = derive_bases(0, p)
     coeffs, key = draw_commuting_key(bases.b_basis, degree, rng, 1)
     x = rng.standard_normal((n, p))
     a_true = random_orthogonal(n, rng)
@@ -72,7 +72,7 @@ def test_attack_fails_without_row_mask_knowledge(p):
     trials = 100
     for seed in range(trials):
         rng = np.random.default_rng([p, seed])
-        bases = derive_bases(seed, p, degree=3)
+        bases = derive_bases(seed, p)
         _, key = draw_commuting_key(bases.b_basis, 3, rng, 1)
         x = rng.standard_normal((p, p))
         a_true = random_orthogonal(p, rng)
@@ -86,7 +86,7 @@ def test_attack_fails_without_row_mask_knowledge(p):
 def test_fresh_square_instances_inconsistent():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        bases = derive_bases(seed + 100, 4, degree=3)
+        bases = derive_bases(seed + 100, 4)
         _, key = draw_commuting_key(bases.b_basis, 3, rng, 1)
         x = rng.standard_normal((4, 4))
         a_true = random_orthogonal(4, rng)
@@ -157,7 +157,7 @@ def test_kpa_two_masked_formula_and_failure():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         p = 5
-        bases = derive_bases(seed, p, degree=3)
+        bases = derive_bases(seed, p)
         _, b1 = draw_commuting_key(bases.b_basis, 3, rng, 2)
         _, b2 = draw_commuting_key(bases.b_basis, 3, rng, 2)
         x11 = rng.standard_normal((p, p))

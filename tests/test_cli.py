@@ -157,6 +157,19 @@ def test_config_file_unknown_key_exits_one(tmp_path, capsys, key, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("attack-kpa", {"scenario": "3"}),
+    ("run", {"n": 60, "p": 3, "transport": "udp"}),
+])
+def test_config_value_checked_like_its_flag(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert info.value.code == EXIT_ERROR
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_config_file_accepts_command_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 96, "p": 3, "block_size": 8, "folds": 3,
@@ -222,3 +235,54 @@ def test_same_seed_reports_identical(tmp_path):
     r1.pop("timings_ms")
     r2.pop("timings_ms")
     assert r1 == r2
+
+
+@pytest.mark.parametrize("argv", [["tamper", "--action", "nope"],
+                                  ["run", "--k", "abc"],
+                                  ["run", "--bogus"]])
+def test_usage_error_exits_one(tmp_path, capsys, argv):
+    # exit code 2 is the "tampered" verdict; a usage error must not look
+    # like a drill that failed closed
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path)])
+    assert info.value.code == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
+def test_no_header_flag_beats_config_file(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 2))
+    y = x @ np.array([0.5, 1.0]) + 0.05 * rng.standard_normal(40)
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{float(a)!r},{float(b)!r},{float(t)!r}\n"
+                            for (a, b), t in zip(x, y)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"has_header": True}))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--data", str(path),
+                 "--response", "2", "--no-header", "--out", str(out)])
+    assert code == EXIT_OK
+    report = read_report(out)
+    assert report["inputs"]["n"] == 40  # the first row is data, not a header
+    expected = ols_fit(x, y)
+    assert np.max(np.abs(np.asarray(report["beta"]) - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--sigma-coeff", "0"], "sigma_coeff"),
+    (["--sigma-delta", "-1"], "delta"),
+])
+def test_bad_key_or_noise_scale_exits_one(tmp_path, capsys, flags, field):
+    code = main(["run", "--n", "60", "--p", "3", "--out", str(tmp_path)]
+                + flags)
+    assert code == EXIT_ERROR
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

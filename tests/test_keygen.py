@@ -5,6 +5,7 @@ import pytest
 
 from maskreg.errors import DimMismatch
 from maskreg.keygen import (
+    MAX_KEY_DEGREE,
     RESPONSE_KEY_DEGREE,
     agency_rng,
     default_degree,
@@ -27,7 +28,7 @@ def test_derive_bases_deterministic():
     b = derive_bases(123, 7)
     assert np.array_equal(a.b_basis, b.b_basis)
     assert np.array_equal(a.c_basis, b.c_basis)
-    assert a.degree == b.degree == 7
+    assert np.array_equal(a.b_spectrum, b.b_spectrum)
 
 
 def test_derive_bases_seed_sensitivity():
@@ -37,17 +38,17 @@ def test_derive_bases_seed_sensitivity():
 
 
 def test_derive_bases_shapes():
-    bases = derive_bases(0, 9, degree=4)
+    bases = derive_bases(0, 9)
     assert bases.b_basis.shape == (9, 9)
     assert bases.c_basis.shape == (3, 3)
-    assert bases.degree == 4
 
 
-def test_derive_bases_rejects_bad_degree():
-    with pytest.raises(DimMismatch):
-        derive_bases(0, 5, degree=0)
-    with pytest.raises(DimMismatch):
-        derive_bases(0, 5, degree=99)
+def test_draw_commuting_key_rejects_bad_degree():
+    basis = derive_bases(0, 5).b_basis
+    rng = np.random.default_rng(0)
+    for degree in (0, MAX_KEY_DEGREE + 1, 99):
+        with pytest.raises(DimMismatch):
+            draw_commuting_key(basis, degree, rng, 1)
 
 
 @pytest.mark.parametrize("p", [48, 64, 128])
@@ -66,8 +67,8 @@ def test_derive_bases_wide(p):
 def test_drawn_keys_commute_and_invert():
     bases = derive_bases(7, 6)
     rng = np.random.default_rng(1)
-    _, k1 = draw_commuting_key(bases.b_basis, bases.degree, rng, 3)
-    _, k2 = draw_commuting_key(bases.b_basis, bases.degree, rng, 3)
+    _, k1 = draw_commuting_key(bases.b_basis, default_degree(6), rng, 3)
+    _, k2 = draw_commuting_key(bases.b_basis, default_degree(6), rng, 3)
     np.testing.assert_allclose(k1 @ k2, k2 @ k1, atol=1e-10)
     assert np.linalg.cond(k1) < 1e4
     # round-trip through the inverse
@@ -79,7 +80,7 @@ def test_drawn_keys_commute_and_invert():
 def test_draw_commuting_key_coeff_consistency():
     bases = derive_bases(7, 4)
     rng = np.random.default_rng(2)
-    coeffs, key = draw_commuting_key(bases.b_basis, bases.degree, rng, 2)
+    coeffs, key = draw_commuting_key(bases.b_basis, default_degree(4), rng, 2)
     from maskreg.matrix_core import commute_materialize
 
     np.testing.assert_allclose(
@@ -96,7 +97,7 @@ def test_keys_drawn_on_the_base_spectrum_match_a_recomputed_one():
     keys = gen_agency_keys(bases, 2, [40, 40, 40, 40], 4,
                            np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    _, b_key = draw_commuting_key(bases.b_basis, bases.degree, rng, 4)
+    _, b_key = draw_commuting_key(bases.b_basis, default_degree(24), rng, 4)
     _, c_key = draw_commuting_key(bases.c_basis, 3, rng, 4)
     assert np.array_equal(keys.b_key, b_key)
     assert np.array_equal(keys.c_key, c_key)

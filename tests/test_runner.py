@@ -76,6 +76,13 @@ def test_config_validation():
     for grid in ((), (float("nan"), 1.0), (0.1, float("inf")), (-0.5,)):
         with pytest.raises(ValueError):
             RunConfig(mode="ridge", lambda_grid=grid)
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma_coeff"):
+            RunConfig(sigma_coeff=sigma)
+    for delta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            RunConfig(delta=delta)
+    assert RunConfig(delta=0.0).delta == 0.0  # 0 still means "no noise"
 
 
 def test_build_contexts_shape_checks():
