@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import attacks, keygen, protocol
+from . import attacks, keygen, protocol, transport
 from .dataio import Dataset, load_csv, split_horizontal
 from .errors import MaskRegError
 from .matrix_core import random_orthogonal
@@ -91,7 +91,7 @@ def _build_parser():
                        help="std dev of key polynomial coefficients")
         p.add_argument("--sigma-delta", dest="delta", type=float,
                        help="std dev of the additive noise mask (0 disables)")
-        p.add_argument("--transport", choices=("bus", "tcp"))
+        p.add_argument("--transport", choices=transport.TRANSPORTS)
         return p
 
     add_protocol_command("run", "one full protocol run")

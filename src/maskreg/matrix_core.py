@@ -90,10 +90,12 @@ def solve_spd(gram, rhs):
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-#: Fewest full blocks a mask draws with the reflector kernel
-#: (``_haar_reflectors``); shorter masks take one batched QR, whose fixed
-#: cost per call loses less to the other agency threads.
-REFLECTOR_MIN_BLOCKS = 256
+#: Fewest full blocks per drawing thread for which a mask takes the
+#: reflector kernel (``_haar_reflectors``). The kernel holds the GIL for
+#: most of its time and the batched QR does not, so the more agencies draw
+#: at once, the longer a mask must be before the kernel wins; shorter masks
+#: take one batched QR (DECISIONS.md, "Why a threshold").
+REFLECTOR_BLOCKS_PER_THREAD = 32
 
 #: Most elements in one chunk of the reflector kernel's ``(bs, bs, chunk)``
 #: product (1 MB); the draw's other temporaries scale with it.
@@ -210,19 +212,20 @@ def split_block_sizes(n_rows, block_size):
     return sizes
 
 
-def random_ortho_blocks(n_rows, block_size, rng):
+def random_ortho_blocks(n_rows, block_size, rng, threads):
     """Draw a block-diagonal orthogonal mask covering ``n_rows`` rows.
 
-    The full blocks come first from the stream, then the tail. A mask of
-    fewer than ``REFLECTOR_MIN_BLOCKS`` full blocks draws them by one
-    batched QR, so it equals the sequence of ``random_orthogonal`` draws
-    of each block's size. A longer mask draws its full blocks with the
+    ``threads`` is the number of agencies drawing masks at once. The full
+    blocks come first from the stream, then the tail. A mask of fewer than
+    ``REFLECTOR_BLOCKS_PER_THREAD * threads`` full blocks draws them by one
+    batched QR, so it equals the sequence of ``random_orthogonal`` draws of
+    each block's size. A longer mask draws its full blocks with the
     reflector kernel, which reads ``bs(bs+1)/2`` normals per block: the
     same Haar law from another stream layout.
     """
     split_block_sizes(n_rows, block_size)  # raises DimMismatch on bad sizes
     nb, rem = divmod(n_rows, block_size)
-    if nb >= REFLECTOR_MIN_BLOCKS:
+    if nb >= REFLECTOR_BLOCKS_PER_THREAD * threads:
         full = _haar_reflectors(nb, block_size, rng)
     else:
         full = _haar(rng.standard_normal((nb, block_size, block_size)))

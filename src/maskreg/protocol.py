@@ -13,9 +13,10 @@ X_1..X_K (row-partitioned across agencies):
    the completed shards go to the cloud. A shard is the
    :class:`~maskreg.transport.Frame` that carries it: origin, the ids
    that masked it (its round is their count) and (X*, Y*);
-3. the cloud solves least squares by QR on the masked data: it takes the
-   R factor of the stacked masked matrix [X* | Y*] and back-substitutes,
-   and gets a masked estimate;
+3. the cloud solves least squares by QR on the masked data: it factors
+   each completed shard's [X* | Y*] as it arrives, takes the R factor of
+   the stacked masked matrix from those factors and back-substitutes, and
+   gets a masked estimate;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. the cloud checks the verification column of an estimate that came
@@ -35,6 +36,7 @@ from . import keygen
 from .errors import (
     DimMismatch,
     DuplicatePass,
+    FoldBlockMisaligned,
     ProtocolOrderViolation,
     SingularResult,
 )
@@ -60,6 +62,10 @@ VERIFY_TOL = 1e-6
 
 #: Rows per block in each level of :func:`r_factor`; 2q for wider q columns.
 TSQR_ROWS = 256
+
+#: Most elements of [X* | Y*] that :func:`shard_factors` copies and factors
+#: at once (512 KB).
+SHARD_CHUNK = 2**16
 
 #: A diagonal entry of R_xx at or below this fraction of the largest one
 #: marks the masked design as numerically singular.
@@ -87,24 +93,29 @@ class TamperPlan:
 
 @dataclass
 class EncryptedAggregate:
-    """Everything the cloud sees: stacked masked shards plus row layout.
+    """Everything the cloud keeps of the masked shards: R factors and the
+    row layout, never the rows.
 
-    ``z_star`` is the one (n, p + 3) array [X* | Y*]; ``x_star`` is a
-    view of its feature columns. ``key_factor`` is the released R_B of
-    the stacked feature keys (ridge only). ``z_factor``, once set, is the
-    R factor of ``z_star``, which the cloud already holds (encrypted CV
-    builds it from the fold factors), so a fit on all rows skips the rows.
+    ``fold_factors`` stacks the (q, q) R factor of each fold's rows of
+    [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
+    counts; ``z_factor`` is the R factor of every row. ``key_factor`` is
+    the released R_B of the stacked feature keys (ridge only).
     """
 
-    z_star: np.ndarray
+    fold_factors: np.ndarray
+    fold_sizes: tuple
+    z_factor: np.ndarray
     origin_rows: tuple
     block_ranges: tuple
     key_factor: np.ndarray = None
-    z_factor: np.ndarray = None
 
     @property
     def x_star(self):
-        return self.z_star[:, :-3]
+        """Shape-only (n, p) stand-in for the stacked masked features: a
+        read-only all-NaN view that allocates nothing, since the cloud
+        keeps no rows."""
+        n = self.origin_rows[-1][1]
+        return np.broadcast_to(np.nan, (n, self.z_factor.shape[1] - 3))
 
 
 @dataclass
@@ -167,7 +178,8 @@ def _mask_shard(ctx, origin, applied, x, y):
             f"agency {ctx.agency_id} mask covers {n_rows} rows, "
             f"shard {origin} has {x.shape[0]}"
         )
-    blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng)
+    blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng,
+                                        len(keys.row_counts))
     applied = applied + (ctx.agency_id,)
     return Frame(MSG_SHARD, origin, len(applied), applied,
                  (_mask_rows(blocks, x, keys.b_key),
@@ -207,37 +219,86 @@ def pass_encrypt(ctx, shard):
     return _mask_shard(ctx, shard.origin, shard.applied, *shard.matrices)
 
 
-def assemble_aggregate(shards, num_agencies, block_size):
-    """Stack completed shard frames (in origin order) into the cloud's
-    view."""
-    by_origin = {s.origin: s for s in shards}
-    if sorted(by_origin) != list(range(1, num_agencies + 1)):
-        raise ProtocolOrderViolation(
-            f"expected one shard per agency 1..{num_agencies}, "
-            f"got origins {sorted(by_origin)}"
+def shard_factors(shard, block_size, folds):
+    """(folds, q, q) stack of the R factors of each fold's rows of one
+    completed shard's [X* | Y*], and the folds' row counts.
+
+    Block j of the shard (its full blocks in row order, then the tail)
+    belongs to fold j mod ``folds``, as in ``runner.fold_rows``. Whole
+    rounds of ``folds`` blocks are copied fold-major through a strided
+    view into one small buffer, ``SHARD_CHUNK`` elements at a time, and
+    each chunk's folds are factored by one stacked ``r_factor``, so no
+    temporary grows with the shard. The last, partial round is padded with
+    zero rows, which leave every R unchanged, to a whole one. Raises
+    :class:`FoldBlockMisaligned` when the shard has fewer blocks than
+    folds.
+    """
+    x, y = shard.matrices
+    n, p = x.shape
+    blocks = len(split_block_sizes(n, block_size))
+    if blocks < folds:
+        raise FoldBlockMisaligned(
+            f"agency {shard.origin} has {blocks} mask blocks, fewer than "
+            f"{folds} folds; lower the block size or folds"
         )
-    for s in shards:
-        if len(s.applied) != num_agencies:
-            raise ProtocolOrderViolation(
-                f"shard {s.origin} was masked by {len(s.applied)} of "
-                f"{num_agencies} agencies"
-            )
-    p = shards[0].matrices[0].shape[1]
-    n_total = sum(s.matrices[0].shape[0] for s in shards)
-    z_star = np.empty((n_total, p + 3))
-    origin_rows, block_ranges = [], []
+    span = block_size * folds
+    rounds, rest = divmod(n, span)
+    step = max(1, SHARD_CHUNK // (span * (p + 3)))
+    buf = np.empty((folds, step, block_size, p + 3))
+    parts = []
+    for start in range(0, rounds, step):
+        g = min(step, rounds - start)
+        rows = slice(start * span, (start + g) * span)
+        buf[:, :g, :, :p] = x[rows].reshape(g, folds, block_size, p).swapaxes(0, 1)
+        buf[:, :g, :, p:] = y[rows].reshape(g, folds, block_size, 3).swapaxes(0, 1)
+        parts.append(r_factor(buf[:, :g].reshape(folds, -1, p + 3)))
+    if rest:
+        last = np.zeros((span, p + 3))
+        last[:rest, :p] = x[n - rest:]
+        last[:rest, p:] = y[n - rest:]
+        parts.append(r_factor(last.reshape(folds, block_size, p + 3)))
+    sizes = rounds * block_size + np.clip(
+        rest - block_size * np.arange(folds), 0, block_size)
+    return r_factor(np.concatenate(parts, axis=-2)), sizes
+
+
+def assemble_aggregate(shards, num_agencies, block_size, folds=1):
+    """The cloud's view of the completed shard frames, which must come in
+    origin order; ``shards`` may be a generator that receives each one.
+
+    Each shard is factored as it is taken (``shard_factors``) and dropped,
+    so the cloud never stacks [X* | Y*]. Each fold's factor is the R of its
+    stacked per-shard factors, and the factor of every row is the R of the
+    stacked fold factors (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 2012).
+    """
+    parts, sizes, origin_rows, block_ranges = [], 0, [], []
     offset = 0
-    for origin in range(1, num_agencies + 1):
-        x_star, y_star = by_origin[origin].matrices
-        n = x_star.shape[0]
-        z_star[offset:offset + n, :p] = x_star
-        z_star[offset:offset + n, p:] = y_star
+    for origin, s in enumerate(shards, start=1):
+        if s.origin != origin or len(s.applied) != num_agencies:
+            raise ProtocolOrderViolation(
+                f"expected shard {origin} masked by all {num_agencies} "
+                f"agencies, got shard {s.origin} masked by {len(s.applied)}"
+            )
+        r, counts = shard_factors(s, block_size, folds)
+        parts.append(r)
+        sizes += counts
+        n = s.matrices[0].shape[0]
         origin_rows.append((offset, offset + n))
         for size in split_block_sizes(n, block_size):
             block_ranges.append((offset, offset + size))
             offset += size
+    if len(parts) != num_agencies:
+        raise ProtocolOrderViolation(
+            f"expected one shard per agency 1..{num_agencies}, "
+            f"got {len(parts)}"
+        )
+    fold_factors = r_factor(np.concatenate(parts, axis=-2))
+    q = fold_factors.shape[-1]
     return EncryptedAggregate(
-        z_star=z_star,
+        fold_factors=fold_factors,
+        fold_sizes=tuple(int(v) for v in sizes),
+        z_factor=r_factor(fold_factors.reshape(-1, q)),
         origin_rows=tuple(origin_rows),
         block_ranges=tuple(block_ranges),
     )
@@ -256,20 +317,25 @@ def r_factor(a):
     level passes on, so the tree stays O(log n) deep at any width. No QR
     sees more than one block, so for narrow ``a`` none is large enough for
     BLAS to thread (DECISIONS.md, "No BLAS call on an op's path is large
-    enough to thread").
+    enough to thread"). A stack (..., n, q) gives a (..., q, q) stack of
+    factors, each level one batched QR over the whole stack.
     """
     a = np.asarray(a, dtype=np.float64)
-    n, q = a.shape
+    *stack, n, q = a.shape
     rows = max(TSQR_ROWS, 2 * q)
-    while a.shape[0] > rows:
-        nb = a.shape[0] // rows
-        head = a[:nb * rows].reshape(nb, rows, q)
-        a = np.vstack([np.linalg.qr(head, mode="r").reshape(-1, q),
-                       a[nb * rows:]])
+    while a.shape[-2] > rows:
+        nb = a.shape[-2] // rows
+        head = a[..., :nb * rows, :].reshape(*stack, nb, rows, q)
+        a = np.concatenate([
+            np.linalg.qr(head, mode="r").reshape(*stack, nb * q, q),
+            a[..., nb * rows:, :],
+        ], axis=-2)
     r = np.linalg.qr(a, mode="r")
-    if r.shape[0] < q:  # fewer rows than columns: the rest of R is zero
-        r = np.vstack([r, np.zeros((q - r.shape[0], q))])
-    r *= np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+    if r.shape[-2] < q:  # fewer rows than columns: the rest of R is zero
+        r = np.concatenate(
+            [r, np.zeros((*stack, q - r.shape[-2], q))], axis=-2)
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    r *= sign[..., None]
     return r
 
 
@@ -329,14 +395,14 @@ def residual_gram(r, values):
 
 
 def cloud_fit(agg, mode, lam=0.0, rows=None):
-    """Solve least squares by QR on the masked rows; the result is still
-    masked. For ridge, ``agg.key_factor`` must have been released. A fit
-    on all rows uses ``agg.z_factor`` when it is set."""
-    if rows is None and agg.z_factor is not None:
-        r = agg.z_factor
-    else:
-        r = r_factor(agg.z_star if rows is None else agg.z_star[rows])
-    values = solve_factor(r, mode, lam, agg.key_factor)
+    """Solve least squares from ``agg.z_factor``, the R factor of every
+    masked row; the result is still masked. For ridge,
+    ``agg.key_factor`` must have been released. The cloud keeps no rows,
+    so ``rows`` must be None."""
+    if rows is not None:
+        raise ValueError(
+            "the cloud keeps R factors, not rows; rows must be None")
+    values = solve_factor(agg.z_factor, mode, lam, agg.key_factor)
     return EstimateMatrix(values=values)
 
 

@@ -32,6 +32,7 @@ from .transport import (
     MSG_RESIDUAL_GRAM,
     MSG_SHARD,
     MAX_PARTICIPANTS,
+    TRANSPORTS,
     Frame,
     make_transport,
 )
@@ -67,6 +68,8 @@ class RunConfig:
             )
         if self.mode not in protocol.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.transport not in TRANSPORTS:
+            raise ValueError(f"unknown transport {self.transport!r}")
         if self.folds < 2:
             raise ValueError(f"need at least two folds, got {self.folds}")
         if len(self.lambda_grid) == 0:
@@ -152,9 +155,21 @@ def _agency_shard_work(ctx, transport, k):
             frame, me, MSG_SHARD, origin, r, _holders(origin, k)[:r])))
 
 
-def run_pre_modeling(contexts, transport):
+def _completed_shards(transport, k):
+    """The cloud's shard frames, received in origin order and each checked
+    as it arrives."""
+    for origin in range(1, k + 1):
+        holders = _holders(origin, k)
+        yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
+                      origin, k, holders)
+
+
+def run_pre_modeling(contexts, transport, folds=1):
     """Execute the masking ring and return the cloud's assembled view.
 
+    The cloud factors each completed shard into ``folds`` fold factors
+    while later shards are still in the ring
+    (``protocol.assemble_aggregate``).
     The first exception any participant records aborts the transport, so
     everyone else stops waiting at once, and is re-raised here as itself.
     """
@@ -177,20 +192,18 @@ def run_pre_modeling(contexts, transport):
     ]
     for t in threads:
         t.start()
-    shards = []
     try:
-        for origin in range(1, k + 1):
-            holders = _holders(origin, k)
-            shards.append(_expect(transport.recv(holders[-1], CLOUD), CLOUD,
-                                  MSG_SHARD, origin, k, holders))
+        agg = protocol.assemble_aggregate(
+            _completed_shards(transport, k), k,
+            contexts[0].keys.block_size, folds,
+        )
     except Exception as exc:  # wakes the agencies before the join below
         fail(exc)
     for t in threads:
         t.join()
     if errors:
         raise errors[0]
-    block_size = contexts[0].keys.block_size
-    return protocol.assemble_aggregate(shards, k, block_size)
+    return agg
 
 
 def ring_pass(contexts, transport, msg_type, matrix, step):
@@ -314,7 +327,8 @@ def _metrics(datasets, beta):
     scores = np.concatenate([np.einsum("ij,j->i", x, beta)
                              for x, _ in datasets])
     out = {"mse": float(mse(y, scores))}
-    if np.unique(y).size == 2:
+    lo, hi = y.min(), y.max()
+    if lo != hi and np.all((y == lo) | (y == hi)):  # two values, no sort
         out["auc"] = float(auc(y, scores))
     return out
 
@@ -342,20 +356,19 @@ def cross_validate_encrypted(datasets, config):
 def _select_lambda(contexts, transport, agg, config):
     """Encrypted CV over ``config.lambda_grid``; returns (lambda, cv info).
 
-    Each fold's rows are factored once; a fold's training factor is the R
-    of the other folds' stacked factors, and the R of all of them is the
-    factor of every row, which is left on ``agg.z_factor`` for the final
-    fit. All L·F (lambda, fold) fits are one stacked ``solve_factor`` call,
-    each O(p³) whatever the row count. Their L·F masked residual Grams go
-    around the decryption ring once, as one (3·L·F, 3) stack.
+    The masking phase left each fold's R factor on ``agg.fold_factors``; a
+    fold's training factor is the R of the other folds' stacked factors,
+    all folds in one stacked ``r_factor``. All L·F (lambda, fold) fits are
+    one stacked ``solve_factor`` call, each O(p³) whatever the row count.
+    Their L·F masked residual Grams go around the decryption ring once, as
+    one (3·L·F, 3) stack.
     """
-    folds = fold_rows(agg, config.folds)
-    test_r = np.stack([protocol.r_factor(agg.z_star[rows]) for rows in folds])
-    train_r = np.stack([
-        protocol.r_factor(np.vstack(np.delete(test_r, f, axis=0)))
+    test_r = agg.fold_factors
+    q = test_r.shape[-1]
+    train_r = protocol.r_factor(np.stack([
+        np.delete(test_r, f, axis=0).reshape(-1, q)
         for f in range(config.folds)
-    ])
-    agg.z_factor = protocol.r_factor(np.vstack(test_r))
+    ]))
     grid = [float(v) for v in config.lambda_grid]
     values = protocol.solve_factor(
         train_r, "ridge", np.asarray(grid)[:, None], agg.key_factor
@@ -368,8 +381,8 @@ def _select_lambda(contexts, transport, agg, config):
             f"sent {len(stack) // 3} stacked residual Grams around the "
             f"ring, got back shape {s_plain.shape}"
         )
-    sizes = np.array([rows.size for rows in folds])
-    fold_mse = s_plain[::3, 0].reshape(len(grid), config.folds) / sizes
+    fold_mse = (s_plain[::3, 0].reshape(len(grid), config.folds)
+                / np.asarray(agg.fold_sizes))
     mean_mse = fold_mse.mean(axis=1)
     chosen_idx = int(np.argmin(mean_mse))  # argmin takes the first of ties
     logger.info("cv chose lambda=%g", grid[chosen_idx])
@@ -404,7 +417,10 @@ def _run(datasets, config, select_lambda=None):
     transport = make_transport(config.transport, participants)
     try:
         with _timed(timings, "masking"):
-            agg = run_pre_modeling(contexts, transport)
+            agg = run_pre_modeling(
+                contexts, transport,
+                folds=1 if select_lambda is None else config.folds,
+            )
             if config.mode == "ridge":
                 agg.key_factor = release_key_factor(contexts, transport)
         lam, cv = config.lam, None

@@ -338,10 +338,12 @@ class TcpTransport(_Mailboxes):
         self.abort(TransportFailure("transport closed"))
 
 
+#: Config names of the transports, in the order ``make_transport`` knows them.
+TRANSPORTS = ("bus", "tcp")
+
+
 def make_transport(kind, participants):
-    """Build a transport by config name: ``bus`` or ``tcp``."""
-    if kind == "bus":
-        return BusTransport(participants)
-    if kind == "tcp":
-        return TcpTransport(participants)
-    raise ValueError(f"unknown transport {kind!r}")
+    """Build a transport by config name, one of ``TRANSPORTS``."""
+    if kind not in TRANSPORTS:
+        raise ValueError(f"unknown transport {kind!r}")
+    return (BusTransport if kind == "bus" else TcpTransport)(participants)

@@ -113,7 +113,7 @@ def test_gen_agency_keys_layout():
     assert keys.block_size == 4
     for origin, n_rows in enumerate(keys.row_counts, start=1):
         blocks = random_ortho_blocks(n_rows, keys.block_size,
-                                     keys.mask_rng(origin))
+                                     keys.mask_rng(origin), 3)
         assert blocks.n_rows == n_rows
         assert [b - a for a, b in blocks.ranges()] == split_block_sizes(
             n_rows, 4
@@ -151,7 +151,7 @@ def test_row_mask_ignores_origin_draw_order():
 
     def draw(origin):
         return random_ortho_blocks(keys.row_counts[origin - 1],
-                                   keys.block_size, keys.mask_rng(origin))
+                                   keys.block_size, keys.mask_rng(origin), k)
 
     forward = {o: draw(o) for o in range(1, k + 1)}
     backward = {o: draw(o) for o in range(k, 0, -1)}

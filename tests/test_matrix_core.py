@@ -7,7 +7,7 @@ from maskreg import matrix_core
 from maskreg.errors import DimMismatch, NotPD
 from maskreg.keygen import derive_bases
 from maskreg.matrix_core import (
-    REFLECTOR_MIN_BLOCKS,
+    REFLECTOR_BLOCKS_PER_THREAD,
     commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
@@ -109,20 +109,24 @@ def test_split_block_sizes():
 
 
 # (n_rows, block_size): a multiple of the block size, a remainder, enough
-# full blocks (257) for the reflector kernel, and fewer rows than one block.
+# full blocks (257) for the reflector kernel at one thread, and fewer rows
+# than one block.
 ORTHO_SHAPES = [(12, 4), (11, 4), (1029, 4), (5, 16)]
 
-# Masks on the batched-QR path, up to the longest: 255 full blocks and a
-# tail. Longer masks read another stream layout by design.
+C = REFLECTOR_BLOCKS_PER_THREAD
+
+# Masks on the batched-QR path at 8 drawing threads, up to the longest:
+# 255 full blocks and a tail.
 QR_SHAPES = [(12, 4), (11, 4), (1023, 4), (5, 16)]
 
 
 @pytest.mark.parametrize("n_rows,block_size", QR_SHAPES)
 def test_ortho_blocks_equal_per_block_draws(n_rows, block_size):
-    # below REFLECTOR_MIN_BLOCKS full blocks the batched draw consumes the
-    # stream exactly as one random_orthogonal call per block, in row order,
-    # so masks are bit-identical to it
-    blocks = random_ortho_blocks(n_rows, block_size, np.random.default_rng(11))
+    # below c·k full blocks the batched draw consumes the stream exactly as
+    # one random_orthogonal call per block, in row order, so masks are
+    # bit-identical to it
+    blocks = random_ortho_blocks(n_rows, block_size,
+                                 np.random.default_rng(11), 8)
     rng = np.random.default_rng(11)
     expected = [random_orthogonal(s, rng)
                 for s in split_block_sizes(n_rows, block_size)]
@@ -132,33 +136,61 @@ def test_ortho_blocks_equal_per_block_draws(n_rows, block_size):
     assert blocks.n_rows == n_rows
 
 
-def test_mask_path_switches_at_reflector_threshold():
-    # 255 full blocks take the batched QR; 256 take the reflector kernel,
-    # which reads bs(bs+1)/2 normals per block before the tail's draw
-    bs, rem = 4, 3
-    assert REFLECTOR_MIN_BLOCKS == 256
-    below = random_ortho_blocks(255 * bs + rem, bs, np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    assert np.array_equal(below.full[0], random_orthogonal(bs, rng))
+@pytest.mark.parametrize("threads", [1, 4, 32])
+@pytest.mark.parametrize("block_size, rem", [(4, 0), (4, 3), (16, 5)])
+def test_mask_below_threshold_equals_per_block_draws(threads, block_size,
+                                                      rem):
+    # c·k − 1 full blocks, one short of the kernel at k drawing threads
+    n_rows = (C * threads - 1) * block_size + rem
+    blocks = random_ortho_blocks(n_rows, block_size,
+                                 np.random.default_rng(11), threads)
+    rng = np.random.default_rng(11)
+    expected = [random_orthogonal(s, rng)
+                for s in split_block_sizes(n_rows, block_size)]
+    assert len(blocks.blocks) == len(expected)
+    for got, want in zip(blocks.blocks, expected):
+        assert np.array_equal(got, want)
 
-    at = random_ortho_blocks(256 * bs + rem, bs, np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    assert np.array_equal(at.full, matrix_core._haar_reflectors(256, bs, rng))
-    assert np.array_equal(at.tail, random_orthogonal(rem, rng))
-    rng = np.random.default_rng(5)
-    rng.standard_normal(256 * bs * (bs + 1) // 2)
-    assert np.array_equal(at.tail, random_orthogonal(rem, rng))
-    assert not np.allclose(at.full[:255], below.full)
+
+def test_mask_path_switches_at_reflector_threshold():
+    # At k drawing threads, c·k full blocks take the reflector kernel,
+    # which reads bs(bs+1)/2 normals per block before the tail's draw,
+    # and c·k − 1 take the batched QR
+    assert C == 32
+    bs, rem = 4, 3
+    for threads in (1, 4, 32):
+        nb = C * threads
+        below = random_ortho_blocks((nb - 1) * bs + rem, bs,
+                                    np.random.default_rng(5), threads)
+        rng = np.random.default_rng(5)
+        assert np.array_equal(below.full[0], random_orthogonal(bs, rng))
+
+        at = random_ortho_blocks(nb * bs + rem, bs, np.random.default_rng(5),
+                                 threads)
+        rng = np.random.default_rng(5)
+        assert np.array_equal(at.full,
+                              matrix_core._haar_reflectors(nb, bs, rng))
+        assert np.array_equal(at.tail, random_orthogonal(rem, rng))
+        rng = np.random.default_rng(5)
+        rng.standard_normal(nb * bs * (bs + 1) // 2)
+        assert np.array_equal(at.tail, random_orthogonal(rem, rng))
+        assert not np.allclose(at.full[:nb - 1], below.full)
+
+
+#: Threads that put a mask of ``MOMENT_BLOCKS`` full blocks on each path:
+#: c·8 − 1 blocks take the batched QR at 8 threads and the kernel at 7.
+MOMENT_BLOCKS = C * 8 - 1
+PATH_THREADS = {"qr": 8, "reflector": 7}
 
 
 def _draw_full_blocks(path, bs, total, seed):
-    """``total`` full blocks from masks of 255 (QR path) or 1,020
-    (reflector path) blocks each, drawn from one stream."""
-    per_mask = 255 if path == "qr" else 4 * 255
+    """``total`` full blocks from masks of ``MOMENT_BLOCKS`` blocks each,
+    drawn from one stream on the named side of the threshold."""
     rng = np.random.default_rng(seed)
     return np.concatenate([
-        random_ortho_blocks(per_mask * bs, bs, rng).full
-        for _ in range(total // per_mask)
+        random_ortho_blocks(MOMENT_BLOCKS * bs, bs, rng,
+                            PATH_THREADS[path]).full
+        for _ in range(total // MOMENT_BLOCKS)
     ])
 
 
@@ -181,33 +213,43 @@ def test_mask_blocks_have_haar_moments(path, bs):
         assert abs(np.mean(sample) - target) <= 5.0 * sigma, name
 
 
-def test_reflector_blocks_are_orthogonal():
+def _worst_orthogonality(threads):
     # 100,000 blocks of the shipped block size, in masks of 2,000 blocks
     bs = 16
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(50):
-        q = random_ortho_blocks(2_000 * bs, bs, rng).full
+        q = random_ortho_blocks(2_000 * bs, bs, rng, threads).full
         gram = np.matmul(q.transpose(0, 2, 1), q) - np.eye(bs)
         worst = max(worst, np.linalg.norm(gram, axis=(1, 2)).max())
-    assert worst <= 1e-13
+    return worst
+
+
+def test_reflector_blocks_are_orthogonal():
+    assert _worst_orthogonality(1) <= 1e-13
+
+
+def test_qr_mask_blocks_are_orthogonal():
+    # the same masks on the other side of the threshold: c·63 > 2,000
+    assert _worst_orthogonality(63) <= 1e-13
 
 
 def test_reflector_mask_is_chunk_invariant(monkeypatch):
     # 700 blocks span two default chunks; chunks of 7 blocks read the same
     # stream in the same block-major order, so they give the same mask
     bs = 16
-    whole = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6))
+    whole = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6), 1)
     assert 700 > matrix_core.REFLECTOR_CHUNK // bs ** 2
     monkeypatch.setattr(matrix_core, "REFLECTOR_CHUNK", 7 * bs * bs)
-    chunked = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6))
+    chunked = random_ortho_blocks(700 * bs + 5, bs, np.random.default_rng(6),
+                                  1)
     np.testing.assert_allclose(chunked.full, whole.full, rtol=0, atol=1e-14)
     assert np.array_equal(chunked.tail, whole.tail)
 
 
 @pytest.mark.parametrize("bs", [1, 2])
 def test_reflector_path_smallest_blocks(bs):
-    blocks = random_ortho_blocks(300 * bs, bs, np.random.default_rng(13))
+    blocks = random_ortho_blocks(300 * bs, bs, np.random.default_rng(13), 1)
     q = blocks.full
     assert q.shape == (300, bs, bs) and blocks.tail is None
     np.testing.assert_allclose(
@@ -225,10 +267,10 @@ def test_reflector_path_smallest_blocks(bs):
 
 def test_ortho_blocks_apply_matches_materialized():
     rng = np.random.default_rng(7)
-    blocks = random_ortho_blocks(11, 4, rng)
+    blocks = random_ortho_blocks(11, 4, rng, 1)
     assert [b.shape[0] for b in blocks.blocks] == [4, 4, 3]
     for n_rows, block_size in ORTHO_SHAPES:
-        blocks = random_ortho_blocks(n_rows, block_size, rng)
+        blocks = random_ortho_blocks(n_rows, block_size, rng, 1)
         m = rng.standard_normal((n_rows, 3))
         np.testing.assert_allclose(
             blocks.apply(m), blocks.materialize() @ m, atol=1e-12
@@ -236,7 +278,7 @@ def test_ortho_blocks_apply_matches_materialized():
 
 
 def test_ortho_blocks_ranges_partition_rows():
-    blocks = random_ortho_blocks(10, 3, np.random.default_rng(8))
+    blocks = random_ortho_blocks(10, 3, np.random.default_rng(8), 1)
     ranges = blocks.ranges()
     assert ranges[0][0] == 0 and ranges[-1][1] == 10
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
@@ -244,12 +286,12 @@ def test_ortho_blocks_ranges_partition_rows():
 
 
 def test_ortho_blocks_rejects_wrong_row_count():
-    blocks = random_ortho_blocks(10, 4, np.random.default_rng(9))
+    blocks = random_ortho_blocks(10, 4, np.random.default_rng(9), 1)
     with pytest.raises(DimMismatch):
         blocks.apply(np.zeros((9, 2)))
 
 
 def test_ortho_blocks_materialized_is_orthogonal():
-    blocks = random_ortho_blocks(9, 4, np.random.default_rng(10))
+    blocks = random_ortho_blocks(9, 4, np.random.default_rng(10), 1)
     a = blocks.materialize()
     np.testing.assert_allclose(a.T @ a, np.eye(9), atol=1e-12)

@@ -7,6 +7,7 @@ from maskreg import keygen, model
 from maskreg.errors import (
     DimMismatch,
     DuplicatePass,
+    FoldBlockMisaligned,
     ProtocolOrderViolation,
     SingularResult,
 )
@@ -27,9 +28,11 @@ from maskreg.protocol import (
     r_factor,
     residual_gram,
     residual_gram_decrypt_step,
+    shard_factors,
     solve_factor,
     verify_estimate,
 )
+from maskreg.transport import MSG_SHARD, Frame
 
 
 def build_contexts(seed, sizes, p, mode="linear"):
@@ -56,6 +59,10 @@ def run_rings(contexts):
             holder = contexts[(origin + hop) % k]
             shards[origin] = pass_encrypt(holder, shards[origin])
     return shards
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
 def decrypt_all(contexts, values):
@@ -149,6 +156,16 @@ def test_r_factors_of_row_blocks_stack():
     np.testing.assert_allclose(stacked, r_factor(a), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, q", [(5, 7), (300, 7), (2048, 27)])
+def test_r_factor_of_a_stack_equals_each_members_factor(n, q):
+    a = np.random.default_rng(n).standard_normal((2, 3, n, q))
+    stack = r_factor(a)
+    assert stack.shape == (2, 3, q, q)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(stack[i, j], r_factor(a[i, j]))
+
+
 def test_residual_gram_from_factor_matches_rows():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((90, 5))
@@ -228,10 +245,64 @@ def test_stacked_residual_gram_matches_single_calls():
 
 def test_duplicated_masked_column_is_singular():
     contexts, _, _ = build_contexts(16, (40, 40), 4)
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
-    agg.x_star[:, 3] = agg.x_star[:, 1]  # x_star is a view of z_star
+    shards = run_rings(contexts)
+    for shard in shards:  # the cloud keeps factors, so edit what it receives
+        x_star = shard.matrices[0]
+        x_star[:, 3] = x_star[:, 1]
+    agg = assemble_aggregate(shards, 2, 8)
     with pytest.raises(SingularResult):
         cloud_fit(agg, "linear")
+
+
+def _stacked_rows(shards):
+    return np.vstack([np.hstack(s.matrices) for s in shards])
+
+
+@pytest.mark.parametrize("sizes, block_size, folds", [
+    ((40, 35), 8, 1),    # a tail block, no CV
+    ((40, 35), 8, 3),    # a partial last round and a tail
+    ((48, 48), 8, 3),    # whole rounds only
+    ((37, 20, 29), 4, 5),
+    ((9, 12), 4, 3),     # one round or less per shard
+    ((600, 700), 8, 5),  # several chunks of SHARD_CHUNK elements
+])
+def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
+                                              block_size, folds):
+    # Each fold factor is the R of that fold's fold_rows rows of the
+    # stacked shards, and z_factor the R of all of them
+    from maskreg import protocol
+    from maskreg.runner import fold_rows
+
+    monkeypatch.setattr(protocol, "SHARD_CHUNK", 3 * block_size * folds * 7)
+    rng = np.random.default_rng(len(sizes) + folds)
+    k = len(sizes)
+    shards = [
+        Frame(MSG_SHARD, o, k, tuple(range(1, k + 1)),
+              (rng.standard_normal((n, 4)), rng.standard_normal((n, 3))))
+        for o, n in enumerate(sizes, start=1)
+    ]
+    z = _stacked_rows(shards)
+    agg = assemble_aggregate(iter(shards), k, block_size, folds)
+    assert agg.x_star.shape == (sum(sizes), 4)
+    assert rel_err(agg.z_factor, r_factor(z)) < 1e-12
+    rows = fold_rows(agg, folds)
+    assert agg.fold_sizes == tuple(r.size for r in rows)
+    assert agg.fold_factors.shape == (folds, 7, 7)
+    for factor, fold in zip(agg.fold_factors, rows):
+        assert rel_err(factor, r_factor(z[fold])) < 1e-12
+
+
+def test_shard_factors_reject_fewer_blocks_than_folds():
+    shard = Frame(MSG_SHARD, 2, 2, (2, 1), (np.ones((20, 3)), np.ones((20, 3))))
+    with pytest.raises(FoldBlockMisaligned, match="agency 2 has 3 mask blocks"):
+        shard_factors(shard, 8, 5)
+
+
+def test_cloud_fit_keeps_no_rows():
+    contexts, _, _ = build_contexts(16, (40, 40), 4)
+    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    with pytest.raises(ValueError, match="rows must be None"):
+        cloud_fit(agg, "linear", rows=np.arange(10))
 
 
 def test_verification_column_regresses_to_ones():
@@ -261,6 +332,15 @@ def test_assemble_rejects_incomplete_shards():
     shards = [local_encrypt(ctx) for ctx in contexts]  # never passed around
     with pytest.raises(ProtocolOrderViolation):
         assemble_aggregate(shards, 2, 8)
+
+
+def test_assemble_rejects_shards_out_of_origin_order_or_missing():
+    contexts, _, _ = build_contexts(7, (10, 10), 3)
+    shards = run_rings(contexts)
+    with pytest.raises(ProtocolOrderViolation):
+        assemble_aggregate(shards[::-1], 2, 8)
+    with pytest.raises(ProtocolOrderViolation):
+        assemble_aggregate(shards[:1], 2, 8)
 
 
 def test_residual_gram_round_trip():

@@ -32,6 +32,7 @@ from maskreg.transport import (
     MSG_RESIDUAL_GRAM,
     MSG_SHARD,
     BusTransport,
+    TcpTransport,
     make_transport,
 )
 
@@ -241,11 +242,11 @@ def test_mask_draw_error_aborts_run_at_once(monkeypatch, transport):
     original = keygen.random_ortho_blocks
     callers = []
 
-    def failing(n_rows, block_size, rng):
+    def failing(n_rows, block_size, rng, threads):
         callers.append(threading.current_thread())
         if n_rows == 41:
             raise ValueError("mask draw for origin 3 failed")
-        return original(n_rows, block_size, rng)
+        return original(n_rows, block_size, rng, threads)
 
     monkeypatch.setattr(keygen, "random_ortho_blocks", failing)
     datasets = make_datasets(3, 40, 3, seed=6)
@@ -271,6 +272,40 @@ def test_ridge_key_tampering_detected(action):
             tamper=TamperPlan(action=action, agency=1 + seed % 2),
         ))
         assert report.verify.verdict == "tampered"
+
+
+def test_unknown_transport_rejected_before_keygen(monkeypatch):
+    calls = []
+    monkeypatch.setattr(keygen, "derive_bases",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="unknown transport 'udp'"):
+        run_protocol(make_datasets(2, 40, 3), RunConfig(k=2, transport="udp"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("values", [(2.5,), (0.0, 1.0, 2.0)],
+                         ids=["constant", "three_valued"])
+def test_non_binary_response_reports_no_auc(values):
+    rng = np.random.default_rng(4)
+    datasets = []
+    for _ in range(2):
+        x = rng.standard_normal((40, 3))
+        y = np.resize(np.asarray(values, float), 40)
+        datasets.append((x, y))
+    report = run_protocol(datasets, RunConfig(k=2, seed=4))
+    assert "auc" not in report.metrics
+
+
+def test_plus_minus_one_response_reports_auc():
+    rng = np.random.default_rng(5)
+    datasets = []
+    for _ in range(2):
+        x = rng.standard_normal((40, 3))
+        y = np.where(x[:, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0)
+        datasets.append((x, y))
+    report = run_protocol(datasets, RunConfig(k=2, seed=5))
+    x, y = stacked(datasets)
+    assert report.metrics["auc"] == auc(y, x @ report.beta())
 
 
 def test_binary_response_reports_auc():
@@ -481,17 +516,36 @@ def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type, forged)
         cross_validate_encrypted(datasets, config)
 
 
-def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
-    """The final fit solves from the R stacked from the fold factors,
-    which is the R of every masked row."""
+def _capture_cloud_view(monkeypatch):
+    """Record the completed shard frames sent to the cloud, on either
+    transport, and the aggregate each ``cloud_fit`` call sees."""
+    shards, fits = [], []
+    for cls in (BusTransport, TcpTransport):
+        def recording(self, src, dst, frame, _send=cls.send):
+            if dst == CLOUD and frame.msg_type == MSG_SHARD:
+                shards.append(frame)
+            return _send(self, src, dst, frame)
+        monkeypatch.setattr(cls, "send", recording)
     original = protocol.cloud_fit
-    seen = []
 
     def capturing(agg, mode, lam=0.0, rows=None):
-        seen.append((rows, agg))
+        fits.append((rows, agg))
         return original(agg, mode, lam=lam, rows=rows)
 
     monkeypatch.setattr(protocol, "cloud_fit", capturing)
+    return shards, fits
+
+
+def _stacked_shards(shards):
+    """[X* | Y*] of the captured shards, stacked in origin order."""
+    by_origin = sorted(shards, key=lambda s: s.origin)
+    return np.vstack([np.hstack(s.matrices) for s in by_origin])
+
+
+def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
+    """The final fit solves from the R stacked from the fold factors,
+    which is the R of every masked row."""
+    shards, seen = _capture_cloud_view(monkeypatch)
     datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
     config = RunConfig(k=2, mode="ridge", block_size=8, folds=3, seed=21)
     report = cross_validate_encrypted(datasets, config)
@@ -499,7 +553,44 @@ def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
     assert len(seen) == 1
     rows, agg = seen[0]
     assert rows is None and agg.z_factor is not None
-    assert rel_err(agg.z_factor, protocol.r_factor(agg.z_star)) < 1e-12
+    z = _stacked_shards(shards)
+    assert rel_err(agg.z_factor, protocol.r_factor(z)) < 1e-12
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("mode, cv", [("linear", False), ("ridge", False),
+                                      ("ridge", True)])
+def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
+    """The R the cloud builds from per-shard factors as shards arrive is the
+    R of the stacked shards; with CV, each fold's factor is the R of that
+    fold's fold_rows rows."""
+    shards, seen = _capture_cloud_view(monkeypatch)
+    datasets = [(x, y) for x, y in make_datasets(3, 100, 4, seed=31,
+                                                  noise=0.5)]
+    datasets[1] = (datasets[1][0][:77], datasets[1][1][:77])  # a tail block
+    config = RunConfig(k=3, mode=mode, block_size=8, folds=4, seed=31,
+                       transport=transport)
+    entry = cross_validate_encrypted if cv else run_protocol
+    assert entry(datasets, config).verify.verdict == "accepted"
+    (_, agg), = seen
+    assert len(shards) == 3
+    z = _stacked_shards(shards)
+    assert agg.x_star.shape == (z.shape[0], 4)
+    assert rel_err(agg.z_factor, protocol.r_factor(z)) < 1e-12
+    folds = fold_rows(agg, config.folds) if cv else [np.arange(len(z))]
+    assert agg.fold_factors.shape == (len(folds), 7, 7)
+    assert agg.fold_sizes == tuple(rows.size for rows in folds)
+    for factor, rows in zip(agg.fold_factors, folds):
+        assert rel_err(factor, protocol.r_factor(z[rows])) < 1e-12
+
+
+def test_encrypted_cv_too_few_blocks_fails_at_once():
+    datasets = make_datasets(2, 20, 3, seed=1)
+    config = RunConfig(k=2, mode="ridge", block_size=16, folds=5, seed=1)
+    t0 = time.perf_counter()
+    with pytest.raises(FoldBlockMisaligned):
+        cross_validate_encrypted(datasets, config)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_bus_and_tcp_agree():
