@@ -144,6 +144,18 @@ def _haar_reflectors(nb, bs, rng):
     return out
 
 
+#: Most elements of Q·m that ``OrthoBlocks.apply`` holds at once (256 KB).
+APPLY_CHUNK = 2**15
+
+
+def _times_key(a, key, out):
+    """Write ``a·key`` (``a`` itself when ``key`` is None) into ``out``."""
+    if key is None:
+        out[...] = a
+    else:
+        np.matmul(a, key, out=out)
+
+
 @dataclass(frozen=True)
 class OrthoBlocks:
     """A block-diagonal orthogonal matrix stored as its diagonal blocks.
@@ -175,21 +187,45 @@ class OrthoBlocks:
             out.append((nb * bs, self.n_rows))
         return tuple(out)
 
-    def apply(self, m):
-        """Left-multiply the ``(n_rows, p)`` matrix ``m`` by the mask."""
+    def apply(self, m, key=None, out=None):
+        """``Q·m·key`` for the ``(n_rows, p)`` matrix ``m``, where Q is the
+        mask and ``key`` a ``(p, q)`` matrix (Q·m alone when None).
+
+        The full blocks go a chunk at a time: Q·m of a chunk goes into one
+        buffer of at most ``APPLY_CHUNK`` elements, and its product with
+        the key into the chunk's rows of ``out``. So ``out``, a fresh array
+        when None, may be ``m`` itself, and no temporary grows with ``m``.
+        Every block's products are the same batched matmul calls as over
+        the whole mask, so the result does not depend on the chunk. The key
+        multiplies each block on its own, so no GEMM is tall enough for
+        BLAS to split across threads that would compete with the other
+        agencies' threads (DECISIONS.md, "No BLAS call on an op's path is
+        large enough to thread").
+        """
         m = np.asarray(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != self.n_rows:
             raise DimMismatch(
                 f"matrix has shape {m.shape}, blocks cover {self.n_rows} rows"
             )
-        nb, bs, _ = self.full.shape
-        cut = nb * bs
         p = m.shape[1]
-        out = np.empty(m.shape)
-        np.matmul(self.full, m[:cut].reshape(nb, bs, p),
-                  out=out[:cut].reshape(nb, bs, p))
+        shape = (self.n_rows, p if key is None else key.shape[1])
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise DimMismatch(
+                f"out must be a C-contiguous {shape} array, got {out.shape}")
+        nb, bs, _ = self.full.shape
+        step = max(1, APPLY_CHUNK // (bs * p))
+        buf = np.empty((min(step, nb), bs, p))
+        for start in range(0, nb, step):
+            stop = min(start + step, nb)
+            rows = slice(start * bs, stop * bs)
+            qm = np.matmul(self.full[start:stop],
+                           m[rows].reshape(-1, bs, p), out=buf[:stop - start])
+            _times_key(qm, key, out[rows].reshape(-1, bs, shape[1]))
         if self.tail is not None:
-            np.matmul(self.tail, m[cut:], out=out[cut:])
+            cut = nb * bs
+            _times_key(self.tail @ m[cut:], key, out[cut:])
         return out
 
     def materialize(self):

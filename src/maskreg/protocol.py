@@ -9,8 +9,9 @@ X_1..X_K (row-partitioned across agencies):
    response key. The row mask is drawn from the agency's stream for that
    origin right before it is applied, and dropped right after;
 2. shards travel around a ring so every *other* agency stacks its own
-   masks on top, each drawing its row mask for that origin the same way;
-   the completed shards go to the cloud. A shard is the
+   masks on top, each drawing its row mask for that origin the same way
+   and masking the shard in place in the frame's buffer, which the origin
+   allocated; the completed shards go to the cloud. A shard is the
    :class:`~maskreg.transport.Frame` that carries it: origin, the ids
    that masked it (its round is their count) and (X*, Y*);
 3. the cloud solves least squares by QR on the masked data: it factors
@@ -41,7 +42,7 @@ from .errors import (
     SingularResult,
 )
 from .matrix_core import solve_spd, split_block_sizes  # noqa: F401
-from .transport import MSG_SHARD, Frame
+from .transport import MSG_SHARD, Frame, payload_buffer
 
 # ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
 # name ``protocol.solve_spd``, so it stays importable from this module.
@@ -166,10 +167,12 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _mask_shard(ctx, origin, applied, x, y):
+def _mask_shard(ctx, origin, applied, x, y, payload=None):
     """The shard frame of (A·x·B, A·y·C), with this agency's keys and its
     row mask A for ``origin``, which is drawn here and dropped on return;
-    ``applied`` gains this agency's id."""
+    ``applied`` gains this agency's id. When x and y view ``payload``, a
+    received frame's buffer, they are masked in place and the frame keeps
+    that buffer; otherwise the masked shard goes into a fresh one."""
     keys = ctx.keys
     rng = keys.mask_rng(origin)
     n_rows = keys.row_counts[origin - 1]
@@ -180,43 +183,35 @@ def _mask_shard(ctx, origin, applied, x, y):
         )
     blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng,
                                         len(keys.row_counts))
+    if payload is None:
+        payload, out = payload_buffer([(n_rows, keys.b_key.shape[1]),
+                                       (n_rows, keys.c_key.shape[1])])
+    else:
+        out = (x, y)
+    blocks.apply(x, keys.b_key, out=out[0])
+    blocks.apply(y, keys.c_key, out=out[1])
     applied = applied + (ctx.agency_id,)
-    return Frame(MSG_SHARD, origin, len(applied), applied,
-                 (_mask_rows(blocks, x, keys.b_key),
-                  _mask_rows(blocks, y, keys.c_key)))
-
-
-def _mask_rows(blocks, m, key):
-    """``blocks·m·key``; the key multiplies each row block in one batched
-    product, so no GEMM is tall enough for BLAS to split across threads
-    that would compete with the other agencies' threads (DECISIONS.md, "No
-    BLAS call on an op's path is large enough to thread")."""
-    a = blocks.apply(m)
-    nb, bs, _ = blocks.full.shape
-    cut = nb * bs
-    q = key.shape[1]
-    out = np.empty((a.shape[0], q))
-    np.matmul(a[:cut].reshape(nb, bs, a.shape[1]), key,
-              out=out[:cut].reshape(nb, bs, q))
-    np.matmul(a[cut:], key, out=out[cut:])
-    return out
+    return Frame(MSG_SHARD, origin, len(applied), applied, out, payload)
 
 
 def local_encrypt(ctx):
     """First masking step an origin applies to its own shard; returns the
-    shard's frame, round 1."""
+    shard's frame, round 1, in a fresh buffer, so the agency's own rows are
+    never written."""
     shifted = ctx.x if ctx.delta is None else ctx.x + ctx.delta
     return _mask_shard(ctx, ctx.agency_id, (), shifted, ctx.responses)
 
 
 def pass_encrypt(ctx, shard):
     """Stack this agency's masks onto a shard frame passing through the
-    ring; returns the next frame, one round on."""
+    ring, in place in the frame's buffer; returns the next frame, one round
+    on."""
     if ctx.agency_id in shard.applied:
         raise DuplicatePass(
             f"agency {ctx.agency_id} already masked shard {shard.origin}"
         )
-    return _mask_shard(ctx, shard.origin, shard.applied, *shard.matrices)
+    return _mask_shard(ctx, shard.origin, shard.applied, *shard.matrices,
+                       payload=shard.payload)
 
 
 def shard_factors(shard, block_size, folds):

@@ -14,6 +14,16 @@ Frame layout (all integers little-endian):
 
 The same bytes travel over both transports, so a run is reproducible
 bit-for-bit regardless of which one carries it.
+
+A frame travels as two buffers: the header, which is everything up to
+and including the matrix count, and the payload, which is the matrix
+sections. The applied ids grow by one byte per hop, so each hop writes a
+fresh header of a few bytes, while the payload is the buffer the frame's
+matrices view (``payload_buffer``). Encoding therefore copies no payload:
+the bus queues both buffers, and TCP sends both with one ``sendmsg``.
+Decoding returns writeable views into the received payload, so a hop can
+mask a shard in place and send the same buffer on. A sender never touches
+a buffer after ``send``.
 """
 
 import logging
@@ -21,7 +31,7 @@ import selectors
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,89 +52,146 @@ _HEADER = struct.Struct("<HBBH")
 _COUNT = struct.Struct("<B")
 _MATRIX = struct.Struct("<II")
 
+#: Header bytes up to and including the applied-id count.
+_FIXED = _LEN.size + _HEADER.size + _COUNT.size
+
 #: The origin field is a single byte and 0 is the coordinator.
 MAX_PARTICIPANTS = 255
 
 
 @dataclass(frozen=True)
 class Frame:
-    """One protocol message: typed header plus a tuple of f64 matrices."""
+    """One protocol message: typed header plus a tuple of f64 matrices.
+
+    ``payload`` is the buffer the matrices view, laid out as the frame's
+    matrix sections (``payload_buffer``), or None when they are separate
+    arrays.
+    """
 
     msg_type: int
     origin: int
     round: int
     applied: tuple
     matrices: tuple
+    payload: np.ndarray = field(default=None, repr=False, compare=False)
+
+
+class EncodedFrame:
+    """A frame's wire bytes as its header (length prefix included) and its
+    payload; ``len`` is the wire length and ``bytes`` the wire bytes."""
+
+    __slots__ = ("header", "payload")
+
+    def __init__(self, header, payload):
+        self.header = header
+        self.payload = payload
+
+    def __len__(self):
+        return len(self.header) + self.payload.nbytes
+
+    def __bytes__(self):
+        return bytes(self.header) + self.payload.tobytes()
+
+
+def payload_buffer(shapes):
+    """A fresh payload for matrices of the given (rows, cols) shapes, with
+    their dimensions written and their values uninitialised, and the
+    writeable matrices that view it."""
+    sizes = [_MATRIX.size + 8 * rows * cols for rows, cols in shapes]
+    payload = np.empty(sum(sizes), dtype=np.uint8)
+    off = 0
+    for (rows, cols), size in zip(shapes, sizes):
+        _MATRIX.pack_into(payload, off, rows, cols)
+        off += size
+    return payload, _matrix_views(payload)
+
+
+def _matrix_views(payload):
+    """Every matrix section of a payload, as views into it."""
+    matrices, off = [], 0
+    while off < payload.nbytes:
+        rows, cols = _MATRIX.unpack_from(payload, off)
+        off += _MATRIX.size
+        count = rows * cols
+        if payload.nbytes - off < 8 * count:
+            raise TransportFailure("truncated matrix payload")
+        matrices.append(np.frombuffer(payload, "<f8", count, off)
+                        .reshape(rows, cols))
+        off += 8 * count
+    return tuple(matrices)
+
+
+def _layout(arrays):
+    return [(a.ctypes.data, a.shape, a.strides, a.dtype.str) for a in arrays]
 
 
 def encode_frame(frame):
-    """Serialize a Frame to bytes, length prefix included.
-
-    The arrays go into the one ``join`` as buffers, so each payload is
-    copied once, into the frame itself.
-    """
-    parts = [
-        b"",  # the length prefix, filled in once the size is known
+    """A frame's wire bytes as an ``EncodedFrame``: a fresh header and the
+    payload its matrices view. Only a frame of separate arrays has them
+    copied, once, into a new payload."""
+    payload = frame.payload
+    if payload is None:
+        matrices = [np.asarray(m, dtype="<f8") for m in frame.matrices]
+        for m in matrices:
+            if m.ndim != 2:
+                raise TransportFailure(
+                    f"matrix payload must be 2-d, got {m.ndim}-d")
+        payload, views = payload_buffer([m.shape for m in matrices])
+        for view, m in zip(views, matrices):
+            view[...] = m
+    elif _layout(frame.matrices) != _layout(_matrix_views(payload)):
+        raise TransportFailure("frame matrices are not the views of its payload")
+    header = b"".join([
         _HEADER.pack(PROTOCOL_VERSION, frame.msg_type, frame.origin,
                      frame.round),
         _COUNT.pack(len(frame.applied)),
         bytes(frame.applied),
         _COUNT.pack(len(frame.matrices)),
-    ]
-    for m in frame.matrices:
-        m = np.ascontiguousarray(m, dtype="<f8")
-        if m.ndim != 2:
-            raise TransportFailure(f"matrix payload must be 2-d, got {m.ndim}-d")
-        parts.append(_MATRIX.pack(m.shape[0], m.shape[1]))
-        parts.append(m)
-    parts[0] = _LEN.pack(sum(memoryview(part).nbytes for part in parts))
-    return b"".join(parts)
+    ])
+    return EncodedFrame(_LEN.pack(len(header) + payload.nbytes) + header,
+                        payload)
 
 
 def decode_frame(data):
-    """Parse one complete frame, length prefix included.
+    """Parse one frame: an ``EncodedFrame``, or its wire bytes joined.
 
-    The input is read through a ``memoryview``; each matrix is copied once
-    out of it, so the arrays returned are owned and writeable.
+    The matrices returned are writeable views into the payload, not
+    copies; only a read-only payload is copied first.
     """
-    view = memoryview(data)
     try:
-        (length,) = _LEN.unpack_from(view, 0)
-        body = view[_LEN.size:]
-        if len(body) != length:
+        if not isinstance(data, EncodedFrame):
+            view = memoryview(data)
+            end = _FIXED + view[_FIXED - 1] + _COUNT.size
+            data = EncodedFrame(view[:end], np.frombuffer(view[end:], np.uint8))
+        header, payload = memoryview(data.header), data.payload
+        if not payload.flags.writeable:
+            payload = payload.copy()
+        n_applied = header[_FIXED - 1]
+        if len(header) != _FIXED + n_applied + _COUNT.size:
             raise TransportFailure(
-                f"frame length prefix says {length} bytes, got {len(body)}"
+                f"frame header has {len(header)} bytes, expected "
+                f"{_FIXED + n_applied + _COUNT.size}"
             )
-        version, msg_type, origin, round_ = _HEADER.unpack_from(body, 0)
+        (length,) = _LEN.unpack_from(header, 0)
+        if length != len(data) - _LEN.size:
+            raise TransportFailure(
+                f"frame length prefix says {length} bytes, got "
+                f"{len(data) - _LEN.size}"
+            )
+        version, msg_type, origin, round_ = _HEADER.unpack_from(header, _LEN.size)
         if version != PROTOCOL_VERSION:
             raise TransportFailure(
                 f"protocol version {version}, expected {PROTOCOL_VERSION}"
             )
-        off = _HEADER.size
-        (n_applied,) = _COUNT.unpack_from(body, off)
-        off += _COUNT.size
-        applied = tuple(body[off:off + n_applied])
-        off += n_applied
-        (n_matrices,) = _COUNT.unpack_from(body, off)
-        off += _COUNT.size
-        matrices = []
-        for _ in range(n_matrices):
-            rows, cols = _MATRIX.unpack_from(body, off)
-            off += _MATRIX.size
-            nbytes = rows * cols * 8
-            payload = body[off:off + nbytes]
-            if len(payload) != nbytes:
-                raise TransportFailure("truncated matrix payload")
-            off += nbytes
-            matrices.append(
-                np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-            )
-        if off != len(body):
-            raise TransportFailure(f"{len(body) - off} trailing bytes in frame")
-    except struct.error as exc:
+        matrices = _matrix_views(payload)
+        if len(matrices) != header[-1]:
+            raise TransportFailure(
+                f"frame header says {header[-1]} matrices, got {len(matrices)}")
+    except (struct.error, IndexError) as exc:
         raise TransportFailure(f"malformed frame: {exc}") from exc
     return Frame(msg_type=msg_type, origin=origin, round=round_,
-                 applied=applied, matrices=tuple(matrices))
+                 applied=tuple(header[_FIXED:-1]), matrices=matrices,
+                 payload=payload)
 
 
 class _BlockingQueue:
@@ -223,17 +290,23 @@ class BusTransport(_Mailboxes):
 
 
 def _read_frame(conn):
-    """Read one whole frame, length prefix included, from a blocking socket.
+    """Read one whole frame from a blocking socket, as an ``EncodedFrame``:
+    the header into a small buffer and the payload into its own.
 
-    Once a frame's first bytes arrive its sender is inside ``sendall`` of
-    the whole frame, so reading the rest never waits on anything else.
+    Once a frame's first bytes arrive its sender is inside ``_send_all``
+    of the whole frame, so reading the rest never waits on anything else.
     """
-    prefix = bytearray(_LEN.size)
-    _fill(conn, memoryview(prefix))
-    frame = bytearray(_LEN.size + _LEN.unpack(prefix)[0])
-    frame[:_LEN.size] = prefix
-    _fill(conn, memoryview(frame)[_LEN.size:])
-    return frame
+    head = bytearray(_FIXED)
+    _fill(conn, memoryview(head))
+    rest = bytearray(head[-1] + _COUNT.size)  # applied ids, matrix count
+    _fill(conn, memoryview(rest))
+    header = head + rest
+    size = _LEN.size + _LEN.unpack_from(header)[0] - len(header)
+    if size < 0:
+        raise TransportFailure("frame length prefix is shorter than its header")
+    payload = np.empty(size, dtype=np.uint8)
+    _fill(conn, memoryview(payload))
+    return EncodedFrame(header, payload)
 
 
 def _fill(conn, view):
@@ -242,6 +315,19 @@ def _fill(conn, view):
         if n == 0:
             raise TransportFailure("peer closed the connection")
         view = view[n:]
+
+
+def _send_all(conn, buffers):
+    """``sendall`` of the buffers as one stream, by ``sendmsg`` with no copy
+    joining them, resuming wherever a partial send stopped."""
+    views = [memoryview(b).cast("B") for b in buffers]
+    while views:
+        sent = conn.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views[0])
+            views.pop(0)
+        if sent:
+            views[0] = views[0][sent:]
 
 
 class TcpTransport(_Mailboxes):
@@ -316,8 +402,9 @@ class TcpTransport(_Mailboxes):
         conn = self._out.get((src, dst))
         if conn is None:
             raise TransportFailure(f"no connection {src} -> {dst}")
+        wire = encode_frame(frame)
         try:
-            conn.sendall(encode_frame(frame))
+            _send_all(conn, (wire.header, wire.payload))
         except OSError as exc:
             raise TransportFailure(f"send {src} -> {dst} failed: {exc}") from exc
 

@@ -277,6 +277,37 @@ def test_ortho_blocks_apply_matches_materialized():
         )
 
 
+@pytest.mark.parametrize("chunk", [1, 2**6, 2**15])
+def test_chunked_apply_in_place_is_bit_identical(monkeypatch, chunk):
+    # Q·m·key a chunk at a time, written over m, equals the batched
+    # products over the whole mask bit for bit
+    rng = np.random.default_rng(15)
+    blocks = random_ortho_blocks(16 * 40 + 5, 16, rng, 1)
+    m = rng.standard_normal((16 * 40 + 5, 6))
+    key = rng.standard_normal((6, 6))
+    qm = np.concatenate([
+        np.matmul(blocks.full, m[:640].reshape(40, 16, 6)).reshape(640, 6),
+        blocks.tail @ m[640:],
+    ])
+    want = np.concatenate([
+        np.matmul(qm[:640].reshape(40, 16, 6), key).reshape(640, 6),
+        qm[640:] @ key,
+    ])
+    monkeypatch.setattr(matrix_core, "APPLY_CHUNK", chunk)
+    assert blocks.apply(m, key).tobytes() == want.tobytes()
+    assert blocks.apply(m, key, out=m) is m
+    assert m.tobytes() == want.tobytes()
+
+
+def test_apply_rejects_an_out_of_the_wrong_shape():
+    blocks = random_ortho_blocks(10, 4, np.random.default_rng(16), 1)
+    m = np.zeros((10, 2))
+    with pytest.raises(DimMismatch):
+        blocks.apply(m, np.eye(2), out=np.zeros((10, 3)))
+    with pytest.raises(DimMismatch):
+        blocks.apply(m, np.eye(2), out=np.zeros((10, 4))[:, :2])
+
+
 def test_ortho_blocks_ranges_partition_rows():
     blocks = random_ortho_blocks(10, 3, np.random.default_rng(8), 1)
     ranges = blocks.ranges()

@@ -260,6 +260,32 @@ def test_mask_draw_error_aborts_run_at_once(monkeypatch, transport):
     assert threading.main_thread() not in callers
 
 
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+def test_hops_mask_in_place_and_never_write_caller_data(transport):
+    """Runs leave every caller's x and y as they were, the origin masks
+    into a fresh buffer, and a hop masks a received shard in that frame's
+    own buffer."""
+    datasets = make_datasets(3, 40, 3, seed=8)
+    before = [(x.copy(), y.copy()) for x, y in datasets]
+    run_protocol(datasets, RunConfig(k=3, seed=8, transport=transport))
+    cross_validate_encrypted(datasets, RunConfig(
+        k=3, mode="ridge", folds=2, seed=8, transport=transport))
+    for (x, y), (x0, y0) in zip(datasets, before):
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    contexts, _ = build_contexts(datasets, RunConfig(k=3, seed=8))
+    first = protocol.local_encrypt(contexts[0])
+    assert not any(np.shares_memory(m, contexts[0].x) for m in first.matrices)
+    link = make_transport(transport, [1, 2])
+    try:
+        link.send(1, 2, first)
+        received = link.recv(1, 2, timeout=10.0)
+        masked = protocol.pass_encrypt(contexts[1], received)
+    finally:
+        link.close()
+    assert masked.payload is received.payload
+    assert all(np.shares_memory(m, received.payload) for m in masked.matrices)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: the ridge verification response is zero, and a wrong "
     "feature-side key maps zero to zero, so key-side tampering passes"))

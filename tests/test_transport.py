@@ -1,12 +1,17 @@
 """Tests for the wire format and both transports."""
 
+import hashlib
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from maskreg import transport as transport_module
 from maskreg.errors import TransportFailure
+from maskreg.matrix_core import REFLECTOR_BLOCKS_PER_THREAD
+from maskreg.runner import RunConfig, cross_validate_encrypted
 from maskreg.transport import (
     MSG_ESTIMATE,
     MSG_GRAM_RELEASE,
@@ -16,6 +21,7 @@ from maskreg.transport import (
     BusTransport,
     Frame,
     TcpTransport,
+    _read_frame,
     decode_frame,
     encode_frame,
     make_transport,
@@ -64,19 +70,19 @@ def test_roundtrip_preserves_empty_and_single_cases():
 
 
 def test_decode_rejects_truncation():
-    data = encode_frame(_sample_frame(np.random.default_rng(1)))
+    data = bytes(encode_frame(_sample_frame(np.random.default_rng(1))))
     with pytest.raises(TransportFailure):
         decode_frame(data[:-3])
 
 
 def test_decode_rejects_trailing_bytes():
-    data = encode_frame(_sample_frame(np.random.default_rng(2)))
+    data = bytes(encode_frame(_sample_frame(np.random.default_rng(2))))
     with pytest.raises(TransportFailure):
         decode_frame(data + b"\x00")
 
 
 def test_decode_rejects_wrong_version():
-    data = bytearray(encode_frame(_sample_frame(np.random.default_rng(3))))
+    data = bytearray(bytes(encode_frame(_sample_frame(np.random.default_rng(3)))))
     data[4] ^= 0xFF  # first header byte after the length prefix
     with pytest.raises(TransportFailure):
         decode_frame(bytes(data))
@@ -231,3 +237,203 @@ def test_both_transports_carry_identical_bytes():
 def test_make_transport_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_transport("carrier-pigeon", [0, 1])
+
+
+def _wire_bytes(frame):
+    """The frame's wire bytes built field by field, as the module
+    docstring lays them out."""
+    body = struct.pack("<HBBHB", PROTOCOL_VERSION, frame.msg_type,
+                       frame.origin, frame.round, len(frame.applied))
+    body += bytes(frame.applied) + struct.pack("<B", len(frame.matrices))
+    for m in frame.matrices:
+        body += struct.pack("<II", *m.shape) + m.astype("<f8").tobytes()
+    return struct.pack("<I", len(body)) + body
+
+
+def test_decoded_matrices_are_writeable_views_of_the_payload():
+    wire = encode_frame(_sample_frame(np.random.default_rng(10)))
+    frame = decode_frame(wire)
+    assert frame.payload is wire.payload
+    for m in frame.matrices:
+        assert m.flags.writeable and np.shares_memory(m, wire.payload)
+    # joined read-only bytes are copied once, so the views stay writeable
+    frame = decode_frame(bytes(wire))
+    assert all(m.flags.writeable for m in frame.matrices)
+
+
+def test_encode_rejects_matrices_that_do_not_view_the_payload():
+    frame = decode_frame(encode_frame(_sample_frame(np.random.default_rng(11))))
+    moved = Frame(frame.msg_type, frame.origin, frame.round, frame.applied,
+                  (frame.matrices[0].copy(), frame.matrices[1]), frame.payload)
+    with pytest.raises(TransportFailure, match="not the views"):
+        encode_frame(moved)
+
+
+class _TrickleSocket:
+    """Takes at most ``limit`` bytes per ``sendmsg`` and serves them back
+    at most ``limit`` bytes per ``recv_into``; records each call's buffer
+    lengths."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.wire = bytearray()
+        self.calls = []
+        self._read = 0
+
+    def sendmsg(self, buffers):
+        self.calls.append([memoryview(b).nbytes for b in buffers])
+        data = b"".join(bytes(b) for b in buffers)[:self.limit]
+        self.wire += data
+        return len(data)
+
+    def recv_into(self, view):
+        n = min(self.limit, len(view), len(self.wire) - self._read)
+        view[:n] = self.wire[self._read:self._read + n]
+        self._read += n
+        return n
+
+
+def test_tcp_send_resumes_after_partial_sends():
+    frame = _sample_frame(np.random.default_rng(12))
+    wire = encode_frame(frame)
+    header, payload = len(wire.header), wire.payload.nbytes
+    fake = _TrickleSocket(limit=5)
+    tcp = TcpTransport([0, 1])
+    try:
+        real, tcp._out[(0, 1)] = tcp._out[(0, 1)], fake
+        try:
+            tcp.send(0, 1, frame)
+        finally:
+            tcp._out[(0, 1)] = real
+    finally:
+        tcp.close()
+    assert bytes(fake.wire) == _wire_bytes(frame) == bytes(wire)
+    assert len(wire) == len(fake.wire)
+    # the header and the payload go as separate buffers, and the loop
+    # picks up inside each of them
+    assert fake.calls[0] == [header, payload]
+    assert any(len(c) == 2 and 0 < c[0] < header for c in fake.calls[1:])
+    assert any(len(c) == 1 and 0 < c[0] < payload for c in fake.calls)
+    got = decode_frame(_read_frame(fake))
+    assert got.applied == frame.applied
+    for m1, m2 in zip(got.matrices, frame.matrices):
+        assert np.array_equal(m1, m2)
+
+
+#: Rows per agency in the golden run. At the default block size of 16 and
+#: k=3, origin 1 has 96 = REFLECTOR_BLOCKS_PER_THREAD·3 full blocks and a
+#: tail (the reflector kernel), origin 2 two full blocks and a tail (the
+#: batched QR), and origin 3 three whole blocks.
+GOLDEN_ROWS = (1541, 40, 48)
+
+#: SHA-256 of the raw numpy results in ``_arithmetic_fingerprint`` on the
+#: machine that recorded ``WIRE_SHA256``.
+FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
+
+#: SHA-256 of every frame's wire bytes in the golden run, keyed by
+#: (type, origin, round, applied ids); recorded before shards were masked
+#: in place, and the same over the bus and over TCP.
+WIRE_SHA256 = {
+    (1, 1, 1, (1,)):
+        "6febdbc76cff8565277fe83fcb9b29fceb0b82a3cd851b124a94aaff0763c018",
+    (1, 1, 2, (1, 2)):
+        "29c3bc677e9b5cc64ee7be4dec3972fa94b637a555b67f3aad4bed7f935a13a1",
+    (1, 1, 3, (1, 2, 3)):
+        "4b74c4af97a953bb117b9048df6c1e759f28c5d9427a4274cf612a299dfca132",
+    (1, 2, 1, (2,)):
+        "2fd2843e38aa6b438e595a4c806df6d880b4e23b44cf257fc75b77fa82899360",
+    (1, 2, 2, (2, 3)):
+        "1cf91dc8a4108c76b05b8fe3b200b7fefaf329f0fc91ef03ee184d9c1e5ae8cd",
+    (1, 2, 3, (2, 3, 1)):
+        "200e5fd3eede067eb514bb8378d8b3a8716502d9f535848c309c2ab27e355d61",
+    (1, 3, 1, (3,)):
+        "b6ad1f5e7a3435415e150d8769148416c272653d511b8edc167266e971ec4c0d",
+    (1, 3, 2, (3, 1)):
+        "ef14986fbd347f58d56183b9be58fcc01f0e41be31302dd78aba8619bb83b733",
+    (1, 3, 3, (3, 1, 2)):
+        "1187952cd57b90f16816a9f4f88a86895c84c4d8bc49e6c5f2b6fe845355bf2d",
+    (2, 0, 0, ()):
+        "4a723924497c89b1d18bfe211a128893565124975237d664b69317461567717f",
+    (2, 1, 0, (1,)):
+        "7e7545a28e784e8d8dfa33b5035679e7e7a606b15e68641a26638bf9ebc8267c",
+    (2, 2, 0, (1, 2)):
+        "fc33b4a02a060e44838126f2afb79582b80c0d590f87df5724218f5f4b07427c",
+    (2, 3, 0, (1, 2, 3)):
+        "0dd8aed2fd5e0645c9561149a06e5a7a9d845e145b51c6add9f9af61af7dce90",
+    (3, 0, 0, ()):
+        "096361be1c71438055fae0ee5a94d0d24cae499c8b7f6e8658fe631cc98680e5",
+    (3, 1, 0, (1,)):
+        "ee86e0d2e8267e4690a4c02b2ab4745de346efc81330548505d32babaa87b064",
+    (3, 2, 0, (1, 2)):
+        "dfe0e4121edb3682034d2d18483f24b13f6e0a6ab7fbacab2c4d3c09a8f8d63a",
+    (3, 3, 0, (1, 2, 3)):
+        "a1e9a1a90f5b457c8bebb08cd071a877d793a0405fd243a8d236998b12fb29b6",
+    (4, 0, 0, ()):
+        "ec3db02df7b68110cd6dd054fd3be1c7f3086ae7a54cb65fd23585ec105ce4fa",
+    (4, 1, 0, (1,)):
+        "9a9c643cd0955ee33b72070abe593836eb7294c91baedbf30a4523ff1f9d1200",
+    (4, 2, 0, (1, 2)):
+        "ecbe7a539f754678b20c68e342920bade8a2ae2b9a21e52f29fa3e45aac419da",
+    (4, 3, 0, (1, 2, 3)):
+        "5f903f7561ea50542b1e2d3e2bc4c80e80236658554e0f5e219df7442ef14c42",
+}
+
+
+def _arithmetic_fingerprint():
+    """SHA-256 of numpy, BLAS and LAPACK results of the kinds a run uses,
+    on fixed inputs. Another CPU or BLAS build may round these, and so the
+    golden run's frames, differently."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((5, 16, 16))
+    m = rng.standard_normal((5, 16, 6))
+    key = rng.standard_normal((6, 6))
+    x = rng.standard_normal((16, 40))
+    parts = [
+        np.linalg.qr(g)[0],
+        np.linalg.qr(rng.standard_normal((300, 7)), mode="r"),
+        (g @ m) @ key,
+        np.einsum("ac,abc->bc", x[:4], rng.standard_normal((4, 4, 40))),
+        np.sqrt(np.add.reduceat(x * x, [0, 5, 9], axis=0)),
+        np.linalg.solve(key, m[0].T),
+    ]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def _wire_hashes(kind):
+    """SHA-256 of every frame's wire bytes in the golden run, a k=3
+    encrypted CV over transport ``kind``, keyed as ``WIRE_SHA256``."""
+    rng = np.random.default_rng(2024)
+    datasets = [(rng.standard_normal((n, 4)), rng.standard_normal(n))
+                for n in GOLDEN_ROWS]
+    hashes = {}
+    encode = transport_module.encode_frame
+
+    def recording(frame):
+        wire = encode(frame)
+        key = (frame.msg_type, frame.origin, frame.round, frame.applied)
+        assert key not in hashes
+        hashes[key] = hashlib.sha256(bytes(wire)).hexdigest()
+        return wire
+
+    transport_module.encode_frame = recording
+    try:
+        cross_validate_encrypted(datasets, RunConfig(
+            k=3, mode="ridge", folds=2, seed=5, transport=kind))
+    finally:
+        transport_module.encode_frame = encode
+    return hashes
+
+
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_wire_bytes_match_golden(kind):
+    block_size, k = RunConfig().block_size, len(GOLDEN_ROWS)
+    full = [n // block_size for n in GOLDEN_ROWS]
+    assert max(full) >= REFLECTOR_BLOCKS_PER_THREAD * k > min(full)
+    assert any(n % block_size for n in GOLDEN_ROWS)
+    if _arithmetic_fingerprint() != FINGERPRINT:
+        pytest.skip("this numpy/BLAS rounds differently from the one that "
+                    "recorded the golden hashes")
+    assert _wire_hashes(kind) == WIRE_SHA256
