@@ -167,12 +167,14 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _mask_shard(ctx, origin, applied, x, y, payload=None):
+def _mask_shard(ctx, origin, applied, x, y, payload=None, shift=None):
     """The shard frame of (A·x·B, A·y·C), with this agency's keys and its
     row mask A for ``origin``, which is drawn here and dropped on return;
     ``applied`` gains this agency's id. When x and y view ``payload``, a
     received frame's buffer, they are masked in place and the frame keeps
-    that buffer; otherwise the masked shard goes into a fresh one."""
+    that buffer; otherwise the masked shard goes into a fresh one, and an
+    LDP offset ``shift`` is added to x in that buffer, after the mask is
+    drawn, and masked there in place."""
     keys = ctx.keys
     rng = keys.mask_rng(origin)
     n_rows = keys.row_counts[origin - 1]
@@ -186,6 +188,8 @@ def _mask_shard(ctx, origin, applied, x, y, payload=None):
     if payload is None:
         payload, out = payload_buffer([(n_rows, keys.b_key.shape[1]),
                                        (n_rows, keys.c_key.shape[1])])
+        if shift is not None:
+            x = np.add(x, shift, out=out[0])
     else:
         out = (x, y)
     blocks.apply(x, keys.b_key, out=out[0])
@@ -198,8 +202,8 @@ def local_encrypt(ctx):
     """First masking step an origin applies to its own shard; returns the
     shard's frame, round 1, in a fresh buffer, so the agency's own rows are
     never written."""
-    shifted = ctx.x if ctx.delta is None else ctx.x + ctx.delta
-    return _mask_shard(ctx, ctx.agency_id, (), shifted, ctx.responses)
+    return _mask_shard(ctx, ctx.agency_id, (), ctx.x, ctx.responses,
+                       shift=ctx.delta)
 
 
 def pass_encrypt(ctx, shard):

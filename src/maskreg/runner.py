@@ -119,6 +119,14 @@ def build_contexts(datasets, config):
     return contexts, bases
 
 
+def channels(k):
+    """The run's (src, dst) pairs, sorted: each agency a sends to the next
+    around the ring, a % k + 1 (for k >= 2), and to the cloud, and the
+    cloud sends to agency 1. That is 2k + 1 channels, or 2 for k = 1."""
+    ring = [(a, a % k + 1) for a in range(1, k + 1)] if k >= 2 else []
+    return sorted([(CLOUD, 1), *ring, *((a, CLOUD) for a in range(1, k + 1))])
+
+
 def _holders(origin, k):
     """The agencies that mask origin's shard, in order: origin, origin + 1,
     ... (mod k). Agency a therefore always receives from a - 1 and sends to
@@ -413,8 +421,7 @@ def _run(datasets, config, select_lambda=None):
     with _timed(timings, "keygen"):
         contexts, _ = build_contexts(datasets, config)
 
-    participants = [CLOUD] + [c.agency_id for c in contexts]
-    transport = make_transport(config.transport, participants)
+    transport = make_transport(config.transport, channels(config.k))
     try:
         with _timed(timings, "masking"):
             agg = run_pre_modeling(

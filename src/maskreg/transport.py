@@ -15,6 +15,11 @@ Frame layout (all integers little-endian):
 The same bytes travel over both transports, so a run is reproducible
 bit-for-bit regardless of which one carries it.
 
+A transport carries only the channels it is built with: the directed
+(src, dst) pairs a run sends on (``runner.channels``), each with one
+mailbox and, over TCP, one connection. A send on any other pair fails at
+once with "no channel".
+
 A frame travels as two buffers: the header, which is everything up to
 and including the matrix count, and the payload, which is the matrix
 sections. The applied ids grow by one byte per hop, so each hop writes a
@@ -26,7 +31,8 @@ mask a shard in place and send the same buffer on. A sender never touches
 a buffer after ``send``.
 """
 
-import logging
+import collections
+import queue
 import selectors
 import socket
 import struct
@@ -36,8 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TransportFailure
-
-logger = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
 
@@ -57,6 +61,9 @@ _FIXED = _LEN.size + _HEADER.size + _COUNT.size
 
 #: The origin field is a single byte and 0 is the coordinator.
 MAX_PARTICIPANTS = 255
+
+#: What ``abort`` puts in every mailbox, after the frames already there.
+_ABORTED = object()
 
 
 @dataclass(frozen=True)
@@ -194,58 +201,19 @@ def decode_frame(data):
                  payload=payload)
 
 
-class _BlockingQueue:
-    """Tiny blocking FIFO that a failure can wake (queue.SimpleQueue can't)."""
-
-    def __init__(self):
-        self._items = []
-        self._error = None
-        self._cond = threading.Condition()
-
-    def put(self, item):
-        with self._cond:
-            self._items.append(item)
-            self._cond.notify()
-
-    def fail(self, exc):
-        """Wake every waiter; once the queue is empty, ``get`` raises ``exc``.
-
-        Items already queued are still handed out first, and the first
-        failure sticks.
-        """
-        with self._cond:
-            if self._error is None:
-                self._error = exc
-            self._cond.notify_all()
-
-    def get(self, timeout):
-        """Next item, or None on timeout."""
-        with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._items or self._error is not None, timeout
-            ):
-                return None
-            if self._items:
-                return self._items.pop(0)
-            raise self._error
-
-
 class _Mailboxes:
-    """One queue of encoded frames per directed participant pair.
+    """One ``queue.SimpleQueue`` of encoded frames per channel, a directed
+    (src, dst) pair the run sends on.
 
     This is the receive side of both transports: the bus puts frames in
     directly, the TCP mesh's reader thread puts in what arrives on the
     sockets, and ``recv`` takes them out the same way for both.
     """
 
-    def __init__(self, participants):
-        self._participants = tuple(participants)
-        self._queues = {
-            (src, dst): _BlockingQueue()
-            for src in self._participants
-            for dst in self._participants
-            if src != dst
-        }
+    def __init__(self, channels):
+        self._queues = {(src, dst): queue.SimpleQueue() for src, dst in channels}
+        self._error = None
+        self._error_lock = threading.Lock()
 
     def _queue(self, src, dst):
         try:
@@ -254,16 +222,26 @@ class _Mailboxes:
             raise TransportFailure(f"no channel {src} -> {dst}") from None
 
     def _recv(self, src, dst, timeout):
-        data = self._queue(src, dst).get(timeout)
-        if data is None:
-            raise TransportFailure(f"timed out waiting on {src} -> {dst}")
+        mailbox = self._queue(src, dst)
+        try:
+            data = mailbox.get(timeout=timeout)
+        except queue.Empty:
+            raise TransportFailure(f"timed out waiting on {src} -> {dst}") from None
+        if data is _ABORTED:
+            mailbox.put(data)  # for the next recv on this channel
+            raise self._error
         return decode_frame(data)
 
     def abort(self, exc):
         """Fail the run: every ``recv`` now waiting, or waiting later on an
-        empty channel, raises ``exc`` at once."""
-        for q in self._queues.values():
-            q.fail(exc)
+        empty channel, raises ``exc`` at once. Frames queued before the
+        abort still come out first, and the first failure sticks."""
+        with self._error_lock:
+            if self._error is not None:
+                return
+            self._error = exc
+        for mailbox in self._queues.values():
+            mailbox.put(_ABORTED)
 
 
 # ``send`` and ``recv`` are defined on each transport class itself, not
@@ -272,7 +250,7 @@ class _Mailboxes:
 
 
 class BusTransport(_Mailboxes):
-    """In-process transport: one blocking FIFO per directed participant pair.
+    """In-process transport: one FIFO per channel.
 
     Thread-safe, so a run may drive all participants from one thread or one
     thread each; message content is identical either way.
@@ -333,15 +311,16 @@ def _send_all(conn, buffers):
 class TcpTransport(_Mailboxes):
     """Loopback TCP mesh carrying the same frames as the bus.
 
-    Every participant listens on an ephemeral localhost port, and there is
-    one connection per directed pair, so TCP itself keeps each pair's
-    frames in order. One reader thread moves every whole inbound frame
-    into its pair's queue as it arrives. A sender therefore never waits on
-    a peer that is itself blocked sending, whatever the frame sizes.
+    Every participant that receives on some channel listens on an
+    ephemeral localhost port, and there is one connection per channel, not
+    per participant pair, so TCP itself keeps each channel's frames in
+    order. One reader thread moves every whole inbound frame into its
+    channel's queue as it arrives. A sender therefore never waits on a
+    peer that is itself blocked sending, whatever the frame sizes.
     """
 
-    def __init__(self, participants):
-        super().__init__(participants)
+    def __init__(self, channels):
+        super().__init__(channels)
         self._socks = []
         self._out = {}
         self._selector = selectors.DefaultSelector()
@@ -358,14 +337,13 @@ class TcpTransport(_Mailboxes):
         self._reader.start()
 
     def _open_mesh(self):
+        inbound = collections.Counter(dst for _, dst in self._queues)
         listeners = {}
-        for pid in self._participants:
-            lst = socket.create_server(
-                ("127.0.0.1", 0), backlog=len(self._participants)
-            )
+        for dst, count in inbound.items():
+            lst = socket.create_server(("127.0.0.1", 0), backlog=count)
             lst.settimeout(10)
             self._socks.append(lst)
-            listeners[pid] = lst
+            listeners[dst] = lst
         # The accepting side tells connections apart by listener and dialer
         # address, so no hello message is needed. The dialer address alone
         # is not enough: one source port may serve several listeners.
@@ -377,7 +355,7 @@ class TcpTransport(_Mailboxes):
             self._out[(src, dst)] = s
             dialed[(dst, s.getsockname())] = (src, dst)
         for dst, lst in listeners.items():
-            for _ in range(len(self._participants) - 1):
+            for _ in range(inbound[dst]):
                 conn, addr = lst.accept()
                 self._socks.append(conn)
                 if (dst, addr) not in dialed:
@@ -401,7 +379,7 @@ class TcpTransport(_Mailboxes):
     def send(self, src, dst, frame):
         conn = self._out.get((src, dst))
         if conn is None:
-            raise TransportFailure(f"no connection {src} -> {dst}")
+            raise TransportFailure(f"no channel {src} -> {dst}")
         wire = encode_frame(frame)
         try:
             _send_all(conn, (wire.header, wire.payload))
@@ -429,8 +407,9 @@ class TcpTransport(_Mailboxes):
 TRANSPORTS = ("bus", "tcp")
 
 
-def make_transport(kind, participants):
-    """Build a transport by config name, one of ``TRANSPORTS``."""
+def make_transport(kind, channels):
+    """Build a transport by config name, one of ``TRANSPORTS``, that
+    carries exactly ``channels``, the run's (src, dst) pairs."""
     if kind not in TRANSPORTS:
         raise ValueError(f"unknown transport {kind!r}")
-    return (BusTransport if kind == "bus" else TcpTransport)(participants)
+    return (BusTransport if kind == "bus" else TcpTransport)(channels)

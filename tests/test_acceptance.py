@@ -26,6 +26,7 @@ from maskreg.protocol import TamperPlan
 from maskreg.runner import (
     RunConfig,
     build_contexts,
+    channels,
     cross_validate_encrypted,
     fold_rows,
     run_pre_modeling,
@@ -277,7 +278,7 @@ def _plaintext_cv(datasets, config):
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )
-    transport = make_transport("bus", [0] + [c.agency_id for c in contexts])
+    transport = make_transport("bus", channels(len(contexts)))
     try:
         agg = run_pre_modeling(contexts, transport)
     finally:

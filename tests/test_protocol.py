@@ -1,9 +1,11 @@
 """Tests for the masking, fitting, decryption and verification steps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from maskreg import keygen, model
+from maskreg import keygen, model, runner
 from maskreg.errors import (
     DimMismatch,
     DuplicatePass,
@@ -18,6 +20,7 @@ from maskreg.protocol import (
     AgencyContext,
     TamperPlan,
     _fresh_key,
+    _mask_shard,
     assemble_aggregate,
     cloud_fit,
     decrypt_round,
@@ -32,7 +35,7 @@ from maskreg.protocol import (
     solve_factor,
     verify_estimate,
 )
-from maskreg.transport import MSG_SHARD, Frame
+from maskreg.transport import MSG_SHARD, Frame, encode_frame
 
 
 def build_contexts(seed, sizes, p, mode="linear"):
@@ -318,6 +321,40 @@ def test_duplicate_pass_rejected():
     shard = local_encrypt(contexts[0])
     with pytest.raises(DuplicatePass):
         pass_encrypt(contexts[0], shard)
+
+
+def _runner_contexts(rows, p, delta, seed=9):
+    rng = np.random.default_rng(seed)
+    datasets = [(rng.standard_normal((rows, p)), rng.standard_normal(rows))
+                for _ in range(2)]
+    contexts, _ = runner.build_contexts(
+        datasets, runner.RunConfig(k=2, delta=delta, seed=seed))
+    return contexts
+
+
+def _local_encrypt_peak(ctx):
+    tracemalloc.start()
+    try:
+        local_encrypt(ctx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ldp_offset_adds_no_shard_sized_temporary():
+    """With an LDP offset, the origin adds it into the frame's buffer, so
+    its peak memory is that of an unshifted shard."""
+    plain = _local_encrypt_peak(_runner_contexts(12_000, 24, None)[0])
+    shifted = _local_encrypt_peak(_runner_contexts(12_000, 24, 0.5)[0])
+    assert shifted - plain < 0.5e6
+
+
+def test_ldp_offset_frame_equals_masking_the_explicit_sum():
+    ctx = _runner_contexts(300, 5, 0.5)[0]
+    frame = local_encrypt(ctx)
+    want = _mask_shard(ctx, ctx.agency_id, (), ctx.x + ctx.delta,
+                       ctx.responses)
+    assert bytes(encode_frame(frame)) == bytes(encode_frame(want))
 
 
 def test_ridge_fit_requires_released_gram():

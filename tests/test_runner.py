@@ -2,8 +2,11 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from maskreg.runner import (
     CLOUD,
     RunConfig,
     build_contexts,
+    channels,
     cross_validate_encrypted,
     fold_rows,
     run_pre_modeling,
@@ -217,6 +221,58 @@ def test_shard_frame_headers_follow_the_ring(monkeypatch):
     assert hops == {(o, r) for o in (1, 2, 3) for r in (1, 2, 3)}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_runs_send_on_exactly_the_run_channels(monkeypatch, k):
+    """Linear runs, ridge runs and encrypted CV send on every channel of
+    ``channels(k)`` and on no other pair."""
+    assert len(channels(k)) == (2 if k == 1 else 2 * k + 1)
+    original = BusTransport.send
+    used = set()
+
+    def recording(self, src, dst, frame):
+        used.add((src, dst))
+        return original(self, src, dst, frame)
+
+    monkeypatch.setattr(BusTransport, "send", recording)
+    datasets = make_datasets(k, 48, 3, seed=30)
+    for go, config in [
+        (run_protocol, RunConfig(k=k, seed=30)),
+        (run_protocol, RunConfig(k=k, mode="ridge", seed=30)),
+        (cross_validate_encrypted,
+         RunConfig(k=k, mode="ridge", block_size=8, folds=3, seed=30)),
+    ]:
+        used.clear()
+        assert go(datasets, config).verify.verdict == "accepted"
+        assert used == set(channels(k))
+
+
+def test_tcp_run_at_k32_fits_a_256_descriptor_limit():
+    """One connection per channel: a k=32 run over TCP holds about 5k
+    descriptors, so it runs under a soft limit of 256 (one per pair would
+    need about 2k²)."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import resource, numpy as np\n"
+        "from maskreg.runner import RunConfig, run_protocol\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "soft = 256 if hard == resource.RLIM_INFINITY else min(256, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))\n"
+        "rng = np.random.default_rng(42)\n"
+        "data = [(rng.standard_normal((64, 8)), rng.standard_normal(64))\n"
+        "        for _ in range(32)]\n"
+        "report = run_protocol(data, RunConfig(k=32, seed=42, transport='tcp'))\n"
+        "print(report.verify.verdict)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["accepted"]
+
+
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
 def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     """An exception in one agency's thread ends the run as itself."""
@@ -275,7 +331,7 @@ def test_hops_mask_in_place_and_never_write_caller_data(transport):
     contexts, _ = build_contexts(datasets, RunConfig(k=3, seed=8))
     first = protocol.local_encrypt(contexts[0])
     assert not any(np.shares_memory(m, contexts[0].x) for m in first.matrices)
-    link = make_transport(transport, [1, 2])
+    link = make_transport(transport, [(1, 2)])
     try:
         link.send(1, 2, first)
         received = link.recv(1, 2, timeout=10.0)
@@ -387,7 +443,7 @@ def _aggregate(datasets, config):
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )
-    transport = make_transport("bus", [0] + [c.agency_id for c in contexts])
+    transport = make_transport("bus", channels(len(contexts)))
     try:
         return run_pre_modeling(contexts, transport)
     finally:

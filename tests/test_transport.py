@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import sys
 import threading
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from maskreg import transport as transport_module
 from maskreg.errors import TransportFailure
 from maskreg.matrix_core import REFLECTOR_BLOCKS_PER_THREAD
-from maskreg.runner import RunConfig, cross_validate_encrypted
+from maskreg.runner import RunConfig, channels, cross_validate_encrypted
 from maskreg.transport import (
     MSG_ESTIMATE,
     MSG_GRAM_RELEASE,
@@ -89,7 +90,7 @@ def test_decode_rejects_wrong_version():
 
 
 def test_bus_fifo_per_channel():
-    bus = BusTransport([0, 1, 2])
+    bus = BusTransport([(1, 2)])
     rng = np.random.default_rng(4)
     sent = [Frame(MSG_ESTIMATE, 1, r, (), (rng.standard_normal((2, 2)),))
             for r in range(5)]
@@ -102,20 +103,21 @@ def test_bus_fifo_per_channel():
 
 
 def test_bus_timeout():
-    bus = BusTransport([0, 1])
+    bus = BusTransport([(0, 1)])
     with pytest.raises(TransportFailure):
         bus.recv(0, 1, timeout=0.05)
 
 
 def test_bus_rejects_unknown_channel():
-    bus = BusTransport([0, 1])
+    bus = BusTransport([(0, 1)])
     frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.zeros((1, 1)),))
     with pytest.raises(TransportFailure):
         bus.send(0, 7, frame)
 
 
 def test_tcp_roundtrip_all_pairs():
-    tcp = TcpTransport([0, 1, 2])
+    tcp = TcpTransport([(src, dst) for src in (0, 1, 2) for dst in (0, 1, 2)
+                        if src != dst])
     try:
         rng = np.random.default_rng(5)
         frames = {}
@@ -138,7 +140,7 @@ def test_tcp_roundtrip_all_pairs():
 def test_tcp_concurrent_large_frames():
     # frames bigger than a socket buffer must still pass when both sides
     # run concurrently, as they do in the shard phase
-    tcp = TcpTransport([1, 2])
+    tcp = TcpTransport([(1, 2)])
     try:
         big = np.random.default_rng(6).standard_normal((700, 40))
         frame = Frame(MSG_SHARD, 1, 1, (1,), (big, big))
@@ -159,7 +161,7 @@ def test_tcp_concurrent_large_frames():
 def test_tcp_crossing_large_frames():
     # both peers send 8 MB, more than the socket buffers hold, before
     # either one reads
-    tcp = TcpTransport([1, 2])
+    tcp = TcpTransport([(1, 2), (2, 1)])
     try:
         rng = np.random.default_rng(8)
         frames = {
@@ -184,7 +186,7 @@ def test_tcp_crossing_large_frames():
 
 @pytest.mark.parametrize("kind", ["bus", "tcp"])
 def test_abort_wakes_blocked_recv(kind):
-    transport = make_transport(kind, [0, 1])
+    transport = make_transport(kind, [(0, 1)])
     try:
         exc = ValueError("agency failed")
         caught = {}
@@ -207,7 +209,7 @@ def test_abort_wakes_blocked_recv(kind):
 
 
 def test_abort_delivers_queued_frames_first():
-    bus = BusTransport([0, 1])
+    bus = BusTransport([(0, 1)])
     frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.ones((1, 1)),))
     bus.send(0, 1, frame)
     bus.abort(ValueError("agency failed"))
@@ -216,12 +218,79 @@ def test_abort_delivers_queued_frames_first():
         bus.recv(0, 1)
 
 
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_first_abort_sticks_for_every_recv(kind):
+    transport = make_transport(kind, [(0, 1)])
+    first, second = ValueError("first"), ValueError("second")
+    transport.abort(first)
+    transport.abort(second)
+    transport.close()
+    for _ in range(2):
+        with pytest.raises(ValueError) as caught:
+            transport.recv(0, 1, timeout=1.0)
+        assert caught.value is first
+
+
+def test_concurrent_aborts_give_every_recv_one_failure():
+    # aborts race each other and the receivers they wake; one failure
+    # must win for every receiver and every later recv
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    bus = BusTransport(pairs)
+    caught = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def receiver(src, dst):
+            try:
+                bus.recv(src, dst, timeout=10.0)
+            except ValueError as err:
+                caught.append(err)
+
+        threads = [threading.Thread(target=receiver, args=pair, daemon=True)
+                   for pair in pairs]
+        threads += [threading.Thread(target=bus.abort,
+                                     args=(ValueError(i),), daemon=True)
+                    for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(caught) == len(pairs)
+    for src, dst in pairs:
+        with pytest.raises(ValueError) as later:
+            bus.recv(src, dst, timeout=1.0)
+        caught.append(later.value)
+    assert all(err is caught[0] for err in caught)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_transports_hold_one_mailbox_and_connection_per_channel(k):
+    pairs = channels(k)
+    bus = make_transport("bus", pairs)
+    tcp = make_transport("tcp", pairs)
+    try:
+        assert sorted(bus._queues) == sorted(tcp._queues) == pairs
+        assert sorted(tcp._out) == pairs
+        # one inbound socket per channel, plus the reader's wake-up end
+        assert len(tcp._selector.get_map()) == len(pairs) + 1
+        frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.zeros((1, 1)),))
+        for transport in (bus, tcp):
+            with pytest.raises(TransportFailure, match="no channel"):
+                transport.send(0, 2, frame)
+    finally:
+        bus.close()
+        tcp.close()
+
+
 def test_both_transports_carry_identical_bytes():
     # the transports must not transform the payload: decoding what one
     # carried equals decoding what the other carried
     frame = _sample_frame(np.random.default_rng(7))
-    bus = make_transport("bus", [0, 1])
-    tcp = make_transport("tcp", [0, 1])
+    bus = make_transport("bus", [(0, 1)])
+    tcp = make_transport("tcp", [(0, 1)])
     try:
         bus.send(0, 1, frame)
         tcp.send(0, 1, frame)
@@ -236,7 +305,7 @@ def test_both_transports_carry_identical_bytes():
 
 def test_make_transport_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        make_transport("carrier-pigeon", [0, 1])
+        make_transport("carrier-pigeon", [(0, 1)])
 
 
 def _wire_bytes(frame):
@@ -298,7 +367,7 @@ def test_tcp_send_resumes_after_partial_sends():
     wire = encode_frame(frame)
     header, payload = len(wire.header), wire.payload.nbytes
     fake = _TrickleSocket(limit=5)
-    tcp = TcpTransport([0, 1])
+    tcp = TcpTransport([(0, 1)])
     try:
         real, tcp._out[(0, 1)] = tcp._out[(0, 1)], fake
         try:
