@@ -145,17 +145,16 @@ class AgencyContext:
             raise ValueError(f"unknown mode {mode!r}")
         self.agency_id = agency_id
         self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
+        y = np.asarray(y, dtype=np.float64)
+        if self.x.ndim != 2 or y.shape != (self.x.shape[0],):
             raise DimMismatch(
-                f"agency {agency_id}: x {self.x.shape} / y {self.y.shape}"
+                f"agency {agency_id}: x {self.x.shape} / y {y.shape}"
             )
         self.keys = keys
         self.bases = bases
-        self.mode = mode
         self.rng = rng
         self.delta = delta
-        self.responses = keygen.make_responses(self.x, self.y, mode, rng,
+        self.responses = keygen.make_responses(self.x, y, mode, rng,
                                                delta=delta)
 
     @property

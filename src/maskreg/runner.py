@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError(
                 f"delta must be None or finite and >= 0, got {self.delta}"
             )
+        if (self.tamper.action not in ("honest", "perturb_result")
+                and not 1 <= self.tamper.agency <= self.k):
+            raise ValueError(f"tamper agency {self.tamper.agency} is not "
+                             f"one of agencies 1..{self.k}")
 
 
 def build_contexts(datasets, config):

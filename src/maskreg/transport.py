@@ -31,7 +31,6 @@ mask a shard in place and send the same buffer on. A sender never touches
 a buffer after ``send``.
 """
 
-import collections
 import queue
 import selectors
 import socket
@@ -311,12 +310,12 @@ def _send_all(conn, buffers):
 class TcpTransport(_Mailboxes):
     """Loopback TCP mesh carrying the same frames as the bus.
 
-    Every participant that receives on some channel listens on an
-    ephemeral localhost port, and there is one connection per channel, not
-    per participant pair, so TCP itself keeps each channel's frames in
-    order. One reader thread moves every whole inbound frame into its
-    channel's queue as it arrives. A sender therefore never waits on a
-    peer that is itself blocked sending, whatever the frame sizes.
+    There is one connection per channel, not per participant pair, so TCP
+    itself keeps each channel's frames in order. All of them are set up
+    through one ephemeral localhost listener, which is closed before the
+    constructor returns. One reader thread moves every whole inbound frame
+    into its channel's queue as it arrives. A sender therefore never waits
+    on a peer that is itself blocked sending, whatever the frame sizes.
     """
 
     def __init__(self, channels):
@@ -337,33 +336,23 @@ class TcpTransport(_Mailboxes):
         self._reader.start()
 
     def _open_mesh(self):
-        inbound = collections.Counter(dst for _, dst in self._queues)
-        listeners = {}
-        for dst, count in inbound.items():
-            lst = socket.create_server(("127.0.0.1", 0), backlog=count)
+        # One listener serves every channel. Each connection is accepted as
+        # soon as it is dialled, so the listener never holds two and the
+        # dialer's own address says which channel it is: no hello message
+        # is needed. The listener is closed once the last one is accepted.
+        with socket.create_server(("127.0.0.1", 0)) as lst:
             lst.settimeout(10)
-            self._socks.append(lst)
-            listeners[dst] = lst
-        # The accepting side tells connections apart by listener and dialer
-        # address, so no hello message is needed. The dialer address alone
-        # is not enough: one source port may serve several listeners.
-        dialed = {}
-        for src, dst in self._queues:
-            s = socket.create_connection(listeners[dst].getsockname(), timeout=10)
-            self._socks.append(s)
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._out[(src, dst)] = s
-            dialed[(dst, s.getsockname())] = (src, dst)
-        for dst, lst in listeners.items():
-            for _ in range(inbound[dst]):
+            for channel in self._queues:
+                s = socket.create_connection(lst.getsockname(), timeout=10)
+                self._socks.append(s)
+                s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._out[channel] = s
                 conn, addr = lst.accept()
                 self._socks.append(conn)
-                if (dst, addr) not in dialed:
+                if addr != s.getsockname():
                     raise OSError(f"unexpected connection from {addr}")
                 conn.settimeout(10)
-                self._selector.register(
-                    conn, selectors.EVENT_READ, dialed[(dst, addr)]
-                )
+                self._selector.register(conn, selectors.EVENT_READ, channel)
 
     def _pump(self):
         """Reader thread: queue each whole inbound frame until ``close``."""

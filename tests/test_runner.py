@@ -88,6 +88,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="delta"):
             RunConfig(delta=delta)
     assert RunConfig(delta=0.0).delta == 0.0  # 0 still means "no noise"
+    for action in ("skip_pseudo_response", "non_commutative_key",
+                   "wrong_decrypt"):
+        for agency in (0, -1, 3):
+            with pytest.raises(ValueError, match="tamper agency"):
+                RunConfig(k=2, tamper=TamperPlan(action, agency=agency))
+        assert RunConfig(k=2, tamper=TamperPlan(action, agency=2)).k == 2
+    # the cloud-side and honest plans name no agency, so any id is fine
+    for action in ("honest", "perturb_result"):
+        RunConfig(k=2, tamper=TamperPlan(action, agency=3))
 
 
 def test_build_contexts_shape_checks():
@@ -247,7 +256,7 @@ def test_runs_send_on_exactly_the_run_channels(monkeypatch, k):
 
 
 def test_tcp_run_at_k32_fits_a_256_descriptor_limit():
-    """One connection per channel: a k=32 run over TCP holds about 5k
+    """One connection per channel: a k=32 run over TCP holds 4k+5
     descriptors, so it runs under a soft limit of 256 (one per pair would
     need about 2k²)."""
     resource = pytest.importorskip("resource")
@@ -362,6 +371,16 @@ def test_unknown_transport_rejected_before_keygen(monkeypatch):
                         lambda *a, **kw: calls.append(a))
     with pytest.raises(ValueError, match="unknown transport 'udp'"):
         run_protocol(make_datasets(2, 40, 3), RunConfig(k=2, transport="udp"))
+    assert calls == []
+
+
+def test_unknown_tamper_agency_rejected_before_keygen(monkeypatch):
+    calls = []
+    monkeypatch.setattr(keygen, "derive_bases",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="tamper agency 3"):
+        run_protocol(make_datasets(2, 40, 3), RunConfig(
+            k=2, tamper=TamperPlan("wrong_decrypt", agency=3)))
     assert calls == []
 
 

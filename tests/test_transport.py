@@ -1,6 +1,8 @@
 """Tests for the wire format and both transports."""
 
 import hashlib
+import os
+import socket
 import struct
 import sys
 import threading
@@ -266,16 +268,29 @@ def test_concurrent_aborts_give_every_recv_one_failure():
     assert all(err is caught[0] for err in caught)
 
 
+def _open_descriptors():
+    """How many descriptors this process holds, or None without procfs."""
+    fds = "/proc/self/fd"
+    return len(os.listdir(fds)) if os.path.isdir(fds) else None
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_transports_hold_one_mailbox_and_connection_per_channel(k):
     pairs = channels(k)
     bus = make_transport("bus", pairs)
+    before = _open_descriptors()
     tcp = make_transport("tcp", pairs)
     try:
         assert sorted(bus._queues) == sorted(tcp._queues) == pairs
         assert sorted(tcp._out) == pairs
         # one inbound socket per channel, plus the reader's wake-up end
         assert len(tcp._selector.get_map()) == len(pairs) + 1
+        # no listener outlives set-up
+        assert not any(s.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)
+                       for s in tcp._socks)
+        if before is not None:
+            # both ends of each channel, the wake-up pair and the selector
+            assert _open_descriptors() - before == 2 * len(pairs) + 3
         frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.zeros((1, 1)),))
         for transport in (bus, tcp):
             with pytest.raises(TransportFailure, match="no channel"):
@@ -283,6 +298,27 @@ def test_transports_hold_one_mailbox_and_connection_per_channel(k):
     finally:
         bus.close()
         tcp.close()
+
+
+def test_tcp_mesh_rejects_a_stray_connection(monkeypatch):
+    """A connection the mesh did not dial, reaching its listener first,
+    fails set-up at once rather than being taken for a channel."""
+    dial = socket.create_connection
+    strays = []
+
+    def dial_after_a_stray(address, *args, **kwargs):
+        if not strays:
+            strays.append(dial(address, *args, **kwargs))
+        return dial(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", dial_after_a_stray)
+    try:
+        with pytest.raises(TransportFailure, match="unexpected connection"):
+            TcpTransport(channels(3))
+    finally:
+        for stray in strays:
+            stray.close()
+    assert len(strays) == 1
 
 
 def test_both_transports_carry_identical_bytes():
