@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimMismatch, ResampleExhausted
 from .matrix_core import (  # noqa: F401 - protocol uses random_ortho_blocks
+    APPLY_CHUNK,
     commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
@@ -264,8 +265,15 @@ def make_responses(x, y, mode, rng, delta=None):
             f"y has shape {y.shape}, expected ({x.shape[0]},)"
         )
     if mode == "linear":
-        shifted = x if delta is None else x + delta
-        verify = shifted.sum(axis=1)
+        # row sums of x (+ delta) in chunks of about APPLY_CHUNK elements,
+        # with no shard-sized copy; each row's sum is the same either way
+        verify = np.empty(x.shape[0])
+        step = APPLY_CHUNK // (x.shape[1] or 1) + 1
+        for start in range(0, x.shape[0], step):
+            rows = x[start:start + step]
+            if delta is not None:
+                rows = rows + delta[start:start + step]
+            verify[start:start + step] = rows.sum(axis=1)
     elif mode == "ridge":
         verify = np.zeros(x.shape[0])
     else:

@@ -11,6 +11,7 @@ bytes.
 
 import logging
 import math
+import numbers
 import threading
 import time
 from contextlib import contextmanager
@@ -70,6 +71,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
+        if (not isinstance(self.block_size, numbers.Integral)
+                or self.block_size < 1):
+            raise ValueError(f"block_size must be an integer >= 1, "
+                             f"got {self.block_size!r}")
         if self.folds < 2:
             raise ValueError(f"need at least two folds, got {self.folds}")
         if len(self.lambda_grid) == 0:

@@ -31,6 +31,7 @@ mask a shard in place and send the same buffer on. A sender never touches
 a buffer after ``send``.
 """
 
+import contextlib
 import queue
 import selectors
 import socket
@@ -310,12 +311,11 @@ def _send_all(conn, buffers):
 class TcpTransport(_Mailboxes):
     """Loopback TCP mesh carrying the same frames as the bus.
 
-    There is one connection per channel, not per participant pair, so TCP
-    itself keeps each channel's frames in order. All of them are set up
-    through one ephemeral localhost listener, which is closed before the
-    constructor returns. One reader thread moves every whole inbound frame
-    into its channel's queue as it arrives. A sender therefore never waits
-    on a peer that is itself blocked sending, whatever the frame sizes.
+    One connection per channel, not per participant pair, keeps each
+    channel's frames in order; all are set up through one ephemeral
+    localhost listener, closed before the constructor returns. One reader
+    thread queues whole inbound frames as they arrive, so no sender waits
+    on a peer that is itself sending. ``abort`` shuts every connection down.
     """
 
     def __init__(self, channels):
@@ -323,16 +323,12 @@ class TcpTransport(_Mailboxes):
         self._socks = []
         self._out = {}
         self._selector = selectors.DefaultSelector()
-        self._wake, wake_end = socket.socketpair()
-        self._socks += [self._wake, wake_end]
-        self._selector.register(wake_end, selectors.EVENT_READ, None)
-        self._reader = None
+        self._reader = threading.Thread(target=self._pump, daemon=True)
         try:
             self._open_mesh()
         except OSError as exc:
             self.close()
             raise TransportFailure(f"could not open loopback mesh: {exc}") from exc
-        self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
     def _open_mesh(self):
@@ -355,15 +351,16 @@ class TcpTransport(_Mailboxes):
                 self._selector.register(conn, selectors.EVENT_READ, channel)
 
     def _pump(self):
-        """Reader thread: queue each whole inbound frame until ``close``."""
+        """Reader thread: queue each whole inbound frame until a read fails."""
         try:
             while True:
                 for key, _ in self._selector.select():
-                    if key.data is None:
-                        return
                     self._queues[key.data].put(_read_frame(key.fileobj))
-        except (OSError, TransportFailure) as exc:
-            self.abort(TransportFailure(f"TCP reader stopped: {exc}"))
+        except Exception as exc:  # not only OSError: no recv may time out
+            failure = TransportFailure(
+                f"TCP reader stopped: {type(exc).__name__}: {exc}")
+            failure.__cause__ = exc
+            self.abort(failure)
 
     def send(self, src, dst, frame):
         conn = self._out.get((src, dst))
@@ -379,17 +376,20 @@ class TcpTransport(_Mailboxes):
         """Receive the next frame sent from ``src`` to ``dst``."""
         return self._recv(src, dst, timeout)
 
+    def abort(self, exc):
+        """Fail the run, then shut every connection down to end its waits."""
+        super().abort(exc)
+        for s in self._socks:
+            with contextlib.suppress(OSError):  # a socket that never connected
+                s.shutdown(socket.SHUT_RDWR)
+
     def close(self):
-        if self._reader is not None:
-            self._wake.send(b"\0")
+        self.abort(TransportFailure("transport closed"))
+        if self._reader.is_alive():
             self._reader.join()
-            self._reader = None
         self._selector.close()
         for s in self._socks:
             s.close()
-        self._socks.clear()
-        self._out.clear()
-        self.abort(TransportFailure("transport closed"))
 
 
 #: Config names of the transports, in the order ``make_transport`` knows them.

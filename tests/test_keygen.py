@@ -194,6 +194,18 @@ def test_make_responses_linear_with_offset():
     np.testing.assert_allclose(resp[:, 1], (x + delta).sum(axis=1))
 
 
+@pytest.mark.parametrize("shape", [(12_000, 24), (1, 3), (4097, 8), (50, 700)])
+def test_make_responses_row_sums_are_bit_identical(shape):
+    # the rows are summed in chunks; each row's sum must not change
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape[0])
+    delta = rng.standard_normal(shape)
+    for offset, want in ((None, x.sum(axis=1)), (delta, (x + delta).sum(axis=1))):
+        resp = make_responses(x, y, "linear", rng, delta=offset)
+        assert np.array_equal(resp[:, 1], want)
+
+
 def test_make_responses_ridge_targets_zero():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))

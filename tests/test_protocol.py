@@ -349,6 +349,24 @@ def test_ldp_offset_adds_no_shard_sized_temporary():
     assert shifted - plain < 0.5e6
 
 
+def test_ldp_offset_responses_add_no_shard_sized_temporary():
+    """The verification column sums x + delta a few rows at a time, so the
+    offset costs far less than the 2.3 MB shard."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((12_000, 24))
+    y = rng.standard_normal(12_000)
+    delta = rng.normal(0.0, 0.5, size=x.shape)
+    peaks = []
+    for offset in (None, delta):
+        tracemalloc.start()
+        try:
+            keygen.make_responses(x, y, "linear", rng, delta=offset)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6
+
+
 def test_ldp_offset_frame_equals_masking_the_explicit_sum():
     ctx = _runner_contexts(300, 5, 0.5)[0]
     frame = local_encrypt(ctx)

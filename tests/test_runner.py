@@ -88,6 +88,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="delta"):
             RunConfig(delta=delta)
     assert RunConfig(delta=0.0).delta == 0.0  # 0 still means "no noise"
+    for block_size in (0, -3, 2.5, 16.0, "16", None):
+        with pytest.raises(ValueError, match="block_size"):
+            RunConfig(block_size=block_size)
+    assert RunConfig(block_size=np.int64(16)).block_size == 16
     for action in ("skip_pseudo_response", "non_commutative_key",
                    "wrong_decrypt"):
         for agency in (0, -1, 3):
@@ -256,9 +260,10 @@ def test_runs_send_on_exactly_the_run_channels(monkeypatch, k):
 
 
 def test_tcp_run_at_k32_fits_a_256_descriptor_limit():
-    """One connection per channel: a k=32 run over TCP holds 4k+5
-    descriptors, so it runs under a soft limit of 256 (one per pair would
-    need about 2k²)."""
+    """One connection per channel: a k=32 run over TCP holds 4k+3
+    descriptors (both ends of 2k+1 channels and the reader's selector),
+    so it runs under a soft limit of 256 (one per pair would need about
+    2k²)."""
     resource = pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -371,6 +376,17 @@ def test_unknown_transport_rejected_before_keygen(monkeypatch):
                         lambda *a, **kw: calls.append(a))
     with pytest.raises(ValueError, match="unknown transport 'udp'"):
         run_protocol(make_datasets(2, 40, 3), RunConfig(k=2, transport="udp"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("block_size", [0, -3, 2.5])
+def test_bad_block_size_rejected_before_keygen(monkeypatch, block_size):
+    calls = []
+    monkeypatch.setattr(keygen, "derive_bases",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="block_size"):
+        run_protocol(make_datasets(2, 40, 3),
+                     RunConfig(k=2, block_size=block_size))
     assert calls == []
 
 

@@ -4,9 +4,11 @@ import hashlib
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,78 @@ def test_concurrent_aborts_give_every_recv_one_failure():
     assert all(err is caught[0] for err in caught)
 
 
+def _header(length_after_prefix):
+    """The wire header of a one-matrix shard frame with no applied ids, its
+    length prefix saying ``length_after_prefix``."""
+    return struct.pack("<IHBBHBB", length_after_prefix, PROTOCOL_VERSION,
+                       MSG_SHARD, 0, 0, 0, 1)
+
+
+def test_send_fails_at_once_after_the_reader_dies():
+    tcp = TcpTransport([(0, 1)])
+    try:
+        # a length prefix shorter than the header kills the reader
+        tcp._out[(0, 1)].sendall(_header(0))
+        with pytest.raises(TransportFailure, match="shorter than its header"):
+            tcp.recv(0, 1, timeout=5.0)
+        payload, (matrix,) = transport_module.payload_buffer([(1024, 8192)])
+        matrix[...] = 0.0  # 64 MiB, far more than the socket buffers hold
+        t0 = time.perf_counter()
+        with pytest.raises(TransportFailure, match="send 0 -> 1 failed"):
+            tcp.send(0, 1, Frame(MSG_SHARD, 0, 0, (), (matrix,), payload))
+        assert time.perf_counter() - t0 < 2.0
+    finally:
+        tcp.close()
+
+
+def test_close_ends_a_read_stuck_mid_frame():
+    tcp = TcpTransport([(0, 1)])
+    # a 1 MiB frame is announced and never sent
+    tcp._out[(0, 1)].sendall(_header(8 + 2**20))
+    time.sleep(0.2)
+    t0 = time.perf_counter()
+    tcp.close()
+    assert time.perf_counter() - t0 < 2.0
+    with pytest.raises(TransportFailure, match="transport closed"):
+        tcp.recv(0, 1, timeout=1.0)
+
+
+def test_reader_fails_the_run_on_any_exception():
+    """A frame too big to allocate stops the reader with a MemoryError,
+    which must fail every recv at once, naming it, not time it out."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or sys.platform != "linux":
+        pytest.skip("needs an enforced address-space limit")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import resource, struct, time\n"
+        "from maskreg.errors import TransportFailure\n"
+        "from maskreg.transport import TcpTransport\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "tcp = TcpTransport([(0, 1)])\n"
+        f"tcp._out[(0, 1)].sendall({_header(2**32 - 1)!r})\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        "    tcp.recv(0, 1, timeout=5.0)\n"
+        "except TransportFailure as exc:\n"
+        "    print(time.perf_counter() - t0)\n"
+        "    print(exc)\n"
+        "finally:\n"
+        "    tcp.close()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    elapsed, message = out.stdout.splitlines()
+    assert float(elapsed) < 2.0
+    assert "MemoryError" in message and "allocate" in message
+
+
 def _open_descriptors():
     """How many descriptors this process holds, or None without procfs."""
     fds = "/proc/self/fd"
@@ -283,14 +357,14 @@ def test_transports_hold_one_mailbox_and_connection_per_channel(k):
     try:
         assert sorted(bus._queues) == sorted(tcp._queues) == pairs
         assert sorted(tcp._out) == pairs
-        # one inbound socket per channel, plus the reader's wake-up end
-        assert len(tcp._selector.get_map()) == len(pairs) + 1
+        # one inbound socket per channel
+        assert len(tcp._selector.get_map()) == len(pairs)
         # no listener outlives set-up
         assert not any(s.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)
                        for s in tcp._socks)
         if before is not None:
-            # both ends of each channel, the wake-up pair and the selector
-            assert _open_descriptors() - before == 2 * len(pairs) + 3
+            # both ends of each channel and the selector
+            assert _open_descriptors() - before == 2 * len(pairs) + 1
         frame = Frame(MSG_ESTIMATE, 0, 0, (), (np.zeros((1, 1)),))
         for transport in (bus, tcp):
             with pytest.raises(TransportFailure, match="no channel"):
