@@ -8,16 +8,20 @@ X_1..X_K (row-partitioned across agencies):
    the three-column response bundle is masked the same way with the
    response key. The row mask is drawn from the agency's stream for that
    origin right before it is applied, and dropped right after;
-2. shards travel around a ring so every *other* agency stacks its own
-   masks on top, each drawing its row mask for that origin the same way
-   and masking the shard in place in the frame's buffer, which the origin
-   allocated; the completed shards go to the cloud. A shard is the
+2. shards travel around a ring so every *other* agency but the last
+   stacks its own masks on top, each drawing its row mask for that origin
+   the same way and masking the shard in place in the frame's buffer,
+   which the origin allocated. A shard is the
    :class:`~maskreg.transport.Frame` that carries it: origin, the ids
    that masked it (its round is their count) and (X*, Y*);
-3. the cloud solves least squares by QR on the masked data: it factors
-   each completed shard's [X* | Y*] as it arrives, takes the R factor of
-   the stacked masked matrix from those factors and back-substitutes, and
-   gets a masked estimate;
+3. the shard's last holder draws no row mask: it factors the rows it
+   received into one R per fold, keys those small factors and sends the
+   cloud only them and the shard's row count. The cloud stacks the
+   factors, takes the R factor of every masked row from them and
+   back-substitutes, and gets a masked estimate. A row mask whose blocks
+   lie inside the folds leaves each fold's R unchanged, so the last
+   mask would be factored away. With one agency, the origin holds its
+   shard last and keys the factors of its own rows;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. the cloud checks the verification column of an estimate that came
@@ -94,13 +98,16 @@ class TamperPlan:
 
 @dataclass
 class EncryptedAggregate:
-    """Everything the cloud keeps of the masked shards: R factors and the
-    row layout, never the rows.
+    """Everything the cloud keeps of the completed shards: the R factors
+    their last holders sent and the row layout their row counts give. The
+    cloud never receives a row.
 
     ``fold_factors`` stacks the (q, q) R factor of each fold's rows of
     [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
-    counts; ``z_factor`` is the R factor of every row. ``key_factor`` is
-    the released R_B of the stacked feature keys (ridge only).
+    counts; ``z_factor`` is the R factor of every row. ``origin_rows`` and
+    ``block_ranges`` are each shard's and each mask block's row range in
+    the stacked order. ``key_factor`` is the released R_B of the stacked
+    feature keys (ridge only).
     """
 
     fold_factors: np.ndarray
@@ -166,6 +173,17 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
+def _check_rows(ctx, origin, x):
+    """Raise :class:`DimMismatch` unless ``x`` has origin's row count."""
+    counts = ctx.keys.row_counts
+    want = counts[origin - 1] if 1 <= origin <= len(counts) else None
+    if want != x.shape[0]:
+        raise DimMismatch(
+            f"agency {ctx.agency_id}: shard {origin} has {x.shape[0]} rows, "
+            f"expected {want}"
+        )
+
+
 def _mask_shard(ctx, origin, applied, x, y, payload=None, shift=None):
     """The shard frame of (A·x·B, A·y·C), with this agency's keys and its
     row mask A for ``origin``, which is drawn here and dropped on return;
@@ -175,13 +193,9 @@ def _mask_shard(ctx, origin, applied, x, y, payload=None, shift=None):
     LDP offset ``shift`` is added to x in that buffer, after the mask is
     drawn, and masked there in place."""
     keys = ctx.keys
+    _check_rows(ctx, origin, x)
     rng = keys.mask_rng(origin)
-    n_rows = keys.row_counts[origin - 1]
-    if n_rows != x.shape[0]:
-        raise DimMismatch(
-            f"agency {ctx.agency_id} mask covers {n_rows} rows, "
-            f"shard {origin} has {x.shape[0]}"
-        )
+    n_rows = x.shape[0]
     blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng,
                                         len(keys.row_counts))
     if payload is None:
@@ -217,9 +231,46 @@ def pass_encrypt(ctx, shard):
                        payload=shard.payload)
 
 
+def own_shard(ctx):
+    """An origin's own shard, unmasked: its rows plus the LDP offset, and
+    its responses, as a round-0 frame that is never sent. A single agency
+    holds its shard last and hands this to ``complete_shard``."""
+    x = ctx.x if ctx.delta is None else ctx.x + ctx.delta
+    return Frame(MSG_SHARD, ctx.agency_id, 0, (), (x, ctx.responses))
+
+
+def complete_shard(ctx, shard, folds):
+    """The last hop of a shard: the frame its last holder sends the cloud.
+
+    The cloud uses only the R factor of each fold of a shard, and a row
+    mask whose blocks lie inside the folds leaves those unchanged:
+    R(A·M) = R(M) for block-diagonal orthogonal A. So the last holder
+    draws no row mask. It factors the rows it received fold by fold
+    (``shard_factors``) and keys each small factor R instead of the rows:
+    with K = diag(B, C), (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K), so R(M·K) = R(R·K).
+    The frame keeps round k and every id, and carries the (folds·q, q)
+    stack of keyed factors and the shard's row count as a 1×1 matrix.
+    The received buffer is read, never written.
+    """
+    if ctx.agency_id in shard.applied:
+        raise DuplicatePass(
+            f"agency {ctx.agency_id} already masked shard {shard.origin}"
+        )
+    x = shard.matrices[0]
+    _check_rows(ctx, shard.origin, x)
+    keys = ctx.keys
+    r = shard_factors(shard, keys.block_size, folds)
+    p = x.shape[1]
+    r = r_factor(np.concatenate(
+        [r[..., :p] @ keys.b_key, r[..., p:] @ keys.c_key], axis=-1))
+    applied = shard.applied + (ctx.agency_id,)
+    return Frame(MSG_SHARD, shard.origin, len(applied), applied,
+                 (r.reshape(-1, r.shape[-1]), np.array([[x.shape[0]]], float)))
+
+
 def shard_factors(shard, block_size, folds):
     """(folds, q, q) stack of the R factors of each fold's rows of one
-    completed shard's [X* | Y*], and the folds' row counts.
+    shard's [X | Y].
 
     Block j of the shard (its full blocks in row order, then the tail)
     belongs to fold j mod ``folds``, as in ``runner.fold_rows``. Whole
@@ -255,33 +306,69 @@ def shard_factors(shard, block_size, folds):
         last[:rest, :p] = x[n - rest:]
         last[:rest, p:] = y[n - rest:]
         parts.append(r_factor(last.reshape(folds, block_size, p + 3)))
-    sizes = rounds * block_size + np.clip(
-        rest - block_size * np.arange(folds), 0, block_size)
-    return r_factor(np.concatenate(parts, axis=-2)), sizes
+    return r_factor(np.concatenate(parts, axis=-2))
+
+
+def _completed_parts(shard, block_size, folds, q):
+    """A completed shard's (folds, q, q) factor stack and row count, once
+    both are checked; ``q`` is the width of the shards before it, or
+    None. Raises :class:`DimMismatch` for a matrix of the wrong shape and
+    :class:`ProtocolOrderViolation` for any other frame an honest last
+    holder could not have sent."""
+    where = f"cloud: completed shard {shard.origin}"
+    if len(shard.matrices) != 2:
+        raise ProtocolOrderViolation(
+            f"{where} carries {len(shard.matrices)} matrices, expected 2")
+    r, n = shard.matrices
+    width = q or (r.shape[1] if r.ndim == 2 else 0)
+    if (r.ndim != 2 or width < 4 or r.shape != (folds * width, width)
+            or n.shape != (1, 1)):
+        raise DimMismatch(
+            f"{where} has matrices {r.shape} and {n.shape}, expected "
+            f"({folds}*q, q) with q >= 4 and (1, 1)")
+    r = r.reshape(folds, width, width)
+    if np.any(np.tril(r, -1)) or np.any(np.diagonal(r, 0, -2, -1) < 0.0):
+        raise ProtocolOrderViolation(
+            f"{where}: a factor is not upper triangular with a "
+            f"non-negative diagonal")
+    n = n[0, 0]
+    if not (n >= 1 and float(n).is_integer()):
+        raise ProtocolOrderViolation(f"{where} has row count {n}")
+    n = int(n)
+    if -(-n // block_size) < folds:
+        raise ProtocolOrderViolation(
+            f"{where} has {n} rows, fewer than one {block_size}-row block "
+            f"per fold of {folds}")
+    return r, n
 
 
 def assemble_aggregate(shards, num_agencies, block_size, folds=1):
-    """The cloud's view of the completed shard frames, which must come in
-    origin order; ``shards`` may be a generator that receives each one.
+    """The cloud's view of the completed shard frames (``complete_shard``),
+    which must come in origin order; ``shards`` may be a generator that
+    receives each one.
 
-    Each shard is factored as it is taken (``shard_factors``) and dropped,
-    so the cloud never stacks [X* | Y*]. Each fold's factor is the R of its
-    stacked per-shard factors, and the factor of every row is the R of the
-    stacked fold factors (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 2012).
+    Each frame carries one shard's keyed fold factors and its row count n,
+    both checked as they are taken. From n, ``block_size`` and ``folds``
+    the cloud derives the shard's rows, mask blocks and per-fold row
+    counts: block j is in fold j mod ``folds``. Each fold's factor is the
+    R of its stacked per-shard factors, and the factor of every row is the
+    R of the stacked fold factors (Demmel, Grigori, Hoemmen & Langou, SIAM
+    J. Sci. Comput. 2012).
     """
     parts, sizes, origin_rows, block_ranges = [], 0, [], []
-    offset = 0
+    offset, q = 0, None
     for origin, s in enumerate(shards, start=1):
         if s.origin != origin or len(s.applied) != num_agencies:
             raise ProtocolOrderViolation(
                 f"expected shard {origin} masked by all {num_agencies} "
                 f"agencies, got shard {s.origin} masked by {len(s.applied)}"
             )
-        r, counts = shard_factors(s, block_size, folds)
+        r, n = _completed_parts(s, block_size, folds, q)
         parts.append(r)
-        sizes += counts
-        n = s.matrices[0].shape[0]
+        q = r.shape[-1]
+        rounds, rest = divmod(n, block_size * folds)
+        sizes += rounds * block_size + np.clip(
+            rest - block_size * np.arange(folds), 0, block_size)
         origin_rows.append((offset, offset + n))
         for size in split_block_sizes(n, block_size):
             block_ranges.append((offset, offset + size))
@@ -292,7 +379,6 @@ def assemble_aggregate(shards, num_agencies, block_size, folds=1):
             f"got {len(parts)}"
         )
     fold_factors = r_factor(np.concatenate(parts, axis=-2))
-    q = fold_factors.shape[-1]
     return EncryptedAggregate(
         fold_factors=fold_factors,
         fold_sizes=tuple(int(v) for v in sizes),

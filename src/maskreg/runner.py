@@ -1,12 +1,12 @@
 """Drives complete protocol runs over a transport.
 
 The shard phase (the only one moving large frames) runs one thread per
-agency, and each agency draws its row masks on that thread as it masks
-each shard; the release, decryption and cross-validation chains are strictly
-sequential rings, so they run single-threaded in deterministic order. All
-messages cross the configured transport as encoded frames even when
-everything lives in one process — the bus and the TCP mesh carry identical
-bytes.
+agency. Each agency draws its row masks on that thread as it masks each
+shard, and factors there the shard it holds last. The release,
+decryption and cross-validation chains are strictly sequential rings, so
+they run single-threaded in deterministic order. All messages cross the
+configured transport as encoded frames even when everything lives in one
+process — the bus and the TCP mesh carry identical bytes.
 """
 
 import logging
@@ -60,6 +60,10 @@ class RunConfig:
     tamper: protocol.TamperPlan = field(default_factory=protocol.TamperPlan)
 
     def __post_init__(self):
+        for name in ("k", "folds"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError(f"need at least one agency, got k={self.k}")
         if self.k >= MAX_PARTICIPANTS:
@@ -137,9 +141,9 @@ def channels(k):
 
 
 def _holders(origin, k):
-    """The agencies that mask origin's shard, in order: origin, origin + 1,
+    """The agencies that hold origin's shard, in order: origin, origin + 1,
     ... (mod k). Agency a therefore always receives from a - 1 and sends to
-    a + 1, and a shard's last pass goes to the cloud."""
+    a + 1, and the last holder completes the shard for the cloud."""
     return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
@@ -157,24 +161,26 @@ def _expect(frame, me, msg_type, origin, round_, applied):
     return frame
 
 
-def _agency_shard_work(ctx, transport, k):
-    """One agency's shard phase: encrypt its own, pass every visitor on."""
-    me = ctx.agency_id
-
-    def forward(frame):  # a shard masked by all k agencies goes to the cloud
-        transport.send(me, me % k + 1 if frame.round < k else CLOUD, frame)
-
-    forward(protocol.local_encrypt(ctx))
+def _agency_shard_work(ctx, transport, k, folds):
+    """One agency's shard phase: encrypt its own, pass visitors on, and
+    complete for the cloud the one it holds last (its own when k = 1)."""
+    me, nxt = ctx.agency_id, ctx.agency_id % k + 1
+    if k == 1:
+        shard = protocol.own_shard(ctx)
+    else:
+        transport.send(me, nxt, protocol.local_encrypt(ctx))
     for r in range(1, k):  # origin me - r's shard arrives with r masks on it
         origin = (me - r - 1) % k + 1
-        frame = transport.recv((me - 2) % k + 1, me)
-        forward(protocol.pass_encrypt(ctx, _expect(
-            frame, me, MSG_SHARD, origin, r, _holders(origin, k)[:r])))
+        shard = _expect(transport.recv((me - 2) % k + 1, me), me, MSG_SHARD,
+                        origin, r, _holders(origin, k)[:r])
+        if r < k - 1:
+            transport.send(me, nxt, protocol.pass_encrypt(ctx, shard))
+    transport.send(me, CLOUD, protocol.complete_shard(ctx, shard, folds))
 
 
 def _completed_shards(transport, k):
-    """The cloud's shard frames, received in origin order and each checked
-    as it arrives."""
+    """The cloud's completed-shard frames, received in origin order and
+    each header checked as it arrives."""
     for origin in range(1, k + 1):
         holders = _holders(origin, k)
         yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
@@ -184,9 +190,9 @@ def _completed_shards(transport, k):
 def run_pre_modeling(contexts, transport, folds=1):
     """Execute the masking ring and return the cloud's assembled view.
 
-    The cloud factors each completed shard into ``folds`` fold factors
-    while later shards are still in the ring
-    (``protocol.assemble_aggregate``).
+    Each shard's last holder factors it into ``folds`` keyed fold factors
+    on its own thread (``protocol.complete_shard``), and the cloud stacks
+    them as they arrive (``protocol.assemble_aggregate``).
     The first exception any participant records aborts the transport, so
     everyone else stops waiting at once, and is re-raised here as itself.
     """
@@ -199,7 +205,7 @@ def run_pre_modeling(contexts, transport, folds=1):
 
     def work(ctx):
         try:
-            _agency_shard_work(ctx, transport, k)
+            _agency_shard_work(ctx, transport, k, folds)
         except Exception as exc:  # re-raised by the caller after join
             fail(exc)
 

@@ -51,13 +51,14 @@ def _traced_calls(entry, config):
 
 
 def test_traced_run_reaches_the_mask_hooks():
-    # Each of k agencies draws one row mask per origin and applies it to
-    # the features and to the responses.
+    # Each of k agencies draws one row mask per origin it does not hold
+    # last, k(k - 1) in all, and applies it to the features and to the
+    # responses; the last holder factors the shard and draws none.
     calls = _traced_calls(run_protocol, RunConfig(k=3, seed=1))
-    assert calls["matrix_core.random_ortho_blocks"] == 9
-    assert calls["matrix_core.OrthoBlocks.apply"] == 18
+    assert calls["matrix_core.random_ortho_blocks"] == 6
+    assert calls["matrix_core.OrthoBlocks.apply"] == 12
     assert calls["protocol.local_encrypt"] == 3
-    assert calls["protocol.pass_encrypt"] == 6
+    assert calls["protocol.pass_encrypt"] == 3
     assert calls["protocol.ring_step"] == 3
     # Ring steps are looked up on protocol when a ring runs: ridge CV has
     # every agency step the R_B release and the decryption ring, and the

@@ -1,6 +1,7 @@
 """Tests for the masking, fitting, decryption and verification steps."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from maskreg.protocol import (
     _mask_shard,
     assemble_aggregate,
     cloud_fit,
+    complete_shard,
     decrypt_round,
     gram_release_step,
     inject_tamper,
@@ -53,15 +55,23 @@ def build_contexts(seed, sizes, p, mode="linear"):
     return contexts, np.vstack(xs), np.concatenate(ys)
 
 
-def run_rings(contexts):
-    """Rotation rings driven inline: returns completed shards."""
+def pass_rings(contexts):
+    """Rotation rings driven inline up to each shard's last holder: returns
+    the shards that holder receives, masked by the other k - 1."""
     k = len(contexts)
     shards = [local_encrypt(ctx) for ctx in contexts]
     for origin in range(k):
-        for hop in range(1, k):
+        for hop in range(1, k - 1):
             holder = contexts[(origin + hop) % k]
             shards[origin] = pass_encrypt(holder, shards[origin])
     return shards
+
+
+def run_rings(contexts):
+    """Rotation rings driven inline: returns completed shards, one fold."""
+    k = len(contexts)
+    return [complete_shard(contexts[(origin + k - 1) % k], shard, 1)
+            for origin, shard in enumerate(pass_rings(contexts))]
 
 
 def rel_err(a, b):
@@ -249,9 +259,9 @@ def test_stacked_residual_gram_matches_single_calls():
 def test_duplicated_masked_column_is_singular():
     contexts, _, _ = build_contexts(16, (40, 40), 4)
     shards = run_rings(contexts)
-    for shard in shards:  # the cloud keeps factors, so edit what it receives
-        x_star = shard.matrices[0]
-        x_star[:, 3] = x_star[:, 1]
+    for shard in shards:  # the cloud gets factors, so edit what it receives
+        r_star = shard.matrices[0]
+        r_star[:, 3] = r_star[:, 1]
     agg = assemble_aggregate(shards, 2, 8)
     with pytest.raises(SingularResult):
         cloud_fit(agg, "linear")
@@ -259,6 +269,14 @@ def test_duplicated_masked_column_is_singular():
 
 def _stacked_rows(shards):
     return np.vstack([np.hstack(s.matrices) for s in shards])
+
+
+def _identity_holder(agency_id, sizes, block_size):
+    """A last holder of 4-feature shards whose keys are identities: its
+    completed shards carry the fold factors of the rows it received."""
+    keys = SimpleNamespace(b_key=np.eye(4), c_key=np.eye(3),
+                           row_counts=tuple(sizes), block_size=block_size)
+    return SimpleNamespace(agency_id=agency_id, keys=keys)
 
 
 @pytest.mark.parametrize("sizes, block_size, folds", [
@@ -280,12 +298,15 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     rng = np.random.default_rng(len(sizes) + folds)
     k = len(sizes)
     shards = [
-        Frame(MSG_SHARD, o, k, tuple(range(1, k + 1)),
+        Frame(MSG_SHARD, o, k - 1, tuple(range(1, k)),
               (rng.standard_normal((n, 4)), rng.standard_normal((n, 3))))
         for o, n in enumerate(sizes, start=1)
     ]
     z = _stacked_rows(shards)
-    agg = assemble_aggregate(iter(shards), k, block_size, folds)
+    holder = _identity_holder(k, sizes, block_size)
+    agg = assemble_aggregate(
+        (complete_shard(holder, s, folds) for s in shards), k, block_size,
+        folds)
     assert agg.x_star.shape == (sum(sizes), 4)
     assert rel_err(agg.z_factor, r_factor(z)) < 1e-12
     rows = fold_rows(agg, folds)
@@ -293,6 +314,46 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     assert agg.fold_factors.shape == (folds, 7, 7)
     for factor, fold in zip(agg.fold_factors, rows):
         assert rel_err(factor, r_factor(z[fold])) < 1e-12
+
+
+@pytest.mark.parametrize("n, block_size, folds", [
+    (75, 8, 3),   # a tail block
+    (64, 8, 1),
+    (43, 4, 5),   # a tail block and a partial last round
+])
+def test_fold_aligned_row_mask_leaves_shard_factors_unchanged(n, block_size,
+                                                              folds):
+    # R(A·M) = R(M) fold by fold when A's blocks lie inside the folds: the
+    # row mask the last holder no longer draws would be factored away
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
+    mask = keygen.random_ortho_blocks(n, block_size, rng, 1)
+    bare = shard_factors(Frame(MSG_SHARD, 1, 1, (1,), (x, y)), block_size,
+                         folds)
+    masked = shard_factors(
+        Frame(MSG_SHARD, 1, 1, (1,), (mask.apply(x), mask.apply(y))),
+        block_size, folds)
+    assert rel_err(masked, bare) < 1e-13
+
+
+def test_completed_shard_keys_the_fold_factors():
+    # R(R_f·K) = R(M_f·K) with K = diag(B, C), the last holder's keys: the
+    # factors it sends are those of its fold rows times its keys
+    contexts, _, _ = build_contexts(17, (75, 60), 4)
+    shard = pass_rings(contexts)[0]
+    holder = contexts[1]
+    done = complete_shard(holder, shard, 3)
+    x, y = shard.matrices
+    keyed = np.hstack([x @ holder.keys.b_key, y @ holder.keys.c_key])
+    block = np.arange(75) // 8
+    assert [m.shape for m in done.matrices] == [(21, 7), (1, 1)]
+    assert done.matrices[1][0, 0] == 75
+    assert (done.round, done.applied) == (2, (1, 2))
+    for f in range(3):
+        assert rel_err(done.matrices[0][7 * f:7 * f + 7],
+                       r_factor(keyed[block % 3 == f])) < 1e-12
+    with pytest.raises(DuplicatePass):
+        complete_shard(contexts[0], shard, 3)
 
 
 def test_shard_factors_reject_fewer_blocks_than_folds():

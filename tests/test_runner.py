@@ -92,6 +92,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="block_size"):
             RunConfig(block_size=block_size)
     assert RunConfig(block_size=np.int64(16)).block_size == 16
+    for name in ("k", "folds"):
+        for value in (2.0, 3.5, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                RunConfig(**{name: value})
+    assert RunConfig(k=np.int64(3), folds=np.int64(4)).folds == 4
     for action in ("skip_pseudo_response", "non_commutative_key",
                    "wrong_decrypt"):
         for agency in (0, -1, 3):
@@ -390,6 +395,18 @@ def test_bad_block_size_rejected_before_keygen(monkeypatch, block_size):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, value", [("k", 2.0), ("folds", 3.0)])
+def test_non_integral_k_or_folds_rejected_before_keygen(monkeypatch, name,
+                                                        value):
+    calls = []
+    monkeypatch.setattr(keygen, "derive_bases",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cross_validate_encrypted(make_datasets(2, 40, 3),
+                                 RunConfig(mode="ridge", **{name: value}))
+    assert calls == []
+
+
 def test_unknown_tamper_agency_rejected_before_keygen(monkeypatch):
     calls = []
     monkeypatch.setattr(keygen, "derive_bases",
@@ -634,15 +651,18 @@ def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type, forged)
 
 
 def _capture_cloud_view(monkeypatch):
-    """Record the completed shard frames sent to the cloud, on either
-    transport, and the aggregate each ``cloud_fit`` call sees."""
+    """Record what each shard's last holder factors, its input rows times
+    its keys [X·B | Y·C], and the aggregate each ``cloud_fit`` call sees."""
     shards, fits = [], []
-    for cls in (BusTransport, TcpTransport):
-        def recording(self, src, dst, frame, _send=cls.send):
-            if dst == CLOUD and frame.msg_type == MSG_SHARD:
-                shards.append(frame)
-            return _send(self, src, dst, frame)
-        monkeypatch.setattr(cls, "send", recording)
+    complete = protocol.complete_shard
+
+    def recording(ctx, shard, folds):
+        x, y = shard.matrices
+        shards.append((shard.origin, np.hstack([x @ ctx.keys.b_key,
+                                                y @ ctx.keys.c_key])))
+        return complete(ctx, shard, folds)
+
+    monkeypatch.setattr(protocol, "complete_shard", recording)
     original = protocol.cloud_fit
 
     def capturing(agg, mode, lam=0.0, rows=None):
@@ -654,9 +674,8 @@ def _capture_cloud_view(monkeypatch):
 
 
 def _stacked_shards(shards):
-    """[X* | Y*] of the captured shards, stacked in origin order."""
-    by_origin = sorted(shards, key=lambda s: s.origin)
-    return np.vstack([np.hstack(s.matrices) for s in by_origin])
+    """The captured keyed rows, stacked in origin order."""
+    return np.vstack([rows for _, rows in sorted(shards, key=lambda s: s[0])])
 
 
 def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
@@ -678,9 +697,9 @@ def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
 @pytest.mark.parametrize("mode, cv", [("linear", False), ("ridge", False),
                                       ("ridge", True)])
 def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
-    """The R the cloud builds from per-shard factors as shards arrive is the
-    R of the stacked shards; with CV, each fold's factor is the R of that
-    fold's fold_rows rows."""
+    """The R the cloud builds from the last holders' keyed fold factors is
+    the R of the stacked rows those holders received, times their keys;
+    with CV, each fold's factor is the R of that fold's fold_rows rows."""
     shards, seen = _capture_cloud_view(monkeypatch)
     datasets = [(x, y) for x, y in make_datasets(3, 100, 4, seed=31,
                                                   noise=0.5)]
@@ -699,6 +718,93 @@ def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
     assert agg.fold_sizes == tuple(rows.size for rows in folds)
     for factor, rows in zip(agg.fold_factors, folds):
         assert rel_err(factor, protocol.r_factor(z[rows])) < 1e-12
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("k, cv, delta", [(1, False, 0.5), (3, False, None),
+                                          (3, True, None), (2, True, 0.5)])
+def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
+                                              delta):
+    """No frame the cloud receives has a shard's row count in its shape: a
+    completed shard carries exactly its (F·q, q) keyed fold factors and
+    its (1, 1) row count. With one agency the origin is its own last
+    holder, and the fit is still that of its offset rows."""
+    sent = []
+    for cls in (BusTransport, TcpTransport):
+        def recording(self, src, dst, frame, _send=cls.send):
+            if dst == CLOUD:
+                sent.append(frame)
+            return _send(self, src, dst, frame)
+        monkeypatch.setattr(cls, "send", recording)
+    datasets = make_datasets(k, 77, 4, seed=33)
+    config = RunConfig(k=k, mode="ridge" if cv else "linear", block_size=8,
+                       folds=4, delta=delta, seed=33, transport=transport)
+    report = (cross_validate_encrypted if cv else run_protocol)(datasets,
+                                                                config)
+    assert report.verify.verdict == "accepted"
+    folds = config.folds if cv else 1
+    shards = [f for f in sent if f.msg_type == MSG_SHARD]
+    assert sorted(f.origin for f in shards) == list(range(1, k + 1))
+    for frame in shards:
+        assert [m.shape for m in frame.matrices] == [(folds * 7, 7), (1, 1)]
+        assert frame.matrices[1][0, 0] == 77
+    assert not any(77 in m.shape for f in sent for m in f.matrices)
+    contexts, _ = build_contexts(datasets, config)
+    x = np.vstack([c.x if c.delta is None else c.x + c.delta
+                   for c in contexts])
+    y = np.concatenate([y for _, y in datasets])
+    ref = ridge_fit(x, y, report.cv["chosen_lambda"]) if cv else ols_fit(x, y)
+    assert rel_err(report.beta(), ref) < 1e-8
+
+
+def _edited(r, index, value):
+    r = r.copy()
+    r[index] = value
+    return r
+
+
+#: Completed-shard frames an honest last holder cannot send, as (matrices
+#: from the honest ones, the error the cloud must raise). The run is a
+#: k=3 CV with 48 rows per agency, 8-row blocks and 3 folds.
+FORGERIES = {
+    "three_matrices": (lambda r, n: (r, n, n), ProtocolOrderViolation),
+    "one_matrix": (lambda r, n: (r,), ProtocolOrderViolation),
+    "short_factor_stack": (lambda r, n: (r[:-1], n), DimMismatch),
+    "wide_factor_stack": (lambda r, n: (np.hstack([r, r]), n), DimMismatch),
+    "row_count_shape": (lambda r, n: (r, np.hstack([n, n])), DimMismatch),
+    "not_upper_triangular": (lambda r, n: (_edited(r, (1, 0), 1.0), n),
+                             ProtocolOrderViolation),
+    "negative_diagonal": (lambda r, n: (_edited(r, (0, 0), -1.0), n),
+                          ProtocolOrderViolation),
+    "fractional_rows": (lambda r, n: (r, n + 0.5), ProtocolOrderViolation),
+    "zero_rows": (lambda r, n: (r, 0.0 * n), ProtocolOrderViolation),
+    "negative_rows": (lambda r, n: (r, -n), ProtocolOrderViolation),
+    "nan_rows": (lambda r, n: (r, n * np.nan), ProtocolOrderViolation),
+    "fewer_blocks_than_folds": (lambda r, n: (r, np.array([[16.0]])),
+                                ProtocolOrderViolation),
+}
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_cloud_rejects_a_forged_completed_shard_at_once(monkeypatch,
+                                                        transport, forgery):
+    forge, error = FORGERIES[forgery]
+    complete = protocol.complete_shard
+
+    def forging(ctx, shard, folds):  # agency 2 holds shard 3 last
+        frame = complete(ctx, shard, folds)
+        if ctx.agency_id != 2:
+            return frame
+        return dataclasses.replace(frame, matrices=forge(*frame.matrices))
+
+    monkeypatch.setattr(protocol, "complete_shard", forging)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
+                       transport=transport)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="completed shard 3"):
+        cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_encrypted_cv_too_few_blocks_fails_at_once():

@@ -510,27 +510,30 @@ GOLDEN_ROWS = (1541, 40, 48)
 FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 
 #: SHA-256 of every frame's wire bytes in the golden run, keyed by
-#: (type, origin, round, applied ids); recorded before shards were masked
-#: in place, and the same over the bus and over TCP.
+#: (type, origin, round, applied ids), the same over the bus and over TCP.
+#: The inter-agency shard frames and the R_B frames were recorded before
+#: shards were masked in place; the three completed-shard frames, which
+#: carry fold factors, and the estimate and residual-Gram frames, which
+#: moved at rounding level with them, since the last holder sends factors.
 WIRE_SHA256 = {
     (1, 1, 1, (1,)):
         "6febdbc76cff8565277fe83fcb9b29fceb0b82a3cd851b124a94aaff0763c018",
     (1, 1, 2, (1, 2)):
         "29c3bc677e9b5cc64ee7be4dec3972fa94b637a555b67f3aad4bed7f935a13a1",
     (1, 1, 3, (1, 2, 3)):
-        "4b74c4af97a953bb117b9048df6c1e759f28c5d9427a4274cf612a299dfca132",
+        "69ad5214f7b429f8ae765736bf901adba5dff1ab6668086297a1fa28b1901272",
     (1, 2, 1, (2,)):
         "2fd2843e38aa6b438e595a4c806df6d880b4e23b44cf257fc75b77fa82899360",
     (1, 2, 2, (2, 3)):
         "1cf91dc8a4108c76b05b8fe3b200b7fefaf329f0fc91ef03ee184d9c1e5ae8cd",
     (1, 2, 3, (2, 3, 1)):
-        "200e5fd3eede067eb514bb8378d8b3a8716502d9f535848c309c2ab27e355d61",
+        "69c1b84cae13c5aef3db1d604b38c89edc2395a6ee344127f9a7780c43783fc9",
     (1, 3, 1, (3,)):
         "b6ad1f5e7a3435415e150d8769148416c272653d511b8edc167266e971ec4c0d",
     (1, 3, 2, (3, 1)):
         "ef14986fbd347f58d56183b9be58fcc01f0e41be31302dd78aba8619bb83b733",
     (1, 3, 3, (3, 1, 2)):
-        "1187952cd57b90f16816a9f4f88a86895c84c4d8bc49e6c5f2b6fe845355bf2d",
+        "ea1faabb2cdeac82ec46cdadae319fbebb41b29e34c81c31c16fad88e9026911",
     (2, 0, 0, ()):
         "4a723924497c89b1d18bfe211a128893565124975237d664b69317461567717f",
     (2, 1, 0, (1,)):
@@ -540,21 +543,21 @@ WIRE_SHA256 = {
     (2, 3, 0, (1, 2, 3)):
         "0dd8aed2fd5e0645c9561149a06e5a7a9d845e145b51c6add9f9af61af7dce90",
     (3, 0, 0, ()):
-        "096361be1c71438055fae0ee5a94d0d24cae499c8b7f6e8658fe631cc98680e5",
+        "0d50160df11c1021cdb0013a0e943e31bed7cca8a0fce66dc6d766462b574b3b",
     (3, 1, 0, (1,)):
-        "ee86e0d2e8267e4690a4c02b2ab4745de346efc81330548505d32babaa87b064",
+        "c286afa207fc903dccc6046bcaedf3b04e71b6fbcc03a6a78c8f7ab287319572",
     (3, 2, 0, (1, 2)):
-        "dfe0e4121edb3682034d2d18483f24b13f6e0a6ab7fbacab2c4d3c09a8f8d63a",
+        "68e1bc9286feabbbe934e6a990d1f85a07a1b3bb85281ae581ffe28951fdd526",
     (3, 3, 0, (1, 2, 3)):
-        "a1e9a1a90f5b457c8bebb08cd071a877d793a0405fd243a8d236998b12fb29b6",
+        "626e33314e44e1ef1486db7037c12d01b026030e206ae0d49f2d5dc9ccc79940",
     (4, 0, 0, ()):
-        "ec3db02df7b68110cd6dd054fd3be1c7f3086ae7a54cb65fd23585ec105ce4fa",
+        "dc17b3b81a95f05663e448df244a0044b5af028bdd88ef4086fb4b30d9fe9a46",
     (4, 1, 0, (1,)):
-        "9a9c643cd0955ee33b72070abe593836eb7294c91baedbf30a4523ff1f9d1200",
+        "a09bd1093c0e44b6653adb6a8c99702a010245cb70c3075af318541f5f2802a7",
     (4, 2, 0, (1, 2)):
-        "ecbe7a539f754678b20c68e342920bade8a2ae2b9a21e52f29fa3e45aac419da",
+        "c71762caeab1bf0592ad72a539d513bcabf834f2785615eec45db44354b808d8",
     (4, 3, 0, (1, 2, 3)):
-        "5f903f7561ea50542b1e2d3e2bc4c80e80236658554e0f5e219df7442ef14c42",
+        "f4c03a5e05cb9bf5ec17a6c3f534f2819d5d657aff5ffc8fd931d00923a89614",
 }
 
 
