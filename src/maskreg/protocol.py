@@ -104,18 +104,29 @@ class EncryptedAggregate:
 
     ``fold_factors`` stacks the (q, q) R factor of each fold's rows of
     [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
-    counts; ``z_factor`` is the R factor of every row. ``origin_rows`` and
-    ``block_ranges`` are each shard's and each mask block's row range in
-    the stacked order. ``key_factor`` is the released R_B of the stacked
-    feature keys (ridge only).
+    counts; ``z_factor`` is the R factor of every row. ``origin_rows`` is
+    each shard's row range in the stacked order, and ``block_size`` the
+    row masks' block size. ``key_factor`` is the released R_B of the
+    stacked feature keys (ridge only).
     """
 
     fold_factors: np.ndarray
     fold_sizes: tuple
     z_factor: np.ndarray
     origin_rows: tuple
-    block_ranges: tuple
+    block_size: int
     key_factor: np.ndarray = None
+
+    @property
+    def block_ranges(self):
+        """Each mask block's row range in the stacked order, built on
+        demand: the cloud itself never walks the blocks."""
+        ranges = []
+        for lo, hi in self.origin_rows:
+            for size in split_block_sizes(hi - lo, self.block_size):
+                ranges.append((lo, lo + size))
+                lo += size
+        return tuple(ranges)
 
     @property
     def x_star(self):
@@ -309,12 +320,14 @@ def shard_factors(shard, block_size, folds):
     return r_factor(np.concatenate(parts, axis=-2))
 
 
-def _completed_parts(shard, block_size, folds, q):
+def _completed_parts(shard, block_size, folds, q, rows=None):
     """A completed shard's (folds, q, q) factor stack and row count, once
     both are checked; ``q`` is the width of the shards before it, or
-    None. Raises :class:`DimMismatch` for a matrix of the wrong shape and
+    None, and ``rows`` the origin's public row count, or None. Raises
+    :class:`DimMismatch` for a matrix of the wrong shape and
     :class:`ProtocolOrderViolation` for any other frame an honest last
-    holder could not have sent."""
+    holder could not have sent, such as a row count above 2**53, past
+    which a float64 holds no exact integer."""
     where = f"cloud: completed shard {shard.origin}"
     if len(shard.matrices) != 2:
         raise ProtocolOrderViolation(
@@ -332,9 +345,12 @@ def _completed_parts(shard, block_size, folds, q):
             f"{where}: a factor is not upper triangular with a "
             f"non-negative diagonal")
     n = n[0, 0]
-    if not (n >= 1 and float(n).is_integer()):
+    if not (1 <= n <= 2**53 and float(n).is_integer()):
         raise ProtocolOrderViolation(f"{where} has row count {n}")
     n = int(n)
+    if rows is not None and n != rows:
+        raise ProtocolOrderViolation(
+            f"{where} has row count {n}, but its origin holds {rows} rows")
     if -(-n // block_size) < folds:
         raise ProtocolOrderViolation(
             f"{where} has {n} rows, fewer than one {block_size}-row block "
@@ -342,20 +358,23 @@ def _completed_parts(shard, block_size, folds, q):
     return r, n
 
 
-def assemble_aggregate(shards, num_agencies, block_size, folds=1):
+def assemble_aggregate(shards, num_agencies, block_size, folds=1,
+                       row_counts=None):
     """The cloud's view of the completed shard frames (``complete_shard``),
     which must come in origin order; ``shards`` may be a generator that
     receives each one.
 
     Each frame carries one shard's keyed fold factors and its row count n,
-    both checked as they are taken. From n, ``block_size`` and ``folds``
-    the cloud derives the shard's rows, mask blocks and per-fold row
-    counts: block j is in fold j mod ``folds``. Each fold's factor is the
+    both checked as they are taken; n must equal the origin's entry of
+    ``row_counts`` (the public ``AgencyKeys.row_counts``) when that is
+    given. From n, ``block_size`` and ``folds`` the cloud derives the
+    shard's row range and per-fold row counts, in O(folds) whatever n is:
+    block j is in fold j mod ``folds``. Each fold's factor is the
     R of its stacked per-shard factors, and the factor of every row is the
     R of the stacked fold factors (Demmel, Grigori, Hoemmen & Langou, SIAM
     J. Sci. Comput. 2012).
     """
-    parts, sizes, origin_rows, block_ranges = [], 0, [], []
+    parts, sizes, origin_rows = [], 0, []
     offset, q = 0, None
     for origin, s in enumerate(shards, start=1):
         if s.origin != origin or len(s.applied) != num_agencies:
@@ -363,16 +382,15 @@ def assemble_aggregate(shards, num_agencies, block_size, folds=1):
                 f"expected shard {origin} masked by all {num_agencies} "
                 f"agencies, got shard {s.origin} masked by {len(s.applied)}"
             )
-        r, n = _completed_parts(s, block_size, folds, q)
+        rows = None if row_counts is None else row_counts[origin - 1]
+        r, n = _completed_parts(s, block_size, folds, q, rows)
         parts.append(r)
         q = r.shape[-1]
         rounds, rest = divmod(n, block_size * folds)
         sizes += rounds * block_size + np.clip(
             rest - block_size * np.arange(folds), 0, block_size)
         origin_rows.append((offset, offset + n))
-        for size in split_block_sizes(n, block_size):
-            block_ranges.append((offset, offset + size))
-            offset += size
+        offset += n
     if len(parts) != num_agencies:
         raise ProtocolOrderViolation(
             f"expected one shard per agency 1..{num_agencies}, "
@@ -384,7 +402,7 @@ def assemble_aggregate(shards, num_agencies, block_size, folds=1):
         fold_sizes=tuple(int(v) for v in sizes),
         z_factor=r_factor(fold_factors.reshape(-1, q)),
         origin_rows=tuple(origin_rows),
-        block_ranges=tuple(block_ranges),
+        block_size=block_size,
     )
 
 

@@ -218,7 +218,7 @@ def run_pre_modeling(contexts, transport, folds=1):
     try:
         agg = protocol.assemble_aggregate(
             _completed_shards(transport, k), k,
-            contexts[0].keys.block_size, folds,
+            contexts[0].keys.block_size, folds, contexts[0].keys.row_counts,
         )
     except Exception as exc:  # wakes the agencies before the join below
         fail(exc)

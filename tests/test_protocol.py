@@ -1,5 +1,7 @@
 """Tests for the masking, fitting, decryption and verification steps."""
 
+import dataclasses
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -457,6 +459,37 @@ def test_assemble_rejects_shards_out_of_origin_order_or_missing():
         assemble_aggregate(shards[::-1], 2, 8)
     with pytest.raises(ProtocolOrderViolation):
         assemble_aggregate(shards[:1], 2, 8)
+
+
+def test_assemble_derives_the_layout_without_walking_the_blocks():
+    # The cloud's work on a completed shard is bounded by the frame, not
+    # by the row count it claims: 1e12 rows of 8-row blocks are 1.25e11
+    # blocks, which the cloud never lists.
+    contexts, _, _ = build_contexts(7, (40, 24), 3)
+    huge = [dataclasses.replace(s, matrices=(s.matrices[0], np.array([[1e12]])))
+            for s in run_rings(contexts)]
+    t0 = time.perf_counter()
+    agg = assemble_aggregate(huge, 2, 8)
+    assert time.perf_counter() - t0 < 2.0
+    assert agg.origin_rows == ((0, 10**12), (10**12, 2 * 10**12))
+    assert agg.fold_sizes == (2 * 10**12,)
+    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    assert agg.block_ranges == ((0, 8), (8, 16), (16, 24), (24, 32),
+                                (32, 40), (40, 48), (48, 56), (56, 64))
+
+
+def test_assemble_checks_row_counts_against_the_public_ones():
+    contexts, _, _ = build_contexts(7, (40, 24), 3)
+    shards = run_rings(contexts)
+    assert assemble_aggregate(shards, 2, 8, row_counts=(40, 24)).origin_rows \
+        == ((0, 40), (40, 64))
+    with pytest.raises(ProtocolOrderViolation, match="completed shard 2"):
+        assemble_aggregate(shards, 2, 8, row_counts=(40, 25))
+    beyond = [dataclasses.replace(s, matrices=(s.matrices[0],
+                                               np.array([[2.0**53 + 2]])))
+              for s in shards]
+    with pytest.raises(ProtocolOrderViolation, match="completed shard 1"):
+        assemble_aggregate(beyond, 2, 8)
 
 
 def test_residual_gram_round_trip():

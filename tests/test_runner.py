@@ -782,6 +782,11 @@ FORGERIES = {
     "nan_rows": (lambda r, n: (r, n * np.nan), ProtocolOrderViolation),
     "fewer_blocks_than_folds": (lambda r, n: (r, np.array([[16.0]])),
                                 ProtocolOrderViolation),
+    "miscounted_rows": (lambda r, n: (r, n + 1), ProtocolOrderViolation),
+    "huge_rows": (lambda r, n: (r, np.array([[1e12]])),
+                  ProtocolOrderViolation),
+    "rows_beyond_exact_floats": (lambda r, n: (r, np.array([[1e300]])),
+                                 ProtocolOrderViolation),
 }
 
 

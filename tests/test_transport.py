@@ -511,10 +511,6 @@ FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 
 #: SHA-256 of every frame's wire bytes in the golden run, keyed by
 #: (type, origin, round, applied ids), the same over the bus and over TCP.
-#: The inter-agency shard frames and the R_B frames were recorded before
-#: shards were masked in place; the three completed-shard frames, which
-#: carry fold factors, and the estimate and residual-Gram frames, which
-#: moved at rounding level with them, since the last holder sends factors.
 WIRE_SHA256 = {
     (1, 1, 1, (1,)):
         "6febdbc76cff8565277fe83fcb9b29fceb0b82a3cd851b124a94aaff0763c018",
