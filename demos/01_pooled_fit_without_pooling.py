@@ -1,9 +1,10 @@
 """Three agencies fit one regression without ever pooling raw rows.
 
-Each agency masks its shard with a random orthogonal row mask and a shared
-commutative column key, the ring passes add every other agency's key, and
-the cloud solves least squares on ciphertext. Decryption unwinds only the
-coefficient matrix -- the rows never leave their owners in the clear.
+Each agency factors its shard into a small triangular R and keys it with
+a commutative column key, the ring passes add every other agency's key to
+those factors, and the cloud solves least squares on ciphertext.
+Decryption unwinds only the coefficient matrix -- the rows never leave
+their owners.
 """
 
 import numpy as np

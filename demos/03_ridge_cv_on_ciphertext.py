@@ -1,9 +1,9 @@
 """Tune the ridge penalty by cross-validation without decrypting folds.
 
-Because the orthogonal row masks are block diagonal, whole mask blocks can
-be assigned to folds and the cloud can fit on any union of blocks. Only a
-3x3 residual Gram is decrypted per (penalty, fold) pair -- fold MSEs come
-out exact while per-fold estimates stay hidden.
+Each agency assigns whole row blocks to folds and sends one keyed R
+factor per fold, so the cloud can fit on any union of folds. Only a 3x3
+residual Gram is decrypted per (penalty, fold) pair -- fold MSEs come out
+exact while per-fold estimates stay hidden.
 """
 
 import numpy as np

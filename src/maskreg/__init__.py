@@ -1,11 +1,11 @@
 """Maliciously secure collaborative regression over matrix-masked data.
 
-Agencies holding disjoint rows of a shared feature space mask their data
-with commuting polynomial keys and block-orthogonal row masks, a cloud
-fits linear or ridge models on the ciphertext, and a round-robin
+Agencies holding disjoint rows of a shared feature space send only the
+triangular R factors of their rows, keyed with commuting polynomial keys,
+a cloud fits linear or ridge models on the ciphertext, and a round-robin
 decryption recovers the exact plaintext estimate together with a built-in
-tamper check. The attacks module plays the adversary against the same
-constructions.
+tamper check. The attacks module plays the adversary against the paper's
+row-masked scheme.
 """
 
 from .attacks import cpa_attack, cpa_rank_analysis, kpa_gram_sweep, ldp_sweep

@@ -26,7 +26,7 @@ class RankDeficient(MaskRegError):
 
 
 class DuplicatePass(MaskRegError):
-    """An agency attempted to mask the same shard twice."""
+    """An agency attempted to key the same shard twice."""
 
 
 class ProtocolOrderViolation(MaskRegError):
@@ -34,7 +34,7 @@ class ProtocolOrderViolation(MaskRegError):
 
 
 class FoldBlockMisaligned(MaskRegError):
-    """Cross-validation folds cannot be aligned with the mask blocks."""
+    """Cross-validation folds cannot be aligned with the row blocks."""
 
 
 class SingleClass(MaskRegError):

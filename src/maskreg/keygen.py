@@ -6,9 +6,9 @@ feature-side keys are polynomials in the same base matrix (and likewise for
 the response side), any two agencies' keys commute, which is what lets the
 ring protocol apply them in arbitrary order.
 
-Keygen holds no row masks, only one private mask seed per agency. The mask
-an agency applies to origin o's rows is drawn from the (mask seed, o)
-stream when it masks that shard, and dropped after (``AgencyKeys.mask_rng``).
+Keygen draws no row masks: a shard travels as the R factors of its fold
+blocks, which a block-orthogonal row mask inside the folds would leave
+unchanged (see ``protocol``).
 
 The decrypted estimate has to match a plaintext solve to ~1e-8 relative
 even though every intermediate matrix crosses the wire in float64, so the
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ResampleExhausted
-from .matrix_core import (  # noqa: F401 - protocol uses random_ortho_blocks
-    APPLY_CHUNK,
+# random_ortho_blocks is no longer called here; perfbench/spans.py still
+# wraps the name keygen.random_ortho_blocks, so it stays importable.
+from .matrix_core import (  # noqa: F401
     commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
@@ -48,10 +49,12 @@ PRODUCT_SPREAD_BUDGET = 1000.0
 #: Condition-number cap on a single materialized key.
 KEY_COND_MAX = 1e4
 
+#: Most elements of x that :func:`make_responses` sums at once (256 KB).
+ROW_SUM_CHUNK = 2**15
+
 # Stream tags keep the seed-derived generators disjoint.
 _TAG_BASES = 0xB5
 _TAG_AGENCY = 0xA6
-_TAG_MASK = 0x3A
 
 
 def default_degree(p):
@@ -90,10 +93,9 @@ class AgencyKeys:
         agency_id: 1-based agency identifier.
         b_key: materialized feature-side key (p, p).
         c_key: materialized response-side key (3, 3).
-        row_counts: rows held by every agency, in agency order; origin o's
-            row mask covers ``row_counts[o - 1]`` rows.
-        block_size: row-block size of the orthogonal row masks.
-        mask_seed: private seed of this agency's row-mask streams.
+        row_counts: rows held by every agency, in agency order; each
+            hop checks a shard's row count against its origin's entry.
+        block_size: rows per fold block.
     """
 
     agency_id: int
@@ -101,16 +103,6 @@ class AgencyKeys:
     c_key: np.ndarray
     row_counts: tuple
     block_size: int
-    mask_seed: int = field(repr=False)
-
-    def mask_rng(self, origin):
-        """Generator of this agency's row mask for ``origin``: one stream
-        per (mask seed, origin), whatever order the origins come in."""
-        if not 1 <= origin <= len(self.row_counts):
-            raise DimMismatch(
-                f"origin {origin} outside 1..{len(self.row_counts)}"
-            )
-        return np.random.default_rng([self.mask_seed, _TAG_MASK, origin])
 
 
 def _constructed_base(dim, rng):
@@ -212,14 +204,13 @@ def draw_commuting_key(basis, degree, rng, num_agencies, sigma_coeff=1.0,
 
 def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
                     sigma_coeff=1.0):
-    """Generate one agency's keys and the seed of its row masks.
+    """Generate one agency's keys.
 
     Args:
         bases: shared MaskBases.
         agency_id: 1-based id of this agency.
-        row_counts: rows held by every agency, in agency order; the agency
-            masks every origin's rows, drawing each mask when it applies it.
-        block_size: row-block size for the orthogonal masks.
+        row_counts: rows held by every agency, in agency order.
+        block_size: rows per fold block.
         rng: this agency's private generator.
         sigma_coeff: std-dev of the key polynomial coefficients.
     """
@@ -244,7 +235,6 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
         c_key=c_key,
         row_counts=tuple(int(n) for n in row_counts),
         block_size=block_size,
-        mask_seed=int(rng.integers(0, 2**63)),
     )
 
 
@@ -265,10 +255,11 @@ def make_responses(x, y, mode, rng, delta=None):
             f"y has shape {y.shape}, expected ({x.shape[0]},)"
         )
     if mode == "linear":
-        # row sums of x (+ delta) in chunks of about APPLY_CHUNK elements,
-        # with no shard-sized copy; each row's sum is the same either way
+        # row sums of x (+ delta) in chunks of about ROW_SUM_CHUNK
+        # elements, with no shard-sized copy; each row's sum is the same
+        # either way
         verify = np.empty(x.shape[0])
-        step = APPLY_CHUNK // (x.shape[1] or 1) + 1
+        step = ROW_SUM_CHUNK // (x.shape[1] or 1) + 1
         for start in range(0, x.shape[0], step):
             rows = x[start:start + step]
             if delta is not None:

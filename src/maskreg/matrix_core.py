@@ -90,72 +90,6 @@ def solve_spd(gram, rhs):
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-#: Fewest full blocks per drawing thread for which a mask takes the
-#: reflector kernel (``_haar_reflectors``). The kernel holds the GIL for
-#: most of its time and the batched QR does not, so the more agencies draw
-#: at once, the longer a mask must be before the kernel wins; shorter masks
-#: take one batched QR (DECISIONS.md, "Why a threshold").
-REFLECTOR_BLOCKS_PER_THREAD = 32
-
-#: Most elements in one chunk of the reflector kernel's ``(bs, bs, chunk)``
-#: product (1 MB); the draw's other temporaries scale with it.
-REFLECTOR_CHUNK = 2**17
-
-
-def _haar_reflectors(nb, bs, rng):
-    """``nb`` Haar ``(bs, bs)`` blocks, each a product of Householder
-    reflectors of fresh Gaussian vectors.
-
-    Block by block, the stream gives ``x_j ~ N(0, I_{bs-j})`` for
-    ``j = 0 … bs-2`` and then one scalar: ``bs(bs+1)/2`` normals. With
-    ``u_j = x_j + sign(x_j0)·‖x_j‖·e₀`` and ``H_j = I - 2·u_j·u_jᵀ/u_jᵀu_j``,
-    the block is ``Q = H₀·diag(1, H₁)⋯diag(I, H_{bs-2})·D``, with
-    ``D_jj = -sign(x_j0)`` and a last entry of sign(scalar). That is the
-    law of the sign-fixed Householder QR of a Gaussian matrix (``_haar``):
-    after j reflectors, column j's trailing part is again a fresh
-    ``N(0, I_{bs-j})`` vector, so Q is exactly Haar. The reflectors are
-    applied to all blocks of a chunk at once, with the block index
-    innermost, and no LAPACK call per block.
-    """
-    starts = np.concatenate(([0], np.cumsum(np.arange(bs, 1, -1))))
-    idx = np.arange(bs)
-    out = np.empty((nb, bs, bs))
-    chunk = max(1, REFLECTOR_CHUNK // (bs * bs))
-    for start in range(0, nb, chunk):
-        stop = min(start + chunk, nb)
-        x = np.ascontiguousarray(
-            rng.standard_normal((stop - start, starts[-1] + 1)).T
-        )
-        lead = x[starts]
-        sign = np.where(lead >= 0.0, 1.0, -1.0)
-        norm = np.sqrt(np.add.reduceat(x * x, starts, axis=0))[:-1]
-        x[starts[:-1]] += sign[:-1] * norm  # x becomes the stacked u_j
-        tau = 1.0 / (norm * (norm + np.abs(lead[:-1])))  # 2 / u_jᵀu_j
-        q = np.zeros((bs, bs, stop - start))
-        q[idx, idx] = -sign
-        q[-1, -1] = sign[-1]
-        for j in range(bs - 2, -1, -1):
-            seg = slice(starts[j], starts[j + 1])
-            trail = q[j:, j:]
-            w = np.einsum("ac,abc->bc", x[seg], trail)  # u_jᵀ·trail
-            w *= tau[j]
-            trail -= x[seg, np.newaxis] * w
-        out[start:stop] = q.transpose(2, 0, 1)
-    return out
-
-
-#: Most elements of Q·m that ``OrthoBlocks.apply`` holds at once (256 KB).
-APPLY_CHUNK = 2**15
-
-
-def _times_key(a, key, out):
-    """Write ``a·key`` (``a`` itself when ``key`` is None) into ``out``."""
-    if key is None:
-        out[...] = a
-    else:
-        np.matmul(a, key, out=out)
-
-
 @dataclass(frozen=True)
 class OrthoBlocks:
     """A block-diagonal orthogonal matrix stored as its diagonal blocks.
@@ -187,46 +121,19 @@ class OrthoBlocks:
             out.append((nb * bs, self.n_rows))
         return tuple(out)
 
-    def apply(self, m, key=None, out=None):
+    def apply(self, m, key=None):
         """``Q·m·key`` for the ``(n_rows, p)`` matrix ``m``, where Q is the
-        mask and ``key`` a ``(p, q)`` matrix (Q·m alone when None).
-
-        The full blocks go a chunk at a time: Q·m of a chunk goes into one
-        buffer of at most ``APPLY_CHUNK`` elements, and its product with
-        the key into the chunk's rows of ``out``. So ``out``, a fresh array
-        when None, may be ``m`` itself, and no temporary grows with ``m``.
-        Every block's products are the same batched matmul calls as over
-        the whole mask, so the result does not depend on the chunk. The key
-        multiplies each block on its own, so no GEMM is tall enough for
-        BLAS to split across threads that would compete with the other
-        agencies' threads (DECISIONS.md, "No BLAS call on an op's path is
-        large enough to thread").
-        """
+        mask and ``key`` a ``(p, q)`` matrix (Q·m alone when None)."""
         m = np.asarray(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != self.n_rows:
             raise DimMismatch(
                 f"matrix has shape {m.shape}, blocks cover {self.n_rows} rows"
             )
-        p = m.shape[1]
-        shape = (self.n_rows, p if key is None else key.shape[1])
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or not out.flags.c_contiguous:
-            raise DimMismatch(
-                f"out must be a C-contiguous {shape} array, got {out.shape}")
-        nb, bs, _ = self.full.shape
-        step = max(1, APPLY_CHUNK // (bs * p))
-        buf = np.empty((min(step, nb), bs, p))
-        for start in range(0, nb, step):
-            stop = min(start + step, nb)
-            rows = slice(start * bs, stop * bs)
-            qm = np.matmul(self.full[start:stop],
-                           m[rows].reshape(-1, bs, p), out=buf[:stop - start])
-            _times_key(qm, key, out[rows].reshape(-1, bs, shape[1]))
-        if self.tail is not None:
-            cut = nb * bs
-            _times_key(self.tail @ m[cut:], key, out[cut:])
-        return out
+        (nb, bs, _), p = self.full.shape, m.shape[1]
+        head = np.matmul(self.full, m[:nb * bs].reshape(nb, bs, p))
+        tail = () if self.tail is None else (self.tail @ m[nb * bs:],)
+        qm = np.concatenate([head.reshape(nb * bs, p), *tail])
+        return qm if key is None else qm @ key
 
     def materialize(self):
         """Dense ``(n_rows, n_rows)`` form; intended for tests and demos."""
@@ -248,22 +155,17 @@ def split_block_sizes(n_rows, block_size):
     return sizes
 
 
-def random_ortho_blocks(n_rows, block_size, rng, threads):
+def random_ortho_blocks(n_rows, block_size, rng):
     """Draw a block-diagonal orthogonal mask covering ``n_rows`` rows.
 
-    ``threads`` is the number of agencies drawing masks at once. The full
-    blocks come first from the stream, then the tail. A mask of fewer than
-    ``REFLECTOR_BLOCKS_PER_THREAD * threads`` full blocks draws them by one
-    batched QR, so it equals the sequence of ``random_orthogonal`` draws of
-    each block's size. A longer mask draws its full blocks with the
-    reflector kernel, which reads ``bs(bs+1)/2`` normals per block: the
-    same Haar law from another stream layout.
+    The full blocks come first from the stream, by one batched QR, then
+    the tail, so the mask equals the sequence of ``random_orthogonal``
+    draws of each block's size. No protocol step draws one: a mask whose
+    blocks lie inside the folds leaves every fold's R factor unchanged
+    (``protocol.shard_factors``).
     """
     split_block_sizes(n_rows, block_size)  # raises DimMismatch on bad sizes
     nb, rem = divmod(n_rows, block_size)
-    if nb >= REFLECTOR_BLOCKS_PER_THREAD * threads:
-        full = _haar_reflectors(nb, block_size, rng)
-    else:
-        full = _haar(rng.standard_normal((nb, block_size, block_size)))
+    full = _haar(rng.standard_normal((nb, block_size, block_size)))
     tail = random_orthogonal(rem, rng) if rem else None
     return OrthoBlocks(full=full, tail=tail)

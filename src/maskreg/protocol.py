@@ -3,25 +3,25 @@
 The data flow for K agencies, a coordinating cloud and feature matrices
 X_1..X_K (row-partitioned across agencies):
 
-1. every agency encrypts its own shard: rows are mixed by a private
-   block-diagonal orthogonal mask, columns by its commuting feature key;
-   the three-column response bundle is masked the same way with the
-   response key. The row mask is drawn from the agency's stream for that
-   origin right before it is applied, and dropped right after;
-2. shards travel around a ring so every *other* agency but the last
-   stacks its own masks on top, each drawing its row mask for that origin
-   the same way and masking the shard in place in the frame's buffer,
-   which the origin allocated. A shard is the
-   :class:`~maskreg.transport.Frame` that carries it: origin, the ids
-   that masked it (its round is their count) and (X*, Y*);
-3. the shard's last holder draws no row mask: it factors the rows it
-   received into one R per fold, keys those small factors and sends the
-   cloud only them and the shard's row count. The cloud stacks the
-   factors, takes the R factor of every masked row from them and
-   back-substitutes, and gets a masked estimate. A row mask whose blocks
-   lie inside the folds leaves each fold's R unchanged, so the last
-   mask would be factored away. With one agency, the origin holds its
-   shard last and keys the factors of its own rows;
+1. every agency factors its own shard: the rows of [X + Δ | Y], with Y
+   the three-column response bundle, fall into ``block_size``-row blocks,
+   block j into fold j mod F, and each fold's rows give one (q, q) R
+   factor. The agency keys each factor with its feature key B and its
+   response key C, R ← R(R·diag(B, C)), and sends the (F·q, q) stack and
+   the shard's row count on as round 1. No row leaves the agency;
+2. the shard travels around a ring, and every other agency checks the
+   frame and keys the factors it received the same way, one round on.
+   With M the shard's rows and K the product of the keys so far,
+   (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K), so R(M·K) = R(R·K): each hop's factors are
+   those of the keyed rows. A row mask whose blocks lie inside the folds
+   would leave every fold's R unchanged, R(A·M) = R(M), so no hop draws
+   one. A shard is the :class:`~maskreg.transport.Frame` that carries it:
+   origin, the ids that keyed it (its round is their count), its factors
+   and its row count;
+3. the shard's last holder sends it to the cloud. The cloud stacks the
+   factors, takes the R factor of every keyed row from them and
+   back-substitutes, and gets a masked estimate. With one agency, the
+   origin sends its round-1 frame to the cloud;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. the cloud checks the verification column of an estimate that came
@@ -46,7 +46,7 @@ from .errors import (
     SingularResult,
 )
 from .matrix_core import solve_spd, split_block_sizes  # noqa: F401
-from .transport import MSG_SHARD, Frame, payload_buffer
+from .transport import MSG_SHARD, Frame
 
 # ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
 # name ``protocol.solve_spd``, so it stays importable from this module.
@@ -68,8 +68,8 @@ VERIFY_TOL = 1e-6
 #: Rows per block in each level of :func:`r_factor`; 2q for wider q columns.
 TSQR_ROWS = 256
 
-#: Most elements of [X* | Y*] that :func:`shard_factors` copies and factors
-#: at once (512 KB).
+#: Most elements of [X + Δ | Y] that :func:`shard_factors` copies and
+#: factors at once (512 KB).
 SHARD_CHUNK = 2**16
 
 #: A diagonal entry of R_xx at or below this fraction of the largest one
@@ -102,11 +102,11 @@ class EncryptedAggregate:
     their last holders sent and the row layout their row counts give. The
     cloud never receives a row.
 
-    ``fold_factors`` stacks the (q, q) R factor of each fold's rows of
-    [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
+    ``fold_factors`` stacks the (q, q) R factor of each fold's keyed rows
+    of [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
     counts; ``z_factor`` is the R factor of every row. ``origin_rows`` is
     each shard's row range in the stacked order, and ``block_size`` the
-    row masks' block size. ``key_factor`` is the released R_B of the
+    rows per fold block. ``key_factor`` is the released R_B of the
     stacked feature keys (ridge only).
     """
 
@@ -119,7 +119,7 @@ class EncryptedAggregate:
 
     @property
     def block_ranges(self):
-        """Each mask block's row range in the stacked order, built on
+        """Each fold block's row range in the stacked order, built on
         demand: the cloud itself never walks the blocks."""
         ranges = []
         for lo, hi in self.origin_rows:
@@ -184,151 +184,93 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _check_rows(ctx, origin, x):
-    """Raise :class:`DimMismatch` unless ``x`` has origin's row count."""
-    counts = ctx.keys.row_counts
-    want = counts[origin - 1] if 1 <= origin <= len(counts) else None
-    if want != x.shape[0]:
-        raise DimMismatch(
-            f"agency {ctx.agency_id}: shard {origin} has {x.shape[0]} rows, "
-            f"expected {want}"
-        )
-
-
-def _mask_shard(ctx, origin, applied, x, y, payload=None, shift=None):
-    """The shard frame of (A·x·B, A·y·C), with this agency's keys and its
-    row mask A for ``origin``, which is drawn here and dropped on return;
-    ``applied`` gains this agency's id. When x and y view ``payload``, a
-    received frame's buffer, they are masked in place and the frame keeps
-    that buffer; otherwise the masked shard goes into a fresh one, and an
-    LDP offset ``shift`` is added to x in that buffer, after the mask is
-    drawn, and masked there in place."""
+def _keyed(ctx, origin, applied, r, n):
+    """The shard frame one round on from ``r``, a (folds, q, q) stack of
+    fold factors of origin's n rows: each factor keyed with this agency's
+    keys, R ← R(R·diag(B, C)), and this agency's id appended."""
     keys = ctx.keys
-    _check_rows(ctx, origin, x)
-    rng = keys.mask_rng(origin)
-    n_rows = x.shape[0]
-    blocks = keygen.random_ortho_blocks(n_rows, keys.block_size, rng,
-                                        len(keys.row_counts))
-    if payload is None:
-        payload, out = payload_buffer([(n_rows, keys.b_key.shape[1]),
-                                       (n_rows, keys.c_key.shape[1])])
-        if shift is not None:
-            x = np.add(x, shift, out=out[0])
-    else:
-        out = (x, y)
-    blocks.apply(x, keys.b_key, out=out[0])
-    blocks.apply(y, keys.c_key, out=out[1])
-    applied = applied + (ctx.agency_id,)
-    return Frame(MSG_SHARD, origin, len(applied), applied, out, payload)
-
-
-def local_encrypt(ctx):
-    """First masking step an origin applies to its own shard; returns the
-    shard's frame, round 1, in a fresh buffer, so the agency's own rows are
-    never written."""
-    return _mask_shard(ctx, ctx.agency_id, (), ctx.x, ctx.responses,
-                       shift=ctx.delta)
-
-
-def pass_encrypt(ctx, shard):
-    """Stack this agency's masks onto a shard frame passing through the
-    ring, in place in the frame's buffer; returns the next frame, one round
-    on."""
-    if ctx.agency_id in shard.applied:
-        raise DuplicatePass(
-            f"agency {ctx.agency_id} already masked shard {shard.origin}"
-        )
-    return _mask_shard(ctx, shard.origin, shard.applied, *shard.matrices,
-                       payload=shard.payload)
-
-
-def own_shard(ctx):
-    """An origin's own shard, unmasked: its rows plus the LDP offset, and
-    its responses, as a round-0 frame that is never sent. A single agency
-    holds its shard last and hands this to ``complete_shard``."""
-    x = ctx.x if ctx.delta is None else ctx.x + ctx.delta
-    return Frame(MSG_SHARD, ctx.agency_id, 0, (), (x, ctx.responses))
-
-
-def complete_shard(ctx, shard, folds):
-    """The last hop of a shard: the frame its last holder sends the cloud.
-
-    The cloud uses only the R factor of each fold of a shard, and a row
-    mask whose blocks lie inside the folds leaves those unchanged:
-    R(A·M) = R(M) for block-diagonal orthogonal A. So the last holder
-    draws no row mask. It factors the rows it received fold by fold
-    (``shard_factors``) and keys each small factor R instead of the rows:
-    with K = diag(B, C), (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K), so R(M·K) = R(R·K).
-    The frame keeps round k and every id, and carries the (folds·q, q)
-    stack of keyed factors and the shard's row count as a 1×1 matrix.
-    The received buffer is read, never written.
-    """
-    if ctx.agency_id in shard.applied:
-        raise DuplicatePass(
-            f"agency {ctx.agency_id} already masked shard {shard.origin}"
-        )
-    x = shard.matrices[0]
-    _check_rows(ctx, shard.origin, x)
-    keys = ctx.keys
-    r = shard_factors(shard, keys.block_size, folds)
-    p = x.shape[1]
+    p = keys.b_key.shape[0]
     r = r_factor(np.concatenate(
         [r[..., :p] @ keys.b_key, r[..., p:] @ keys.c_key], axis=-1))
-    applied = shard.applied + (ctx.agency_id,)
-    return Frame(MSG_SHARD, shard.origin, len(applied), applied,
-                 (r.reshape(-1, r.shape[-1]), np.array([[x.shape[0]]], float)))
+    applied = applied + (ctx.agency_id,)
+    return Frame(MSG_SHARD, origin, len(applied), applied,
+                 (r.reshape(-1, r.shape[-1]), np.array([[n]], float)))
 
 
-def shard_factors(shard, block_size, folds):
-    """(folds, q, q) stack of the R factors of each fold's rows of one
-    shard's [X | Y].
+def local_encrypt(ctx, folds):
+    """Round 1 of an origin's own shard: the keyed factors of each fold of
+    its [X + Δ | Y] (``shard_factors``) and its row count. The agency's
+    own rows are read, never written or sent."""
+    r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds,
+                      ctx.delta)
+    return _keyed(ctx, ctx.agency_id, (), r, ctx.n_rows)
 
-    Block j of the shard (its full blocks in row order, then the tail)
-    belongs to fold j mod ``folds``, as in ``runner.fold_rows``. Whole
-    rounds of ``folds`` blocks are copied fold-major through a strided
-    view into one small buffer, ``SHARD_CHUNK`` elements at a time, and
-    each chunk's folds are factored by one stacked ``r_factor``, so no
-    temporary grows with the shard. The last, partial round is padded with
-    zero rows, which leave every R unchanged, to a whole one. Raises
-    :class:`FoldBlockMisaligned` when the shard has fewer blocks than
-    folds.
+
+def pass_encrypt(ctx, shard, folds):
+    """One hop of a shard: check the received frame as the cloud does
+    (``_completed_parts``), against the origin's public row count, and
+    key its factors, one round on. The last holder sends the result to
+    the cloud."""
+    where = f"agency {ctx.agency_id}: shard {shard.origin}"
+    if ctx.agency_id in shard.applied:
+        raise DuplicatePass(f"{where} was already keyed by this agency")
+    counts = ctx.keys.row_counts
+    if not 1 <= shard.origin <= len(counts):
+        raise ProtocolOrderViolation(f"{where} has no such origin")
+    r, n = _completed_parts(shard, where, ctx.keys.block_size, folds,
+                            ctx.keys.b_key.shape[0] + 3,
+                            counts[shard.origin - 1])
+    return _keyed(ctx, shard.origin, shard.applied, r, n)
+
+
+def shard_factors(x, y, block_size, folds, shift=None):
+    """(folds, q, q) stack of the R factors of each fold's rows of
+    [x + shift | y], with ``shift`` None for no offset.
+
+    Block j of the rows (the full blocks in row order, then the tail)
+    belongs to fold j mod ``folds``, as in ``runner.fold_rows``. The rows
+    are copied into one small buffer a chunk of whole rounds of ``folds``
+    blocks at a time, at most ``SHARD_CHUNK`` elements, the shift added as
+    they are copied, and each chunk's folds are factored by one stacked
+    ``r_factor``, so no temporary grows with the shard. The last chunk is
+    padded with zero rows, which leave every R unchanged, to whole rounds.
+    Raises :class:`FoldBlockMisaligned` when the rows make fewer blocks
+    than folds.
     """
-    x, y = shard.matrices
     n, p = x.shape
     blocks = len(split_block_sizes(n, block_size))
     if blocks < folds:
         raise FoldBlockMisaligned(
-            f"agency {shard.origin} has {blocks} mask blocks, fewer than "
+            f"{n} rows make {blocks} blocks of {block_size}, fewer than "
             f"{folds} folds; lower the block size or folds"
         )
     span = block_size * folds
-    rounds, rest = divmod(n, span)
-    step = max(1, SHARD_CHUNK // (span * (p + 3)))
-    buf = np.empty((folds, step, block_size, p + 3))
-    parts = []
-    for start in range(0, rounds, step):
-        g = min(step, rounds - start)
-        rows = slice(start * span, (start + g) * span)
-        buf[:, :g, :, :p] = x[rows].reshape(g, folds, block_size, p).swapaxes(0, 1)
-        buf[:, :g, :, p:] = y[rows].reshape(g, folds, block_size, 3).swapaxes(0, 1)
-        parts.append(r_factor(buf[:, :g].reshape(folds, -1, p + 3)))
-    if rest:
-        last = np.zeros((span, p + 3))
-        last[:rest, :p] = x[n - rest:]
-        last[:rest, p:] = y[n - rest:]
-        parts.append(r_factor(last.reshape(folds, block_size, p + 3)))
-    return r_factor(np.concatenate(parts, axis=-2))
+
+    def fold_factors(lo, hi):
+        """(folds, q, q) R factors of rows lo:hi of [x + shift | y]."""
+        buf = np.zeros((-(-(hi - lo) // span) * span, p + 3))
+        if shift is None:
+            buf[:hi - lo, :p] = x[lo:hi]
+        else:
+            np.add(x[lo:hi], shift[lo:hi], out=buf[:hi - lo, :p])
+        buf[:hi - lo, p:] = y[lo:hi]
+        return r_factor(buf.reshape(-1, folds, block_size, p + 3)
+                        .swapaxes(0, 1).reshape(folds, -1, p + 3))
+
+    step = span * max(1, SHARD_CHUNK // (span * (p + 3)))
+    return r_factor(np.concatenate(
+        [fold_factors(lo, min(lo + step, n)) for lo in range(0, n, step)],
+        axis=-2))
 
 
-def _completed_parts(shard, block_size, folds, q, rows=None):
-    """A completed shard's (folds, q, q) factor stack and row count, once
-    both are checked; ``q`` is the width of the shards before it, or
-    None, and ``rows`` the origin's public row count, or None. Raises
-    :class:`DimMismatch` for a matrix of the wrong shape and
-    :class:`ProtocolOrderViolation` for any other frame an honest last
-    holder could not have sent, such as a row count above 2**53, past
-    which a float64 holds no exact integer."""
-    where = f"cloud: completed shard {shard.origin}"
+def _completed_parts(shard, where, block_size, folds, q, rows=None):
+    """A shard frame's (folds, q, q) factor stack and row count, once both
+    are checked; ``where`` names the receiver and the shard in errors,
+    ``q`` is the expected width, or None for any, and ``rows`` the
+    origin's public row count, or None. Raises :class:`DimMismatch` for a
+    matrix of the wrong shape and :class:`ProtocolOrderViolation` for any
+    other frame an honest sender could not have sent, such as a row count
+    above 2**53, past which a float64 holds no exact integer."""
     if len(shard.matrices) != 2:
         raise ProtocolOrderViolation(
             f"{where} carries {len(shard.matrices)} matrices, expected 2")
@@ -360,9 +302,9 @@ def _completed_parts(shard, block_size, folds, q, rows=None):
 
 def assemble_aggregate(shards, num_agencies, block_size, folds=1,
                        row_counts=None):
-    """The cloud's view of the completed shard frames (``complete_shard``),
-    which must come in origin order; ``shards`` may be a generator that
-    receives each one.
+    """The cloud's view of the completed shard frames (``pass_encrypt`` of
+    each last holder), which must come in origin order; ``shards`` may be
+    a generator that receives each one.
 
     Each frame carries one shard's keyed fold factors and its row count n,
     both checked as they are taken; n must equal the origin's entry of
@@ -379,11 +321,12 @@ def assemble_aggregate(shards, num_agencies, block_size, folds=1,
     for origin, s in enumerate(shards, start=1):
         if s.origin != origin or len(s.applied) != num_agencies:
             raise ProtocolOrderViolation(
-                f"expected shard {origin} masked by all {num_agencies} "
-                f"agencies, got shard {s.origin} masked by {len(s.applied)}"
+                f"expected shard {origin} keyed by all {num_agencies} "
+                f"agencies, got shard {s.origin} keyed by {len(s.applied)}"
             )
         rows = None if row_counts is None else row_counts[origin - 1]
-        r, n = _completed_parts(s, block_size, folds, q, rows)
+        r, n = _completed_parts(s, f"cloud: completed shard {s.origin}",
+                                block_size, folds, q, rows)
         parts.append(r)
         q = r.shape[-1]
         rounds, rest = divmod(n, block_size * folds)
@@ -508,8 +451,19 @@ def cloud_fit(agg, mode, lam=0.0, rows=None):
     return EstimateMatrix(values=values)
 
 
+def _shaped(ctx, m, shape, what):
+    """``m`` as an array, if its shape is ``shape``; otherwise raise
+    :class:`DimMismatch` naming the agency."""
+    m = np.asarray(m)
+    if m.shape != shape:
+        raise DimMismatch(f"agency {ctx.agency_id} expected a {what} of "
+                          f"shape {shape}, got shape {m.shape}")
+    return m
+
+
 def decrypt_round(ctx, values):
     """Apply one agency's decryption: values <- B_i @ values @ C_i^{-1}."""
+    values = _shaped(ctx, values, (ctx.keys.b_key.shape[0], 3), "estimate")
     try:
         right = np.linalg.solve(ctx.keys.c_key.T, values.T).T
     except np.linalg.LinAlgError as exc:
@@ -521,7 +475,8 @@ def gram_release_step(ctx, r):
     """One round-robin step of releasing the stacked-key factor:
     R <- qr(R B_i).R. From R = I the ring returns R_B, the Cholesky factor
     with a positive diagonal of (ΠB)ᵀ(ΠB)."""
-    return r_factor(r @ ctx.keys.b_key)
+    b = ctx.keys.b_key
+    return r_factor(_shaped(ctx, r, b.shape, "key factor") @ b)
 
 
 def residual_gram_decrypt_step(ctx, s):

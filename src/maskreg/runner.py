@@ -1,12 +1,11 @@
 """Drives complete protocol runs over a transport.
 
-The shard phase (the only one moving large frames) runs one thread per
-agency. Each agency draws its row masks on that thread as it masks each
-shard, and factors there the shard it holds last. The release,
-decryption and cross-validation chains are strictly sequential rings, so
-they run single-threaded in deterministic order. All messages cross the
-configured transport as encoded frames even when everything lives in one
-process — the bus and the TCP mesh carry identical bytes.
+The shard phase runs one thread per agency. Each agency factors its own
+rows and keys every shard's fold factors once on that thread. The
+release, decryption and cross-validation chains are strictly sequential
+rings, so they run single-threaded in deterministic order. All messages
+cross the configured transport as encoded frames even when everything
+lives in one process — the bus and the TCP mesh carry identical bytes.
 """
 
 import logging
@@ -101,8 +100,8 @@ class RunConfig:
 
 
 def build_contexts(datasets, config):
-    """Derive bases, generate every agency's keys and mask seed, and build
-    their contexts. No row mask is drawn here (see ``protocol``)."""
+    """Derive bases, generate every agency's keys, and build their
+    contexts."""
     if len(datasets) != config.k:
         raise DimMismatch(
             f"config says k={config.k} but {len(datasets)} datasets given"
@@ -143,7 +142,7 @@ def channels(k):
 def _holders(origin, k):
     """The agencies that hold origin's shard, in order: origin, origin + 1,
     ... (mod k). Agency a therefore always receives from a - 1 and sends to
-    a + 1, and the last holder completes the shard for the cloud."""
+    a + 1, and the last holder sends the shard to the cloud."""
     return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
@@ -162,20 +161,18 @@ def _expect(frame, me, msg_type, origin, round_, applied):
 
 
 def _agency_shard_work(ctx, transport, k, folds):
-    """One agency's shard phase: encrypt its own, pass visitors on, and
-    complete for the cloud the one it holds last (its own when k = 1)."""
-    me, nxt = ctx.agency_id, ctx.agency_id % k + 1
-    if k == 1:
-        shard = protocol.own_shard(ctx)
-    else:
-        transport.send(me, nxt, protocol.local_encrypt(ctx))
-    for r in range(1, k):  # origin me - r's shard arrives with r masks on it
+    """One agency's shard phase: key its own shard's fold factors, then
+    each visitor's, and send each on; the one it holds last (its own when
+    k = 1) goes to the cloud."""
+    me = ctx.agency_id
+    shard = protocol.local_encrypt(ctx, folds)
+    for r in range(1, k):  # origin me - r's shard arrives keyed r times
+        transport.send(me, me % k + 1, shard)
         origin = (me - r - 1) % k + 1
-        shard = _expect(transport.recv((me - 2) % k + 1, me), me, MSG_SHARD,
-                        origin, r, _holders(origin, k)[:r])
-        if r < k - 1:
-            transport.send(me, nxt, protocol.pass_encrypt(ctx, shard))
-    transport.send(me, CLOUD, protocol.complete_shard(ctx, shard, folds))
+        shard = protocol.pass_encrypt(
+            ctx, _expect(transport.recv((me - 2) % k + 1, me), me, MSG_SHARD,
+                         origin, r, _holders(origin, k)[:r]), folds)
+    transport.send(me, CLOUD, shard)
 
 
 def _completed_shards(transport, k):
@@ -190,9 +187,10 @@ def _completed_shards(transport, k):
 def run_pre_modeling(contexts, transport, folds=1):
     """Execute the masking ring and return the cloud's assembled view.
 
-    Each shard's last holder factors it into ``folds`` keyed fold factors
-    on its own thread (``protocol.complete_shard``), and the cloud stacks
-    them as they arrive (``protocol.assemble_aggregate``).
+    Each shard travels as its ``folds`` keyed fold factors, which every
+    holder checks and keys on its own thread (``protocol.local_encrypt``,
+    ``protocol.pass_encrypt``), and the cloud stacks them as they arrive
+    (``protocol.assemble_aggregate``).
     The first exception any participant records aborts the transport, so
     everyone else stops waiting at once, and is re-raised here as itself.
     """
@@ -260,12 +258,12 @@ def release_key_factor(contexts, transport):
 
 
 def fold_rows(agg, folds):
-    """Assign whole mask blocks to folds, round-robin within each agency.
+    """Assign whole blocks to folds, round-robin within each agency.
 
-    Every fold therefore contains complete blocks only (so row masks never
-    straddle a fold boundary) and every agency contributes blocks to every
-    fold. Raises :class:`FoldBlockMisaligned` when an agency has fewer
-    blocks than folds.
+    Every fold therefore contains complete blocks only, as in
+    ``protocol.shard_factors``, and every agency contributes blocks to
+    every fold. Raises :class:`FoldBlockMisaligned` when an agency has
+    fewer blocks than folds.
     """
     assignments = [[] for _ in range(folds)]
     for origin, (lo, hi) in enumerate(agg.origin_rows, start=1):
@@ -274,7 +272,7 @@ def fold_rows(agg, folds):
         ]
         if len(agency_blocks) < folds:
             raise FoldBlockMisaligned(
-                f"agency {origin} has {len(agency_blocks)} mask blocks, "
+                f"agency {origin} has {len(agency_blocks)} blocks, "
                 f"fewer than {folds} folds; lower the block size or folds"
             )
         for j, (a, b) in enumerate(agency_blocks):

@@ -22,13 +22,10 @@ once with "no channel".
 
 A frame travels as two buffers: the header, which is everything up to
 and including the matrix count, and the payload, which is the matrix
-sections. The applied ids grow by one byte per hop, so each hop writes a
-fresh header of a few bytes, while the payload is the buffer the frame's
-matrices view (``payload_buffer``). Encoding therefore copies no payload:
-the bus queues both buffers, and TCP sends both with one ``sendmsg``.
-Decoding returns writeable views into the received payload, so a hop can
-mask a shard in place and send the same buffer on. A sender never touches
-a buffer after ``send``.
+sections packed into one fresh buffer (``payload_buffer``). No frame is
+large: a shard frame carries its fold factors, tens of KB. The bus
+queues both buffers, and TCP sends both with one ``sendmsg``. Decoding
+returns views into the received payload, with no copy.
 """
 
 import contextlib
@@ -37,7 +34,7 @@ import selectors
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,19 +65,13 @@ _ABORTED = object()
 
 @dataclass(frozen=True)
 class Frame:
-    """One protocol message: typed header plus a tuple of f64 matrices.
-
-    ``payload`` is the buffer the matrices view, laid out as the frame's
-    matrix sections (``payload_buffer``), or None when they are separate
-    arrays.
-    """
+    """One protocol message: typed header plus a tuple of f64 matrices."""
 
     msg_type: int
     origin: int
     round: int
     applied: tuple
     matrices: tuple
-    payload: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 class EncodedFrame:
@@ -103,7 +94,7 @@ class EncodedFrame:
 def payload_buffer(shapes):
     """A fresh payload for matrices of the given (rows, cols) shapes, with
     their dimensions written and their values uninitialised, and the
-    writeable matrices that view it."""
+    matrices that view it."""
     sizes = [_MATRIX.size + 8 * rows * cols for rows, cols in shapes]
     payload = np.empty(sum(sizes), dtype=np.uint8)
     off = 0
@@ -128,26 +119,17 @@ def _matrix_views(payload):
     return tuple(matrices)
 
 
-def _layout(arrays):
-    return [(a.ctypes.data, a.shape, a.strides, a.dtype.str) for a in arrays]
-
-
 def encode_frame(frame):
-    """A frame's wire bytes as an ``EncodedFrame``: a fresh header and the
-    payload its matrices view. Only a frame of separate arrays has them
-    copied, once, into a new payload."""
-    payload = frame.payload
-    if payload is None:
-        matrices = [np.asarray(m, dtype="<f8") for m in frame.matrices]
-        for m in matrices:
-            if m.ndim != 2:
-                raise TransportFailure(
-                    f"matrix payload must be 2-d, got {m.ndim}-d")
-        payload, views = payload_buffer([m.shape for m in matrices])
-        for view, m in zip(views, matrices):
-            view[...] = m
-    elif _layout(frame.matrices) != _layout(_matrix_views(payload)):
-        raise TransportFailure("frame matrices are not the views of its payload")
+    """A frame's wire bytes as an ``EncodedFrame``: a fresh header and its
+    matrices copied into one fresh payload."""
+    matrices = [np.asarray(m, dtype="<f8") for m in frame.matrices]
+    for m in matrices:
+        if m.ndim != 2:
+            raise TransportFailure(
+                f"matrix payload must be 2-d, got {m.ndim}-d")
+    payload, views = payload_buffer([m.shape for m in matrices])
+    for view, m in zip(views, matrices):
+        view[...] = m
     header = b"".join([
         _HEADER.pack(PROTOCOL_VERSION, frame.msg_type, frame.origin,
                      frame.round),
@@ -162,8 +144,7 @@ def encode_frame(frame):
 def decode_frame(data):
     """Parse one frame: an ``EncodedFrame``, or its wire bytes joined.
 
-    The matrices returned are writeable views into the payload, not
-    copies; only a read-only payload is copied first.
+    The matrices returned are views into the payload, not copies.
     """
     try:
         if not isinstance(data, EncodedFrame):
@@ -171,8 +152,6 @@ def decode_frame(data):
             end = _FIXED + view[_FIXED - 1] + _COUNT.size
             data = EncodedFrame(view[:end], np.frombuffer(view[end:], np.uint8))
         header, payload = memoryview(data.header), data.payload
-        if not payload.flags.writeable:
-            payload = payload.copy()
         n_applied = header[_FIXED - 1]
         if len(header) != _FIXED + n_applied + _COUNT.size:
             raise TransportFailure(
@@ -197,8 +176,7 @@ def decode_frame(data):
     except (struct.error, IndexError) as exc:
         raise TransportFailure(f"malformed frame: {exc}") from exc
     return Frame(msg_type=msg_type, origin=origin, round=round_,
-                 applied=tuple(header[_FIXED:-1]), matrices=matrices,
-                 payload=payload)
+                 applied=tuple(header[_FIXED:-1]), matrices=matrices)
 
 
 class _Mailboxes:

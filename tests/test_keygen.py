@@ -14,7 +14,6 @@ from maskreg.keygen import (
     gen_agency_keys,
     make_responses,
 )
-from maskreg.matrix_core import random_ortho_blocks, split_block_sizes
 
 
 def test_default_degree_caps_at_sixteen():
@@ -111,13 +110,6 @@ def test_gen_agency_keys_layout():
     assert keys.c_key.shape == (3, 3)
     assert keys.row_counts == (10, 14, 9)
     assert keys.block_size == 4
-    for origin, n_rows in enumerate(keys.row_counts, start=1):
-        blocks = random_ortho_blocks(n_rows, keys.block_size,
-                                     keys.mask_rng(origin), 3)
-        assert blocks.n_rows == n_rows
-        assert [b - a for a, b in blocks.ranges()] == split_block_sizes(
-            n_rows, 4
-        )
 
 
 def _array_bytes(obj):
@@ -134,39 +126,13 @@ def _array_bytes(obj):
 
 
 def test_agency_keys_hold_no_row_masks():
-    # Masks are drawn when applied, so the key material is the same size
+    # No hop draws a row mask, so the key material is the same size
     # whether the agencies hold ten rows each or a thousand.
     bases = derive_bases(5, 6)
     small = gen_agency_keys(bases, 1, [10, 12, 9], 4, np.random.default_rng(0))
     large = gen_agency_keys(bases, 1, [1000, 1200, 900], 4,
                             np.random.default_rng(0))
     assert _array_bytes(large) == _array_bytes(small)
-
-
-def test_row_mask_ignores_origin_draw_order():
-    bases = derive_bases(6, 4)
-    keys = gen_agency_keys(bases, 2, [13, 8, 21, 5], 4,
-                           np.random.default_rng(3))
-    k = len(keys.row_counts)
-
-    def draw(origin):
-        return random_ortho_blocks(keys.row_counts[origin - 1],
-                                   keys.block_size, keys.mask_rng(origin), k)
-
-    forward = {o: draw(o) for o in range(1, k + 1)}
-    backward = {o: draw(o) for o in range(k, 0, -1)}
-    for o in range(1, k + 1):
-        assert np.array_equal(forward[o].materialize(),
-                              backward[o].materialize())
-    assert not np.array_equal(forward[1].full[0], forward[2].full[0])
-
-
-def test_mask_rng_rejects_unknown_origin():
-    bases = derive_bases(6, 4)
-    keys = gen_agency_keys(bases, 1, [8, 8], 4, np.random.default_rng(0))
-    for origin in (0, 3):
-        with pytest.raises(DimMismatch):
-            keys.mask_rng(origin)
 
 
 def test_gen_agency_keys_rejects_bad_id():

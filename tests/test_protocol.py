@@ -1,5 +1,6 @@
 """Tests for the masking, fitting, decryption and verification steps."""
 
+import copy
 import dataclasses
 import time
 import tracemalloc
@@ -23,10 +24,8 @@ from maskreg.protocol import (
     AgencyContext,
     TamperPlan,
     _fresh_key,
-    _mask_shard,
     assemble_aggregate,
     cloud_fit,
-    complete_shard,
     decrypt_round,
     gram_release_step,
     inject_tamper,
@@ -39,7 +38,7 @@ from maskreg.protocol import (
     solve_factor,
     verify_estimate,
 )
-from maskreg.transport import MSG_SHARD, Frame, encode_frame
+from maskreg.transport import encode_frame
 
 
 def build_contexts(seed, sizes, p, mode="linear"):
@@ -57,22 +56,22 @@ def build_contexts(seed, sizes, p, mode="linear"):
     return contexts, np.vstack(xs), np.concatenate(ys)
 
 
-def pass_rings(contexts):
+def pass_rings(contexts, folds=1):
     """Rotation rings driven inline up to each shard's last holder: returns
-    the shards that holder receives, masked by the other k - 1."""
+    the shards that holder receives, keyed by the other k - 1."""
     k = len(contexts)
-    shards = [local_encrypt(ctx) for ctx in contexts]
+    shards = [local_encrypt(ctx, folds) for ctx in contexts]
     for origin in range(k):
         for hop in range(1, k - 1):
             holder = contexts[(origin + hop) % k]
-            shards[origin] = pass_encrypt(holder, shards[origin])
+            shards[origin] = pass_encrypt(holder, shards[origin], folds)
     return shards
 
 
 def run_rings(contexts):
     """Rotation rings driven inline: returns completed shards, one fold."""
     k = len(contexts)
-    return [complete_shard(contexts[(origin + k - 1) % k], shard, 1)
+    return [pass_encrypt(contexts[(origin + k - 1) % k], shard, 1)
             for origin, shard in enumerate(pass_rings(contexts))]
 
 
@@ -269,16 +268,15 @@ def test_duplicated_masked_column_is_singular():
         cloud_fit(agg, "linear")
 
 
-def _stacked_rows(shards):
-    return np.vstack([np.hstack(s.matrices) for s in shards])
-
-
-def _identity_holder(agency_id, sizes, block_size):
-    """A last holder of 4-feature shards whose keys are identities: its
-    completed shards carry the fold factors of the rows it received."""
+def _identity_contexts(sizes, block_size, rng):
+    """Agencies of random 4-feature shards whose keys are identities: their
+    shard frames carry the fold factors of the origins' own rows."""
     keys = SimpleNamespace(b_key=np.eye(4), c_key=np.eye(3),
                            row_counts=tuple(sizes), block_size=block_size)
-    return SimpleNamespace(agency_id=agency_id, keys=keys)
+    return [SimpleNamespace(agency_id=i, keys=keys, n_rows=n, delta=None,
+                            x=rng.standard_normal((n, 4)),
+                            responses=rng.standard_normal((n, 3)))
+            for i, n in enumerate(sizes, start=1)]
 
 
 @pytest.mark.parametrize("sizes, block_size, folds", [
@@ -299,16 +297,12 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     monkeypatch.setattr(protocol, "SHARD_CHUNK", 3 * block_size * folds * 7)
     rng = np.random.default_rng(len(sizes) + folds)
     k = len(sizes)
-    shards = [
-        Frame(MSG_SHARD, o, k - 1, tuple(range(1, k)),
-              (rng.standard_normal((n, 4)), rng.standard_normal((n, 3))))
-        for o, n in enumerate(sizes, start=1)
-    ]
-    z = _stacked_rows(shards)
-    holder = _identity_holder(k, sizes, block_size)
+    contexts = _identity_contexts(sizes, block_size, rng)
+    z = np.vstack([np.hstack([c.x, c.responses]) for c in contexts])
     agg = assemble_aggregate(
-        (complete_shard(holder, s, folds) for s in shards), k, block_size,
-        folds)
+        (pass_encrypt(contexts[(o + k - 1) % k], s, folds)
+         for o, s in enumerate(pass_rings(contexts, folds))),
+        k, block_size, folds)
     assert agg.x_star.shape == (sum(sizes), 4)
     assert rel_err(agg.z_factor, r_factor(z)) < 1e-12
     rows = fold_rows(agg, folds)
@@ -326,27 +320,25 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
 def test_fold_aligned_row_mask_leaves_shard_factors_unchanged(n, block_size,
                                                               folds):
     # R(A·M) = R(M) fold by fold when A's blocks lie inside the folds: the
-    # row mask the last holder no longer draws would be factored away
+    # row mask no hop draws would be factored away
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
-    mask = keygen.random_ortho_blocks(n, block_size, rng, 1)
-    bare = shard_factors(Frame(MSG_SHARD, 1, 1, (1,), (x, y)), block_size,
-                         folds)
-    masked = shard_factors(
-        Frame(MSG_SHARD, 1, 1, (1,), (mask.apply(x), mask.apply(y))),
-        block_size, folds)
+    mask = keygen.random_ortho_blocks(n, block_size, rng)
+    bare = shard_factors(x, y, block_size, folds)
+    masked = shard_factors(mask.apply(x), mask.apply(y), block_size, folds)
     assert rel_err(masked, bare) < 1e-13
 
 
 def test_completed_shard_keys_the_fold_factors():
-    # R(R_f·K) = R(M_f·K) with K = diag(B, C), the last holder's keys: the
-    # factors it sends are those of its fold rows times its keys
+    # R(R_f·K) = R(M_f·K) with K = diag(B, C): the factors each hop sends
+    # are those of the origin's fold rows times every key applied so far
     contexts, _, _ = build_contexts(17, (75, 60), 4)
-    shard = pass_rings(contexts)[0]
-    holder = contexts[1]
-    done = complete_shard(holder, shard, 3)
-    x, y = shard.matrices
-    keyed = np.hstack([x @ holder.keys.b_key, y @ holder.keys.c_key])
+    origin, holder = contexts
+    shard = pass_rings(contexts, 3)[0]
+    done = pass_encrypt(holder, shard, 3)
+    keyed = np.hstack([origin.x @ origin.keys.b_key @ holder.keys.b_key,
+                       origin.responses @ origin.keys.c_key
+                       @ holder.keys.c_key])
     block = np.arange(75) // 8
     assert [m.shape for m in done.matrices] == [(21, 7), (1, 1)]
     assert done.matrices[1][0, 0] == 75
@@ -355,13 +347,12 @@ def test_completed_shard_keys_the_fold_factors():
         assert rel_err(done.matrices[0][7 * f:7 * f + 7],
                        r_factor(keyed[block % 3 == f])) < 1e-12
     with pytest.raises(DuplicatePass):
-        complete_shard(contexts[0], shard, 3)
+        pass_encrypt(contexts[0], shard, 3)
 
 
 def test_shard_factors_reject_fewer_blocks_than_folds():
-    shard = Frame(MSG_SHARD, 2, 2, (2, 1), (np.ones((20, 3)), np.ones((20, 3))))
-    with pytest.raises(FoldBlockMisaligned, match="agency 2 has 3 mask blocks"):
-        shard_factors(shard, 8, 5)
+    with pytest.raises(FoldBlockMisaligned, match="20 rows make 3 blocks"):
+        shard_factors(np.ones((20, 3)), np.ones((20, 3)), 8, 5)
 
 
 def test_cloud_fit_keeps_no_rows():
@@ -381,9 +372,9 @@ def test_verification_column_regresses_to_ones():
 
 def test_duplicate_pass_rejected():
     contexts, _, _ = build_contexts(4, (10, 10), 3)
-    shard = local_encrypt(contexts[0])
+    shard = local_encrypt(contexts[0], 1)
     with pytest.raises(DuplicatePass):
-        pass_encrypt(contexts[0], shard)
+        pass_encrypt(contexts[0], shard, 1)
 
 
 def _runner_contexts(rows, p, delta, seed=9):
@@ -398,15 +389,16 @@ def _runner_contexts(rows, p, delta, seed=9):
 def _local_encrypt_peak(ctx):
     tracemalloc.start()
     try:
-        local_encrypt(ctx)
+        local_encrypt(ctx, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_ldp_offset_adds_no_shard_sized_temporary():
-    """With an LDP offset, the origin adds it into the frame's buffer, so
-    its peak memory is that of an unshifted shard."""
+    """With an LDP offset, the origin adds it as each chunk of rows is
+    copied to be factored, so its peak memory is that of an unshifted
+    shard."""
     plain = _local_encrypt_peak(_runner_contexts(12_000, 24, None)[0])
     shifted = _local_encrypt_peak(_runner_contexts(12_000, 24, 0.5)[0])
     assert shifted - plain < 0.5e6
@@ -432,9 +424,10 @@ def test_ldp_offset_responses_add_no_shard_sized_temporary():
 
 def test_ldp_offset_frame_equals_masking_the_explicit_sum():
     ctx = _runner_contexts(300, 5, 0.5)[0]
-    frame = local_encrypt(ctx)
-    want = _mask_shard(ctx, ctx.agency_id, (), ctx.x + ctx.delta,
-                       ctx.responses)
+    frame = local_encrypt(ctx, 1)
+    summed = copy.copy(ctx)
+    summed.x, summed.delta = ctx.x + ctx.delta, None
+    want = local_encrypt(summed, 1)
     assert bytes(encode_frame(frame)) == bytes(encode_frame(want))
 
 
@@ -447,7 +440,7 @@ def test_ridge_fit_requires_released_gram():
 
 def test_assemble_rejects_incomplete_shards():
     contexts, _, _ = build_contexts(7, (10, 10), 3)
-    shards = [local_encrypt(ctx) for ctx in contexts]  # never passed around
+    shards = [local_encrypt(ctx, 1) for ctx in contexts]  # never passed on
     with pytest.raises(ProtocolOrderViolation):
         assemble_aggregate(shards, 2, 8)
 

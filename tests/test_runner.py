@@ -297,10 +297,10 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     """An exception in one agency's thread ends the run as itself."""
     original = protocol.pass_encrypt
 
-    def failing(ctx, shard):
+    def failing(ctx, shard, folds):
         if ctx.agency_id == 2:
             raise ValueError("agency 2 cannot mask")
-        return original(ctx, shard)
+        return original(ctx, shard, folds)
 
     monkeypatch.setattr(protocol, "pass_encrypt", failing)
     datasets = make_datasets(3, 40, 3, seed=6)
@@ -311,35 +311,8 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
-def test_mask_draw_error_aborts_run_at_once(monkeypatch, transport):
-    """A row-mask draw that raises in an agency thread ends the run as
-    itself; masks are drawn in the agency threads, not in keygen."""
-    original = keygen.random_ortho_blocks
-    callers = []
-
-    def failing(n_rows, block_size, rng, threads):
-        callers.append(threading.current_thread())
-        if n_rows == 41:
-            raise ValueError("mask draw for origin 3 failed")
-        return original(n_rows, block_size, rng, threads)
-
-    monkeypatch.setattr(keygen, "random_ortho_blocks", failing)
-    datasets = make_datasets(3, 40, 3, seed=6)
-    rng = np.random.default_rng(7)
-    datasets[2] = (rng.standard_normal((41, 3)), rng.standard_normal(41))
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="mask draw for origin 3 failed"):
-        run_protocol(datasets, RunConfig(k=3, seed=6, transport=transport))
-    assert time.perf_counter() - t0 < 5.0
-    assert callers
-    assert threading.main_thread() not in callers
-
-
-@pytest.mark.parametrize("transport", ["bus", "tcp"])
-def test_hops_mask_in_place_and_never_write_caller_data(transport):
-    """Runs leave every caller's x and y as they were, the origin masks
-    into a fresh buffer, and a hop masks a received shard in that frame's
-    own buffer."""
+def test_runs_never_write_caller_data(transport):
+    """Runs leave every caller's x and y as they were."""
     datasets = make_datasets(3, 40, 3, seed=8)
     before = [(x.copy(), y.copy()) for x, y in datasets]
     run_protocol(datasets, RunConfig(k=3, seed=8, transport=transport))
@@ -347,18 +320,6 @@ def test_hops_mask_in_place_and_never_write_caller_data(transport):
         k=3, mode="ridge", folds=2, seed=8, transport=transport))
     for (x, y), (x0, y0) in zip(datasets, before):
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
-    contexts, _ = build_contexts(datasets, RunConfig(k=3, seed=8))
-    first = protocol.local_encrypt(contexts[0])
-    assert not any(np.shares_memory(m, contexts[0].x) for m in first.matrices)
-    link = make_transport(transport, [(1, 2)])
-    try:
-        link.send(1, 2, first)
-        received = link.recv(1, 2, timeout=10.0)
-        masked = protocol.pass_encrypt(contexts[1], received)
-    finally:
-        link.close()
-    assert masked.payload is received.payload
-    assert all(np.shares_memory(m, received.payload) for m in masked.matrices)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -651,18 +612,28 @@ def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type, forged)
 
 
 def _capture_cloud_view(monkeypatch):
-    """Record what each shard's last holder factors, its input rows times
-    its keys [X·B | Y·C], and the aggregate each ``cloud_fit`` call sees."""
-    shards, fits = [], []
-    complete = protocol.complete_shard
+    """Record each shard's rows times the keys of every agency that keyed
+    its factors, [(X + Δ)·ΠB | Y·ΠC], and the aggregate each ``cloud_fit``
+    call sees."""
+    shards, fits = {}, []
+    local, passing = protocol.local_encrypt, protocol.pass_encrypt
 
-    def recording(ctx, shard, folds):
-        x, y = shard.matrices
-        shards.append((shard.origin, np.hstack([x @ ctx.keys.b_key,
-                                                y @ ctx.keys.c_key])))
-        return complete(ctx, shard, folds)
+    def keyed(ctx, rows):
+        p = ctx.keys.b_key.shape[0]
+        return np.hstack([rows[:, :p] @ ctx.keys.b_key,
+                          rows[:, p:] @ ctx.keys.c_key])
 
-    monkeypatch.setattr(protocol, "complete_shard", recording)
+    def recording_local(ctx, folds):
+        x = ctx.x if ctx.delta is None else ctx.x + ctx.delta
+        shards[ctx.agency_id] = keyed(ctx, np.hstack([x, ctx.responses]))
+        return local(ctx, folds)
+
+    def recording_pass(ctx, shard, folds):
+        shards[shard.origin] = keyed(ctx, shards[shard.origin])
+        return passing(ctx, shard, folds)
+
+    monkeypatch.setattr(protocol, "local_encrypt", recording_local)
+    monkeypatch.setattr(protocol, "pass_encrypt", recording_pass)
     original = protocol.cloud_fit
 
     def capturing(agg, mode, lam=0.0, rows=None):
@@ -675,7 +646,7 @@ def _capture_cloud_view(monkeypatch):
 
 def _stacked_shards(shards):
     """The captured keyed rows, stacked in origin order."""
-    return np.vstack([rows for _, rows in sorted(shards, key=lambda s: s[0])])
+    return np.vstack([shards[origin] for origin in sorted(shards)])
 
 
 def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
@@ -698,8 +669,8 @@ def test_encrypted_cv_final_fit_reuses_fold_factors(monkeypatch):
                                       ("ridge", True)])
 def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
     """The R the cloud builds from the last holders' keyed fold factors is
-    the R of the stacked rows those holders received, times their keys;
-    with CV, each fold's factor is the R of that fold's fold_rows rows."""
+    the R of the stacked rows times the keys of every agency; with CV,
+    each fold's factor is the R of that fold's fold_rows rows."""
     shards, seen = _capture_cloud_view(monkeypatch)
     datasets = [(x, y) for x, y in make_datasets(3, 100, 4, seed=31,
                                                   noise=0.5)]
@@ -725,15 +696,15 @@ def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
                                           (3, True, None), (2, True, 0.5)])
 def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
                                               delta):
-    """No frame the cloud receives has a shard's row count in its shape: a
-    completed shard carries exactly its (F·q, q) keyed fold factors and
-    its (1, 1) row count. With one agency the origin is its own last
-    holder, and the fit is still that of its offset rows."""
+    """No frame on any channel has a shard's row count in its shape: every
+    hop of every shard, the one to the cloud included, carries exactly its
+    (F·q, q) keyed fold factors and its (1, 1) row count. With one agency
+    the origin sends its own round-1 frame to the cloud, and the fit is
+    still that of its offset rows."""
     sent = []
     for cls in (BusTransport, TcpTransport):
         def recording(self, src, dst, frame, _send=cls.send):
-            if dst == CLOUD:
-                sent.append(frame)
+            sent.append(frame)
             return _send(self, src, dst, frame)
         monkeypatch.setattr(cls, "send", recording)
     datasets = make_datasets(k, 77, 4, seed=33)
@@ -744,7 +715,8 @@ def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
     assert report.verify.verdict == "accepted"
     folds = config.folds if cv else 1
     shards = [f for f in sent if f.msg_type == MSG_SHARD]
-    assert sorted(f.origin for f in shards) == list(range(1, k + 1))
+    assert sorted((f.origin, f.round) for f in shards) == [
+        (o, r) for o in range(1, k + 1) for r in range(1, k + 1)]
     for frame in shards:
         assert [m.shape for m in frame.matrices] == [(folds * 7, 7), (1, 1)]
         assert frame.matrices[1][0, 0] == 77
@@ -763,12 +735,22 @@ def _edited(r, index, value):
     return r
 
 
-#: Completed-shard frames an honest last holder cannot send, as (matrices
-#: from the honest ones, the error the cloud must raise). The run is a
-#: k=3 CV with 48 rows per agency, 8-row blocks and 3 folds.
+def _rows(r, n):
+    """The (n, p) and (n, 3) rows of a shard of n rows: the layout of a
+    shard that travelled as rows, not fold factors."""
+    rng = np.random.default_rng(35)
+    rows = int(n[0, 0])
+    return rng.standard_normal((rows, r.shape[1] - 3)), rng.standard_normal(
+        (rows, 3))
+
+
+#: Shard frames no honest agency can send, as (matrices from the honest
+#: ones, the error the receiver must raise). The run is a k=3 CV with 48
+#: rows per agency, 8-row blocks and 3 folds.
 FORGERIES = {
     "three_matrices": (lambda r, n: (r, n, n), ProtocolOrderViolation),
     "one_matrix": (lambda r, n: (r,), ProtocolOrderViolation),
+    "rows": (_rows, DimMismatch),
     "short_factor_stack": (lambda r, n: (r[:-1], n), DimMismatch),
     "wide_factor_stack": (lambda r, n: (np.hstack([r, r]), n), DimMismatch),
     "row_count_shape": (lambda r, n: (r, np.hstack([n, n])), DimMismatch),
@@ -789,26 +771,72 @@ FORGERIES = {
                                  ProtocolOrderViolation),
 }
 
+#: The hop that forges, as (the protocol step whose frame is forged, which
+#: of its frames, what the receiver's error names). Agency 1 sends its
+#: round-1 frame of shard 1 to agency 2; agency 2 holds shard 3 last and
+#: sends it to the cloud.
+HOPS = {
+    "agency": ("local_encrypt", lambda ctx, frame: ctx.agency_id == 1,
+               "agency 2: shard 1"),
+    "cloud": ("pass_encrypt",
+              lambda ctx, frame: ctx.agency_id == 2 and frame.origin == 3,
+              "completed shard 3"),
+}
+
+
+def _forged_run_fails_at_once(monkeypatch, transport, forgery, hop):
+    forge, error = FORGERIES[forgery]
+    name, forged, where = HOPS[hop]
+    step = getattr(protocol, name)
+
+    def forging(ctx, *args):
+        frame = step(ctx, *args)
+        if not forged(ctx, frame):
+            return frame
+        return dataclasses.replace(frame, matrices=forge(*frame.matrices))
+
+    monkeypatch.setattr(protocol, name, forging)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
+                       transport=transport)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match=where):
+        cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
+    assert time.perf_counter() - t0 < 2.0
+
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
 @pytest.mark.parametrize("forgery", sorted(FORGERIES))
 def test_cloud_rejects_a_forged_completed_shard_at_once(monkeypatch,
                                                         transport, forgery):
-    forge, error = FORGERIES[forgery]
-    complete = protocol.complete_shard
+    _forged_run_fails_at_once(monkeypatch, transport, forgery, "cloud")
 
-    def forging(ctx, shard, folds):  # agency 2 holds shard 3 last
-        frame = complete(ctx, shard, folds)
-        if ctx.agency_id != 2:
-            return frame
-        return dataclasses.replace(frame, matrices=forge(*frame.matrices))
 
-    monkeypatch.setattr(protocol, "complete_shard", forging)
-    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
-                       transport=transport)
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_agency_rejects_a_forged_shard_at_once(monkeypatch, transport,
+                                               forgery):
+    _forged_run_fails_at_once(monkeypatch, transport, forgery, "agency")
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("msg_type, shape", [
+    (MSG_ESTIMATE, (4, 3)), (MSG_GRAM_RELEASE, (4, 4))],
+    ids=["estimate", "gram_release"])
+def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
+        monkeypatch, transport, msg_type, shape):
+    """A cloud that starts the decryption ring with a (p+1, 3) estimate,
+    or the R_B release with a (p+1, p+1) seed, fails at agency 1 as
+    ``DimMismatch``, not as a matmul error."""
+    for cls in (BusTransport, TcpTransport):
+        def wrong(self, src, dst, frame, _send=cls.send):
+            if src == CLOUD and frame.msg_type == msg_type:
+                frame = dataclasses.replace(frame, matrices=(np.ones(shape),))
+            return _send(self, src, dst, frame)
+        monkeypatch.setattr(cls, "send", wrong)
+    config = RunConfig(k=3, mode="ridge", seed=36, transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(error, match="completed shard 3"):
-        cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
+    with pytest.raises(DimMismatch, match="agency 1 expected"):
+        run_protocol(make_datasets(3, 40, 3, seed=36), config)
     assert time.perf_counter() - t0 < 2.0
 
 
