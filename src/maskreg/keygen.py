@@ -49,9 +49,6 @@ PRODUCT_SPREAD_BUDGET = 1000.0
 #: Condition-number cap on a single materialized key.
 KEY_COND_MAX = 1e4
 
-#: Most elements of x that :func:`make_responses` sums at once (256 KB).
-ROW_SUM_CHUNK = 2**15
-
 # Stream tags keep the seed-derived generators disjoint.
 _TAG_BASES = 0xB5
 _TAG_AGENCY = 0xA6
@@ -238,11 +235,11 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng,
     )
 
 
-def make_responses(x, y, mode, rng, delta=None):
+def make_responses(x, y, mode, rng):
     """Build the three-column response bundle sent through the protocol.
 
     Column 0 is the real response. Column 1 is the verification response:
-    row sums of the (offset) features for a linear fit, so its decrypted
+    row sums of the features for a linear fit, so its decrypted
     coefficients must all equal one, and the zero vector for a ridge fit,
     so they must all equal zero. Column 2 is a standard-normal decoy.
     """
@@ -255,16 +252,7 @@ def make_responses(x, y, mode, rng, delta=None):
             f"y has shape {y.shape}, expected ({x.shape[0]},)"
         )
     if mode == "linear":
-        # row sums of x (+ delta) in chunks of about ROW_SUM_CHUNK
-        # elements, with no shard-sized copy; each row's sum is the same
-        # either way
-        verify = np.empty(x.shape[0])
-        step = ROW_SUM_CHUNK // (x.shape[1] or 1) + 1
-        for start in range(0, x.shape[0], step):
-            rows = x[start:start + step]
-            if delta is not None:
-                rows = rows + delta[start:start + step]
-            verify[start:start + step] = rows.sum(axis=1)
+        verify = x.sum(axis=1)
     elif mode == "ridge":
         verify = np.zeros(x.shape[0])
     else:

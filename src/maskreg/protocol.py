@@ -3,12 +3,15 @@
 The data flow for K agencies, a coordinating cloud and feature matrices
 X_1..X_K (row-partitioned across agencies):
 
-1. every agency factors its own shard: the rows of [X + Δ | Y], with Y
-   the three-column response bundle, fall into ``block_size``-row blocks,
-   block j into fold j mod F, and each fold's rows give one (q, q) R
-   factor. The agency keys each factor with its feature key B and its
-   response key C, R ← R(R·diag(B, C)), and sends the (F·q, q) stack and
-   the shard's row count on as round 1. No row leaves the agency;
+1. every agency factors its own shard: the rows of [X + Δ | Y], with Δ
+   its local-DP offset, added to its rows once when its context is built
+   (``runner.build_contexts``), and Y the three-column response bundle,
+   whose verification column sums each row of X + Δ. The rows fall into
+   ``block_size``-row blocks, block j into fold j mod F, and each fold's
+   rows give one (q, q) R factor. The agency keys each factor with its
+   feature key B and its response key C, R ← R(R·diag(B, C)), and sends
+   the (F·q, q) stack and the shard's row count on as round 1. No row
+   leaves the agency;
 2. the shard travels around a ring, and every other agency checks the
    frame and keys the factors it received the same way, one round on.
    With M the shard's rows and K the product of the keys so far,
@@ -156,9 +159,11 @@ class VerifyReport:
 
 
 class AgencyContext:
-    """One agency's private state for a protocol run."""
+    """One agency's private state for a protocol run. ``x`` is the rows it
+    encrypts: its features with its local-DP offset already added, if the
+    run has one."""
 
-    def __init__(self, agency_id, x, y, keys, bases, mode, rng, delta=None):
+    def __init__(self, agency_id, x, y, keys, bases, mode, rng):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.agency_id = agency_id
@@ -171,9 +176,7 @@ class AgencyContext:
         self.keys = keys
         self.bases = bases
         self.rng = rng
-        self.delta = delta
-        self.responses = keygen.make_responses(self.x, y, mode, rng,
-                                               delta=delta)
+        self.responses = keygen.make_responses(self.x, y, mode, rng)
 
     @property
     def n_rows(self):
@@ -199,10 +202,9 @@ def _keyed(ctx, origin, applied, r, n):
 
 def local_encrypt(ctx, folds):
     """Round 1 of an origin's own shard: the keyed factors of each fold of
-    its [X + Δ | Y] (``shard_factors``) and its row count. The agency's
-    own rows are read, never written or sent."""
-    r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds,
-                      ctx.delta)
+    its [X + Δ | Y] (``ctx.x``, ``shard_factors``) and its row count. The
+    agency's own rows are read, never written or sent."""
+    r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds)
     return _keyed(ctx, ctx.agency_id, (), r, ctx.n_rows)
 
 
@@ -223,17 +225,16 @@ def pass_encrypt(ctx, shard, folds):
     return _keyed(ctx, shard.origin, shard.applied, r, n)
 
 
-def shard_factors(x, y, block_size, folds, shift=None):
-    """(folds, q, q) stack of the R factors of each fold's rows of
-    [x + shift | y], with ``shift`` None for no offset.
+def shard_factors(x, y, block_size, folds):
+    """(folds, q, q) stack of the R factors of each fold's rows of [x | y].
 
     Block j of the rows (the full blocks in row order, then the tail)
     belongs to fold j mod ``folds``, as in ``runner.fold_rows``. The rows
     are copied into one small buffer a chunk of whole rounds of ``folds``
-    blocks at a time, at most ``SHARD_CHUNK`` elements, the shift added as
-    they are copied, and each chunk's folds are factored by one stacked
-    ``r_factor``, so no temporary grows with the shard. The last chunk is
-    padded with zero rows, which leave every R unchanged, to whole rounds.
+    blocks at a time, at most ``SHARD_CHUNK`` elements, and each chunk's
+    folds are factored by one stacked ``r_factor``, so no temporary grows
+    with the shard. The last chunk is padded with zero rows, which leave
+    every R unchanged, to whole rounds.
     Raises :class:`FoldBlockMisaligned` when the rows make fewer blocks
     than folds.
     """
@@ -247,12 +248,9 @@ def shard_factors(x, y, block_size, folds, shift=None):
     span = block_size * folds
 
     def fold_factors(lo, hi):
-        """(folds, q, q) R factors of rows lo:hi of [x + shift | y]."""
+        """(folds, q, q) R factors of rows lo:hi of [x | y]."""
         buf = np.zeros((-(-(hi - lo) // span) * span, p + 3))
-        if shift is None:
-            buf[:hi - lo, :p] = x[lo:hi]
-        else:
-            np.add(x[lo:hi], shift[lo:hi], out=buf[:hi - lo, :p])
+        buf[:hi - lo, :p] = x[lo:hi]
         buf[:hi - lo, p:] = y[lo:hi]
         return r_factor(buf.reshape(-1, folds, block_size, p + 3)
                         .swapaxes(0, 1).reshape(folds, -1, p + 3))
@@ -282,9 +280,10 @@ def _completed_parts(shard, where, block_size, folds, q, rows=None):
             f"{where} has matrices {r.shape} and {n.shape}, expected "
             f"({folds}*q, q) with q >= 4 and (1, 1)")
     r = r.reshape(folds, width, width)
-    if np.any(np.tril(r, -1)) or np.any(np.diagonal(r, 0, -2, -1) < 0.0):
+    if (not np.all(np.isfinite(r)) or np.any(np.tril(r, -1))
+            or np.any(np.diagonal(r, 0, -2, -1) < 0.0)):
         raise ProtocolOrderViolation(
-            f"{where}: a factor is not upper triangular with a "
+            f"{where}: a factor is not finite and upper triangular with a "
             f"non-negative diagonal")
     n = n[0, 0]
     if not (1 <= n <= 2**53 and float(n).is_integer()):

@@ -119,14 +119,12 @@ def build_contexts(datasets, config):
             bases, i, row_counts, config.block_size, rng,
             sigma_coeff=config.sigma_coeff,
         )
-        delta = None
         if config.delta is not None and config.delta > 0.0:
-            delta = rng.normal(0.0, config.delta, size=x.shape)
+            offset = rng.normal(0.0, config.delta, size=x.shape)
+            offset += x  # the offset rows, with no second (n, p) array
+            x = offset
         contexts.append(
-            protocol.AgencyContext(
-                i, x, y, keys, bases, config.mode, rng, delta=delta
-            )
-        )
+            protocol.AgencyContext(i, x, y, keys, bases, config.mode, rng))
     protocol.inject_tamper(contexts, config.tamper)
     return contexts, bases
 
@@ -227,15 +225,23 @@ def run_pre_modeling(contexts, transport, folds=1):
     return agg
 
 
+#: What each ring carries, as its errors name it.
+_RING_CARGO = {MSG_GRAM_RELEASE: "key factor", MSG_ESTIMATE: "estimate",
+               MSG_RESIDUAL_GRAM: "stack of residual Grams"}
+
+
 def ring_pass(contexts, transport, msg_type, matrix, step):
     """Carry one matrix cloud -> 1 -> ... -> k -> cloud; return what returns.
 
     Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
     and appends its id to the frame's applied ids. Every hop carries round
     0, and hop ``a`` must arrive from ``a - 1`` with ids (1, ..., a - 1),
-    so the cloud gets back only a matrix every agency stepped exactly once.
+    so the cloud gets back only a matrix every agency stepped exactly once,
+    and only in the shape it sent: any other raises
+    :class:`ProtocolOrderViolation`.
     """
     k = len(contexts)
+    shape = np.shape(matrix)
     hops = [CLOUD, *range(1, k + 1), CLOUD]
     transport.send(CLOUD, 1, Frame(msg_type, CLOUD, 0, (), (matrix,)))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
@@ -246,6 +252,11 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
                                      (matrix,)))
     frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, k, 0,
                     tuple(range(1, k + 1)))
+    got = [m.shape for m in frame.matrices]
+    if got != [shape]:
+        raise ProtocolOrderViolation(
+            f"cloud sent a {_RING_CARGO[msg_type]} of shape {shape} around "
+            f"the ring, got back matrices of shapes {got}")
     return frame.matrices[0]
 
 
@@ -397,11 +408,6 @@ def _select_lambda(contexts, transport, agg, config):
     stack = protocol.residual_gram(test_r, values).reshape(-1, 3)
     s_plain = ring_pass(contexts, transport, MSG_RESIDUAL_GRAM, stack,
                         protocol.residual_gram_decrypt_step)
-    if s_plain.shape != stack.shape:
-        raise ProtocolOrderViolation(
-            f"sent {len(stack) // 3} stacked residual Grams around the "
-            f"ring, got back shape {s_plain.shape}"
-        )
     fold_mse = (s_plain[::3, 0].reshape(len(grid), config.folds)
                 / np.asarray(agg.fold_sizes))
     mean_mse = fold_mse.mean(axis=1)

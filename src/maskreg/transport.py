@@ -20,12 +20,10 @@ A transport carries only the channels it is built with: the directed
 mailbox and, over TCP, one connection. A send on any other pair fails at
 once with "no channel".
 
-A frame travels as two buffers: the header, which is everything up to
-and including the matrix count, and the payload, which is the matrix
-sections packed into one fresh buffer (``payload_buffer``). No frame is
-large: a shard frame carries its fold factors, tens of KB. The bus
-queues both buffers, and TCP sends both with one ``sendmsg``. Decoding
-returns views into the received payload, with no copy.
+A frame travels as one buffer, ``encode_frame``'s, whose length is its
+wire length. No frame is large: a shard frame carries its fold factors,
+tens of KB. The bus queues the buffer and TCP sends it with ``sendall``.
+Decoding returns views into the received buffer, with no copy.
 """
 
 import contextlib
@@ -74,109 +72,67 @@ class Frame:
     matrices: tuple
 
 
-class EncodedFrame:
-    """A frame's wire bytes as its header (length prefix included) and its
-    payload; ``len`` is the wire length and ``bytes`` the wire bytes."""
-
-    __slots__ = ("header", "payload")
-
-    def __init__(self, header, payload):
-        self.header = header
-        self.payload = payload
-
-    def __len__(self):
-        return len(self.header) + self.payload.nbytes
-
-    def __bytes__(self):
-        return bytes(self.header) + self.payload.tobytes()
-
-
-def payload_buffer(shapes):
-    """A fresh payload for matrices of the given (rows, cols) shapes, with
-    their dimensions written and their values uninitialised, and the
-    matrices that view it."""
-    sizes = [_MATRIX.size + 8 * rows * cols for rows, cols in shapes]
-    payload = np.empty(sum(sizes), dtype=np.uint8)
-    off = 0
-    for (rows, cols), size in zip(shapes, sizes):
-        _MATRIX.pack_into(payload, off, rows, cols)
-        off += size
-    return payload, _matrix_views(payload)
-
-
-def _matrix_views(payload):
-    """Every matrix section of a payload, as views into it."""
-    matrices, off = [], 0
-    while off < payload.nbytes:
-        rows, cols = _MATRIX.unpack_from(payload, off)
-        off += _MATRIX.size
-        count = rows * cols
-        if payload.nbytes - off < 8 * count:
-            raise TransportFailure("truncated matrix payload")
-        matrices.append(np.frombuffer(payload, "<f8", count, off)
-                        .reshape(rows, cols))
-        off += 8 * count
-    return tuple(matrices)
-
-
 def encode_frame(frame):
-    """A frame's wire bytes as an ``EncodedFrame``: a fresh header and its
-    matrices copied into one fresh payload."""
+    """A frame's wire bytes, as one fresh ``np.uint8`` buffer."""
     matrices = [np.asarray(m, dtype="<f8") for m in frame.matrices]
     for m in matrices:
         if m.ndim != 2:
             raise TransportFailure(
                 f"matrix payload must be 2-d, got {m.ndim}-d")
-    payload, views = payload_buffer([m.shape for m in matrices])
-    for view, m in zip(views, matrices):
-        view[...] = m
-    header = b"".join([
-        _HEADER.pack(PROTOCOL_VERSION, frame.msg_type, frame.origin,
-                     frame.round),
-        _COUNT.pack(len(frame.applied)),
-        bytes(frame.applied),
-        _COUNT.pack(len(frame.matrices)),
-    ])
-    return EncodedFrame(_LEN.pack(len(header) + payload.nbytes) + header,
-                        payload)
+    head = _FIXED + len(frame.applied) + _COUNT.size
+    wire = np.empty(head + sum(_MATRIX.size + m.nbytes for m in matrices),
+                    dtype=np.uint8)
+    _LEN.pack_into(wire, 0, wire.nbytes - _LEN.size)
+    _HEADER.pack_into(wire, _LEN.size, PROTOCOL_VERSION, frame.msg_type,
+                      frame.origin, frame.round)
+    struct.pack_into(f"<B{len(frame.applied)}sB", wire, _FIXED - _COUNT.size,
+                     len(frame.applied), bytes(frame.applied), len(matrices))
+    off = head
+    for m in matrices:
+        _MATRIX.pack_into(wire, off, *m.shape)
+        off += _MATRIX.size
+        wire[off:off + m.nbytes].view("<f8").reshape(m.shape)[...] = m
+        off += m.nbytes
+    return wire
 
 
 def decode_frame(data):
-    """Parse one frame: an ``EncodedFrame``, or its wire bytes joined.
+    """Parse one frame from its wire bytes, any buffer.
 
-    The matrices returned are views into the payload, not copies.
+    The matrices returned are views into ``data``, not copies.
     """
+    wire = np.frombuffer(data, np.uint8)
     try:
-        if not isinstance(data, EncodedFrame):
-            view = memoryview(data)
-            end = _FIXED + view[_FIXED - 1] + _COUNT.size
-            data = EncodedFrame(view[:end], np.frombuffer(view[end:], np.uint8))
-        header, payload = memoryview(data.header), data.payload
-        n_applied = header[_FIXED - 1]
-        if len(header) != _FIXED + n_applied + _COUNT.size:
-            raise TransportFailure(
-                f"frame header has {len(header)} bytes, expected "
-                f"{_FIXED + n_applied + _COUNT.size}"
-            )
-        (length,) = _LEN.unpack_from(header, 0)
-        if length != len(data) - _LEN.size:
+        (length,) = _LEN.unpack_from(wire, 0)
+        if length != wire.nbytes - _LEN.size:
             raise TransportFailure(
                 f"frame length prefix says {length} bytes, got "
-                f"{len(data) - _LEN.size}"
+                f"{wire.nbytes - _LEN.size}"
             )
-        version, msg_type, origin, round_ = _HEADER.unpack_from(header, _LEN.size)
+        version, msg_type, origin, round_ = _HEADER.unpack_from(wire, _LEN.size)
         if version != PROTOCOL_VERSION:
             raise TransportFailure(
                 f"protocol version {version}, expected {PROTOCOL_VERSION}"
             )
-        matrices = _matrix_views(payload)
-        if len(matrices) != header[-1]:
+        off = _FIXED + int(wire[_FIXED - 1])
+        applied = tuple(wire[_FIXED:off].tolist())
+        count = int(wire[off])
+        matrices, off = [], off + _COUNT.size
+        while off < wire.nbytes:
+            rows, cols = _MATRIX.unpack_from(wire, off)
+            off += _MATRIX.size
+            if wire.nbytes - off < 8 * rows * cols:
+                raise TransportFailure("truncated matrix payload")
+            matrices.append(np.frombuffer(wire, "<f8", rows * cols, off)
+                            .reshape(rows, cols))
+            off += 8 * rows * cols
+        if len(matrices) != count:
             raise TransportFailure(
-                f"frame header says {header[-1]} matrices, got {len(matrices)}")
+                f"frame header says {count} matrices, got {len(matrices)}")
     except (struct.error, IndexError) as exc:
         raise TransportFailure(f"malformed frame: {exc}") from exc
     return Frame(msg_type=msg_type, origin=origin, round=round_,
-                 applied=tuple(header[_FIXED:-1]), matrices=matrices)
+                 applied=applied, matrices=tuple(matrices))
 
 
 class _Mailboxes:
@@ -246,23 +202,21 @@ class BusTransport(_Mailboxes):
 
 
 def _read_frame(conn):
-    """Read one whole frame from a blocking socket, as an ``EncodedFrame``:
-    the header into a small buffer and the payload into its own.
+    """Read one whole frame from a blocking socket: the length prefix, then
+    the rest into one ``np.uint8`` buffer that also holds the prefix.
 
-    Once a frame's first bytes arrive its sender is inside ``_send_all``
-    of the whole frame, so reading the rest never waits on anything else.
+    Once a frame's first bytes arrive its sender is inside ``sendall`` of
+    the whole frame, so reading the rest never waits on anything else.
     """
-    head = bytearray(_FIXED)
-    _fill(conn, memoryview(head))
-    rest = bytearray(head[-1] + _COUNT.size)  # applied ids, matrix count
-    _fill(conn, memoryview(rest))
-    header = head + rest
-    size = _LEN.size + _LEN.unpack_from(header)[0] - len(header)
-    if size < 0:
+    prefix = bytearray(_LEN.size)
+    _fill(conn, memoryview(prefix))
+    (length,) = _LEN.unpack(prefix)
+    if length < _FIXED - _LEN.size + _COUNT.size:
         raise TransportFailure("frame length prefix is shorter than its header")
-    payload = np.empty(size, dtype=np.uint8)
-    _fill(conn, memoryview(payload))
-    return EncodedFrame(header, payload)
+    wire = np.empty(_LEN.size + length, dtype=np.uint8)
+    wire[:_LEN.size] = prefix
+    _fill(conn, memoryview(wire)[_LEN.size:])
+    return wire
 
 
 def _fill(conn, view):
@@ -271,19 +225,6 @@ def _fill(conn, view):
         if n == 0:
             raise TransportFailure("peer closed the connection")
         view = view[n:]
-
-
-def _send_all(conn, buffers):
-    """``sendall`` of the buffers as one stream, by ``sendmsg`` with no copy
-    joining them, resuming wherever a partial send stopped."""
-    views = [memoryview(b).cast("B") for b in buffers]
-    while views:
-        sent = conn.sendmsg(views)
-        while views and sent >= len(views[0]):
-            sent -= len(views[0])
-            views.pop(0)
-        if sent:
-            views[0] = views[0][sent:]
 
 
 class TcpTransport(_Mailboxes):
@@ -346,7 +287,7 @@ class TcpTransport(_Mailboxes):
             raise TransportFailure(f"no channel {src} -> {dst}")
         wire = encode_frame(frame)
         try:
-            _send_all(conn, (wire.header, wire.payload))
+            conn.sendall(wire)
         except OSError as exc:
             raise TransportFailure(f"send {src} -> {dst} failed: {exc}") from exc
 

@@ -151,25 +151,23 @@ def test_make_responses_linear():
     np.testing.assert_allclose(resp[:, 1], x.sum(axis=1))
 
 
-def test_make_responses_linear_with_offset():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((5, 3))
-    y = rng.standard_normal(5)
-    delta = rng.standard_normal((5, 3))
-    resp = make_responses(x, y, "linear", rng, delta=delta)
-    np.testing.assert_allclose(resp[:, 1], (x + delta).sum(axis=1))
-
-
 @pytest.mark.parametrize("shape", [(12_000, 24), (1, 3), (4097, 8), (50, 700)])
 def test_make_responses_row_sums_are_bit_identical(shape):
-    # the rows are summed in chunks; each row's sum must not change
+    # the offset rows' verification column equals, bit for bit, the sums
+    # of x + delta taken 2**15 // p + 1 rows at a time: a row's sum does
+    # not depend on how the rows around it are chunked, nor on the order
+    # of the two addends
     rng = np.random.default_rng(6)
     x = rng.standard_normal(shape)
     y = rng.standard_normal(shape[0])
     delta = rng.standard_normal(shape)
-    for offset, want in ((None, x.sum(axis=1)), (delta, (x + delta).sum(axis=1))):
-        resp = make_responses(x, y, "linear", rng, delta=offset)
-        assert np.array_equal(resp[:, 1], want)
+    step = 2**15 // shape[1] + 1
+    want = np.concatenate([(x[i:i + step] + delta[i:i + step]).sum(axis=1)
+                           for i in range(0, shape[0], step)])
+    offset = delta.copy()
+    offset += x
+    resp = make_responses(offset, y, "linear", rng)
+    assert np.array_equal(resp[:, 1], want)
 
 
 def test_make_responses_ridge_targets_zero():

@@ -273,7 +273,7 @@ def _identity_contexts(sizes, block_size, rng):
     shard frames carry the fold factors of the origins' own rows."""
     keys = SimpleNamespace(b_key=np.eye(4), c_key=np.eye(3),
                            row_counts=tuple(sizes), block_size=block_size)
-    return [SimpleNamespace(agency_id=i, keys=keys, n_rows=n, delta=None,
+    return [SimpleNamespace(agency_id=i, keys=keys, n_rows=n,
                             x=rng.standard_normal((n, 4)),
                             responses=rng.standard_normal((n, 3)))
             for i, n in enumerate(sizes, start=1)]
@@ -404,31 +404,45 @@ def test_ldp_offset_adds_no_shard_sized_temporary():
     assert shifted - plain < 0.5e6
 
 
-def test_ldp_offset_responses_add_no_shard_sized_temporary():
-    """The verification column sums x + delta a few rows at a time, so the
-    offset costs far less than the 2.3 MB shard."""
+def test_ldp_offset_build_holds_one_shard_per_agency():
+    """An agency adds its offset to its rows in place, so building the
+    contexts with an offset holds one more (n, p) array per agency, the
+    offset rows, and no temporary beside it."""
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((12_000, 24))
-    y = rng.standard_normal(12_000)
-    delta = rng.normal(0.0, 0.5, size=x.shape)
+    rows, p = 12_000, 24
+    datasets = [(rng.standard_normal((rows, p)), rng.standard_normal(rows))
+                for _ in range(2)]
     peaks = []
-    for offset in (None, delta):
+    for delta in (None, 0.5):
         tracemalloc.start()
         try:
-            keygen.make_responses(x, y, "linear", rng, delta=offset)
+            runner.build_contexts(datasets, runner.RunConfig(k=2, delta=delta))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 0.5e6
+    assert peaks[1] - peaks[0] <= len(datasets) * rows * p * 8 + 0.5e6
 
 
 def test_ldp_offset_frame_equals_masking_the_explicit_sum():
-    ctx = _runner_contexts(300, 5, 0.5)[0]
-    frame = local_encrypt(ctx, 1)
-    summed = copy.copy(ctx)
-    summed.x, summed.delta = ctx.x + ctx.delta, None
-    want = local_encrypt(summed, 1)
-    assert bytes(encode_frame(frame)) == bytes(encode_frame(want))
+    """Each agency draws its offset from its own stream right after its
+    keys; its rows are x + offset, its verification column their row
+    sums, and its round-1 frame that of those rows."""
+    rng = np.random.default_rng(9)
+    datasets = [(rng.standard_normal((300, 5)), rng.standard_normal(300))
+                for _ in range(2)]
+    config = runner.RunConfig(k=2, delta=0.5, seed=9)
+    contexts, bases = runner.build_contexts(datasets, config)
+    for i, ((x, _), ctx) in enumerate(zip(datasets, contexts), start=1):
+        stream = keygen.agency_rng(config.seed, i)
+        keygen.gen_agency_keys(bases, i, (300, 300), config.block_size,
+                               stream, sigma_coeff=config.sigma_coeff)
+        shifted = x + stream.normal(0.0, config.delta, x.shape)
+        assert np.array_equal(ctx.x, shifted)
+        assert np.array_equal(ctx.responses[:, 1], shifted.sum(axis=1))
+        summed = copy.copy(ctx)
+        summed.x = shifted
+        assert bytes(encode_frame(local_encrypt(ctx, 1))) == bytes(
+            encode_frame(local_encrypt(summed, 1)))
 
 
 def test_ridge_fit_requires_released_gram():

@@ -195,7 +195,7 @@ def test_offset_run_fits_shifted_data():
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )
-    x_off = np.vstack([c.x + c.delta for c in contexts])
+    x_off = np.vstack([c.x for c in contexts])
     y = np.concatenate([y for _, y in datasets])
     assert rel_err(report.beta(), ols_fit(x_off, y)) < 1e-8
 
@@ -624,8 +624,7 @@ def _capture_cloud_view(monkeypatch):
                           rows[:, p:] @ ctx.keys.c_key])
 
     def recording_local(ctx, folds):
-        x = ctx.x if ctx.delta is None else ctx.x + ctx.delta
-        shards[ctx.agency_id] = keyed(ctx, np.hstack([x, ctx.responses]))
+        shards[ctx.agency_id] = keyed(ctx, np.hstack([ctx.x, ctx.responses]))
         return local(ctx, folds)
 
     def recording_pass(ctx, shard, folds):
@@ -722,8 +721,7 @@ def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
         assert frame.matrices[1][0, 0] == 77
     assert not any(77 in m.shape for f in sent for m in f.matrices)
     contexts, _ = build_contexts(datasets, config)
-    x = np.vstack([c.x if c.delta is None else c.x + c.delta
-                   for c in contexts])
+    x = np.vstack([c.x for c in contexts])
     y = np.concatenate([y for _, y in datasets])
     ref = ridge_fit(x, y, report.cv["chosen_lambda"]) if cv else ols_fit(x, y)
     assert rel_err(report.beta(), ref) < 1e-8
@@ -758,6 +756,10 @@ FORGERIES = {
                              ProtocolOrderViolation),
     "negative_diagonal": (lambda r, n: (_edited(r, (0, 0), -1.0), n),
                           ProtocolOrderViolation),
+    "nan_factor": (lambda r, n: (_edited(r, (0, 0), np.nan), n),
+                   ProtocolOrderViolation),
+    "inf_factor": (lambda r, n: (_edited(r, (0, 1), np.inf), n),
+                   ProtocolOrderViolation),
     "fractional_rows": (lambda r, n: (r, n + 0.5), ProtocolOrderViolation),
     "zero_rows": (lambda r, n: (r, 0.0 * n), ProtocolOrderViolation),
     "negative_rows": (lambda r, n: (r, -n), ProtocolOrderViolation),
@@ -837,6 +839,29 @@ def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
     t0 = time.perf_counter()
     with pytest.raises(DimMismatch, match="agency 1 expected"):
         run_protocol(make_datasets(3, 40, 3, seed=36), config)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("msg_type", [MSG_GRAM_RELEASE, MSG_RESIDUAL_GRAM,
+                                      MSG_ESTIMATE],
+                         ids=["gram_release", "residual_gram", "estimate"])
+def test_cloud_rejects_a_ring_result_of_the_wrong_shape(monkeypatch,
+                                                        transport, msg_type):
+    """The last agency of a ring sends the cloud its matrix less one
+    column; the cloud fails at once, before it uses the matrix."""
+    for cls in (BusTransport, TcpTransport):
+        def wrong(self, src, dst, frame, _send=cls.send):
+            if dst == CLOUD and frame.msg_type == msg_type:
+                frame = dataclasses.replace(
+                    frame, matrices=(frame.matrices[0][:, :-1],))
+            return _send(self, src, dst, frame)
+        monkeypatch.setattr(cls, "send", wrong)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
+                       transport=transport)
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolOrderViolation, match="got back matrices"):
+        cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 
 

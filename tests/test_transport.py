@@ -15,7 +15,12 @@ import pytest
 
 from maskreg import transport as transport_module
 from maskreg.errors import TransportFailure
-from maskreg.runner import RunConfig, channels, cross_validate_encrypted
+from maskreg.runner import (
+    RunConfig,
+    channels,
+    cross_validate_encrypted,
+    run_protocol,
+)
 from maskreg.transport import (
     MSG_ESTIMATE,
     MSG_GRAM_RELEASE,
@@ -428,29 +433,24 @@ def _wire_bytes(frame):
 
 
 def test_decoded_matrices_are_writeable_views_of_the_payload():
-    # a received frame's matrices view the payload it arrived in, no copy
+    # a received frame's matrices view the wire buffer it arrived in, no copy
     wire = encode_frame(_sample_frame(np.random.default_rng(10)))
     frame = decode_frame(wire)
     for m in frame.matrices:
-        assert m.flags.writeable and np.shares_memory(m, wire.payload)
+        assert m.flags.writeable and np.shares_memory(m, wire)
 
 
 class _TrickleSocket:
-    """Takes at most ``limit`` bytes per ``sendmsg`` and serves them back
-    at most ``limit`` bytes per ``recv_into``; records each call's buffer
-    lengths."""
+    """Keeps what ``sendall`` sends and serves it back at most ``limit``
+    bytes per ``recv_into``."""
 
     def __init__(self, limit):
         self.limit = limit
         self.wire = bytearray()
-        self.calls = []
         self._read = 0
 
-    def sendmsg(self, buffers):
-        self.calls.append([memoryview(b).nbytes for b in buffers])
-        data = b"".join(bytes(b) for b in buffers)[:self.limit]
-        self.wire += data
-        return len(data)
+    def sendall(self, data):
+        self.wire += memoryview(data).cast("B")
 
     def recv_into(self, view):
         n = min(self.limit, len(view), len(self.wire) - self._read)
@@ -462,7 +462,6 @@ class _TrickleSocket:
 def test_tcp_send_resumes_after_partial_sends():
     frame = _sample_frame(np.random.default_rng(12))
     wire = encode_frame(frame)
-    header, payload = len(wire.header), wire.payload.nbytes
     fake = _TrickleSocket(limit=5)
     tcp = TcpTransport([(0, 1)])
     try:
@@ -475,11 +474,6 @@ def test_tcp_send_resumes_after_partial_sends():
         tcp.close()
     assert bytes(fake.wire) == _wire_bytes(frame) == bytes(wire)
     assert len(wire) == len(fake.wire)
-    # the header and the payload go as separate buffers, and the loop
-    # picks up inside each of them
-    assert fake.calls[0] == [header, payload]
-    assert any(len(c) == 2 and 0 < c[0] < header for c in fake.calls[1:])
-    assert any(len(c) == 1 and 0 < c[0] < payload for c in fake.calls)
     got = decode_frame(_read_frame(fake))
     assert got.applied == frame.applied
     for m1, m2 in zip(got.matrices, frame.matrices):
@@ -566,9 +560,9 @@ def _arithmetic_fingerprint():
     return digest.hexdigest()
 
 
-def _wire_hashes(kind):
-    """SHA-256 of every frame's wire bytes in the golden run, a k=3
-    encrypted CV over transport ``kind``, keyed as ``WIRE_SHA256``."""
+def _recorded_run(run, config):
+    """``run`` on the golden rows under ``config``: the SHA-256 of every
+    frame's wire bytes, keyed as ``WIRE_SHA256``, and the run's report."""
     rng = np.random.default_rng(2024)
     datasets = [(rng.standard_normal((n, 4)), rng.standard_normal(n))
                 for n in GOLDEN_ROWS]
@@ -584,11 +578,17 @@ def _wire_hashes(kind):
 
     transport_module.encode_frame = recording
     try:
-        cross_validate_encrypted(datasets, RunConfig(
-            k=3, mode="ridge", folds=2, seed=5, transport=kind))
+        report = run(datasets, config)
     finally:
         transport_module.encode_frame = encode
-    return hashes
+    return hashes, report
+
+
+def _wire_hashes(kind):
+    """SHA-256 of every frame's wire bytes in the golden run, a k=3
+    encrypted CV over transport ``kind``, keyed as ``WIRE_SHA256``."""
+    return _recorded_run(cross_validate_encrypted, RunConfig(
+        k=3, mode="ridge", folds=2, seed=5, transport=kind))[0]
 
 
 @pytest.mark.parametrize("kind", ["bus", "tcp"])
@@ -599,3 +599,29 @@ def test_wire_bytes_match_golden(kind):
         pytest.skip("this numpy/BLAS rounds differently from the one that "
                     "recorded the golden hashes")
     assert _wire_hashes(kind) == WIRE_SHA256
+
+
+#: SHA-256 over the sorted SHA-256 of every frame's wire bytes and the
+#: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
+#: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
+OFFSET_RUN_SHA256 = (
+    "1667c47ff89f15687c30a3ca3b43d75358d69c0eb37ebca6b388dba0a190c876")
+
+
+def _offset_run_sha256(kind):
+    hashes, report = _recorded_run(run_protocol, RunConfig(
+        k=3, delta=0.5, seed=5, transport=kind))
+    assert report.verify.accepted and len(hashes) == 9 + 4
+    digest = hashlib.sha256("".join(sorted(hashes.values())).encode())
+    digest.update(report.estimate.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_offset_run_bytes_match_golden(kind):
+    """An LDP offset run's frames and decrypted estimate are pinned bit
+    for bit, the same over the bus and over TCP."""
+    if _arithmetic_fingerprint() != FINGERPRINT:
+        pytest.skip("this numpy/BLAS rounds differently from the one that "
+                    "recorded the golden hashes")
+    assert _offset_run_sha256(kind) == OFFSET_RUN_SHA256
