@@ -1,17 +1,17 @@
 """Drives complete protocol runs over a transport.
 
-The shard phase runs one thread per agency. Each agency factors its own
-rows and keys every shard's fold factors once on that thread. The
+The caller's thread drives every participant in a deterministic order.
+The shard phase runs in rounds: each agency factors its own rows, then
+keys every shard's fold factors once as they pass around the ring. The
 release, decryption and cross-validation chains are strictly sequential
-rings, so they run single-threaded in deterministic order. All messages
-cross the configured transport as encoded frames even when everything
-lives in one process — the bus and the TCP mesh carry identical bytes.
+rings. All messages cross the configured transport as encoded frames
+even when everything lives in one process — the bus and the TCP mesh
+carry identical bytes.
 """
 
 import logging
 import math
 import numbers
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -158,21 +158,6 @@ def _expect(frame, me, msg_type, origin, round_, applied):
     return frame
 
 
-def _agency_shard_work(ctx, transport, k, folds):
-    """One agency's shard phase: key its own shard's fold factors, then
-    each visitor's, and send each on; the one it holds last (its own when
-    k = 1) goes to the cloud."""
-    me = ctx.agency_id
-    shard = protocol.local_encrypt(ctx, folds)
-    for r in range(1, k):  # origin me - r's shard arrives keyed r times
-        transport.send(me, me % k + 1, shard)
-        origin = (me - r - 1) % k + 1
-        shard = protocol.pass_encrypt(
-            ctx, _expect(transport.recv((me - 2) % k + 1, me), me, MSG_SHARD,
-                         origin, r, _holders(origin, k)[:r]), folds)
-    transport.send(me, CLOUD, shard)
-
-
 def _completed_shards(transport, k):
     """The cloud's completed-shard frames, received in origin order and
     each header checked as it arrives."""
@@ -185,44 +170,32 @@ def _completed_shards(transport, k):
 def run_pre_modeling(contexts, transport, folds=1):
     """Execute the masking ring and return the cloud's assembled view.
 
-    Each shard travels as its ``folds`` keyed fold factors, which every
-    holder checks and keys on its own thread (``protocol.local_encrypt``,
-    ``protocol.pass_encrypt``), and the cloud stacks them as they arrive
-    (``protocol.assemble_aggregate``).
-    The first exception any participant records aborts the transport, so
-    everyone else stops waiting at once, and is re-raised here as itself.
+    The caller's thread drives every agency in rounds. Each agency first
+    factors its own shard into its ``folds`` keyed fold factors
+    (``protocol.local_encrypt``). In round r = 1..k-1 every agency sends
+    the shard it holds to the next, then every agency receives, checks and
+    keys the one that arrived (``protocol.pass_encrypt``), so a channel
+    holds at most one frame per round. Each last holder sends the cloud
+    its shard, and the cloud stacks them in origin order
+    (``protocol.assemble_aggregate``). An exception leaves from the call
+    that raised it; the caller closes the transport.
     """
     k = len(contexts)
-    errors = []
-
-    def fail(exc):
-        errors.append(exc)
-        transport.abort(exc)
-
-    def work(ctx):
-        try:
-            _agency_shard_work(ctx, transport, k, folds)
-        except Exception as exc:  # re-raised by the caller after join
-            fail(exc)
-
-    threads = [
-        threading.Thread(target=work, args=(ctx,), daemon=True)
-        for ctx in contexts
-    ]
-    for t in threads:
-        t.start()
-    try:
-        agg = protocol.assemble_aggregate(
-            _completed_shards(transport, k), k,
-            contexts[0].keys.block_size, folds, contexts[0].keys.row_counts,
-        )
-    except Exception as exc:  # wakes the agencies before the join below
-        fail(exc)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return agg
+    shards = [protocol.local_encrypt(ctx, folds) for ctx in contexts]
+    for r in range(1, k):  # agency a gets origin a - r's shard, keyed r times
+        for a, shard in enumerate(shards, start=1):
+            transport.send(a, a % k + 1, shard)
+        for a, ctx in enumerate(contexts, start=1):
+            origin = (a - r - 1) % k + 1
+            frame = _expect(transport.recv((a - 2) % k + 1, a), a, MSG_SHARD,
+                            origin, r, _holders(origin, k)[:r])
+            shards[a - 1] = protocol.pass_encrypt(ctx, frame, folds)
+    for a, shard in enumerate(shards, start=1):
+        transport.send(a, CLOUD, shard)
+    return protocol.assemble_aggregate(
+        _completed_shards(transport, k), k,
+        contexts[0].keys.block_size, folds, contexts[0].keys.row_counts,
+    )
 
 
 #: What each ring carries, as its errors name it.
@@ -235,9 +208,9 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
 
     Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
     and appends its id to the frame's applied ids. Every hop carries round
-    0, and hop ``a`` must arrive from ``a - 1`` with ids (1, ..., a - 1),
-    so the cloud gets back only a matrix every agency stepped exactly once,
-    and only in the shape it sent: any other raises
+    0 and exactly one matrix, and hop ``a`` must arrive from ``a - 1`` with
+    ids (1, ..., a - 1), so the cloud gets back only a matrix every agency
+    stepped exactly once, and only in the shape it sent: any other raises
     :class:`ProtocolOrderViolation`.
     """
     k = len(contexts)
@@ -247,6 +220,10 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
         frame = _expect(transport.recv(prev, a), a, msg_type, prev, 0,
                         tuple(range(1, a)))
+        if len(frame.matrices) != 1:
+            raise ProtocolOrderViolation(
+                f"agency {a} expected one {_RING_CARGO[msg_type]}, got "
+                f"{len(frame.matrices)} matrices")
         matrix = step(contexts[a - 1], frame.matrices[0])
         transport.send(a, nxt, Frame(msg_type, a, 0, frame.applied + (a,),
                                      (matrix,)))

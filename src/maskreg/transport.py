@@ -186,8 +186,9 @@ class _Mailboxes:
 class BusTransport(_Mailboxes):
     """In-process transport: one FIFO per channel.
 
-    Thread-safe, so a run may drive all participants from one thread or one
-    thread each; message content is identical either way.
+    Thread-safe, although a run drives every participant from the
+    caller's thread; a frame's bytes do not depend on the thread that
+    sends it.
     """
 
     def send(self, src, dst, frame):

@@ -294,7 +294,7 @@ def test_tcp_run_at_k32_fits_a_256_descriptor_limit():
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
 def test_agency_error_aborts_run_at_once(monkeypatch, transport):
-    """An exception in one agency's thread ends the run as itself."""
+    """An exception in one agency's step ends the run as itself."""
     original = protocol.pass_encrypt
 
     def failing(ctx, shard, folds):
@@ -308,6 +308,31 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     with pytest.raises(ValueError, match="agency 2 cannot mask"):
         run_protocol(datasets, RunConfig(k=3, seed=6, transport=transport))
     assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("transport, readers", [("bus", 0), ("tcp", 1)])
+def test_runs_start_no_thread_but_the_tcp_reader(monkeypatch, transport,
+                                                 readers):
+    """The caller's thread drives every participant: a run starts no
+    thread of its own, only the TCP transport's one reader."""
+    started = []
+    original = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    datasets = make_datasets(3, 48, 3, seed=8)
+    for go, config in [
+        (run_protocol, RunConfig(k=3, seed=8, transport=transport)),
+        (cross_validate_encrypted, RunConfig(
+            k=3, mode="ridge", block_size=8, folds=3, seed=8,
+            transport=transport)),
+    ]:
+        started.clear()
+        assert go(datasets, config).verify.verdict == "accepted"
+        assert len(started) == readers
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
@@ -839,6 +864,32 @@ def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
     t0 = time.perf_counter()
     with pytest.raises(DimMismatch, match="agency 1 expected"):
         run_protocol(make_datasets(3, 40, 3, seed=36), config)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("count", [0, 2])
+@pytest.mark.parametrize("msg_type, src", [
+    (MSG_GRAM_RELEASE, CLOUD), (MSG_RESIDUAL_GRAM, 1), (MSG_ESTIMATE, 2)],
+    ids=["gram_release", "residual_gram", "estimate"])
+def test_ring_frame_without_exactly_one_matrix_fails_naming_the_agency(
+        monkeypatch, transport, count, msg_type, src):
+    """A ring hop that forwards no matrix, or two, fails at the next
+    agency as ``ProtocolOrderViolation``, not as an ``IndexError``."""
+    for cls in (BusTransport, TcpTransport):
+        def wrong(self, s, dst, frame, _send=cls.send):
+            if s == src and frame.msg_type == msg_type:
+                frame = dataclasses.replace(
+                    frame, matrices=frame.matrices[:1] * count)
+            return _send(self, s, dst, frame)
+        monkeypatch.setattr(cls, "send", wrong)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
+                       transport=transport)
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolOrderViolation,
+                       match=f"agency {src + 1} expected one .*, got "
+                             f"{count} matrices"):
+        cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 
 
