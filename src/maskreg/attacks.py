@@ -192,7 +192,13 @@ def kpa_gram_sweep(x22, sigmas, trials, seed):
 
     Returns (medians, grid) where grid[i, t] is the max-entry of trial t at
     sigmas[i]; the grid is the plot-data behind the shrinkage heatmap.
+    Raises ``ValueError`` for fewer than one trial or two rows, whose
+    medians or standardized rows would be NaN.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if np.shape(x22)[0] < 2:
+        raise ValueError(f"need at least two rows, got {np.shape(x22)[0]}")
     grid = np.zeros((len(sigmas), trials))
     for i, sigma in enumerate(sigmas):
         for t in range(trials):

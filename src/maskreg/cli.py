@@ -210,12 +210,14 @@ def _gather_datasets(args, k):
 
 
 def _write_report(out_dir, payload, *lines):
-    """Write ``report.json``, then print ``lines`` and the report's path."""
+    """Write ``report.json``, then print ``lines`` and the report's path.
+    The report is strict JSON: a NaN or infinite value raises
+    ``ValueError`` before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     for line in lines:
         print(line)
     print(f"report: {path}")

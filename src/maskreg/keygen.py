@@ -90,8 +90,8 @@ class AgencyKeys:
         agency_id: 1-based agency identifier.
         b_key: materialized feature-side key (p, p).
         c_key: materialized response-side key (3, 3).
-        row_counts: rows held by every agency, in agency order; each
-            hop checks a shard's row count against its origin's entry.
+        row_counts: rows held by every agency, in agency order; public,
+            so no shard frame carries one.
         block_size: rows per fold block.
     """
 

@@ -10,8 +10,8 @@ X_1..X_K (row-partitioned across agencies):
    ``block_size``-row blocks, block j into fold j mod F, and each fold's
    rows give one (q, q) R factor. The agency keys each factor with its
    feature key B and its response key C, R ← R(R·diag(B, C)), and sends
-   the (F·q, q) stack and the shard's row count on as round 1. No row
-   leaves the agency;
+   the (F·q, q) stack on as round 1. No row leaves the agency, and no row
+   count either: every agency's is public (``AgencyKeys.row_counts``);
 2. the shard travels around a ring, and every other agency checks the
    frame and keys the factors it received the same way, one round on.
    With M the shard's rows and K the product of the keys so far,
@@ -19,12 +19,13 @@ X_1..X_K (row-partitioned across agencies):
    those of the keyed rows. A row mask whose blocks lie inside the folds
    would leave every fold's R unchanged, R(A·M) = R(M), so no hop draws
    one. A shard is the :class:`~maskreg.transport.Frame` that carries it:
-   origin, the ids that keyed it (its round is their count), its factors
-   and its row count;
+   origin, the ids that keyed it (its round is their count) and one
+   matrix, its factors;
 3. the shard's last holder sends it to the cloud. The cloud stacks the
    factors, takes the R factor of every keyed row from them and
-   back-substitutes, and gets a masked estimate. With one agency, the
-   origin sends its round-1 frame to the cloud;
+   back-substitutes, and gets a masked estimate; it derives each fold's
+   row count from the public row counts. With one agency, the origin
+   sends its round-1 frame to the cloud;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. the cloud checks the verification column of an estimate that came
@@ -97,13 +98,16 @@ class TamperPlan:
     def __post_init__(self):
         if self.action not in TAMPER_ACTIONS:
             raise ValueError(f"unknown tamper action {self.action!r}")
+        if not np.isfinite(self.magnitude):
+            raise ValueError(
+                f"tamper magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass
 class EncryptedAggregate:
     """Everything the cloud keeps of the completed shards: the R factors
-    their last holders sent and the row layout their row counts give. The
-    cloud never receives a row.
+    their last holders sent and the row layout the public row counts give.
+    The cloud never receives a row.
 
     ``fold_factors`` stacks the (q, q) R factor of each fold's keyed rows
     of [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
@@ -187,9 +191,9 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _keyed(ctx, origin, applied, r, n):
+def _keyed(ctx, origin, applied, r):
     """The shard frame one round on from ``r``, a (folds, q, q) stack of
-    fold factors of origin's n rows: each factor keyed with this agency's
+    fold factors of origin's rows: each factor keyed with this agency's
     keys, R ← R(R·diag(B, C)), and this agency's id appended."""
     keys = ctx.keys
     p = keys.b_key.shape[0]
@@ -197,32 +201,28 @@ def _keyed(ctx, origin, applied, r, n):
         [r[..., :p] @ keys.b_key, r[..., p:] @ keys.c_key], axis=-1))
     applied = applied + (ctx.agency_id,)
     return Frame(MSG_SHARD, origin, len(applied), applied,
-                 (r.reshape(-1, r.shape[-1]), np.array([[n]], float)))
+                 (r.reshape(-1, r.shape[-1]),))
 
 
 def local_encrypt(ctx, folds):
     """Round 1 of an origin's own shard: the keyed factors of each fold of
-    its [X + Δ | Y] (``ctx.x``, ``shard_factors``) and its row count. The
-    agency's own rows are read, never written or sent."""
+    its [X + Δ | Y] (``ctx.x``, ``shard_factors``). The agency's own rows
+    are read, never written or sent."""
     r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds)
-    return _keyed(ctx, ctx.agency_id, (), r, ctx.n_rows)
+    return _keyed(ctx, ctx.agency_id, (), r)
 
 
 def pass_encrypt(ctx, shard, folds):
     """One hop of a shard: check the received frame as the cloud does
-    (``_completed_parts``), against the origin's public row count, and
-    key its factors, one round on. The last holder sends the result to
-    the cloud."""
+    (``_completed_parts``) and key its factors, one round on. The last
+    holder sends the result to the cloud."""
     where = f"agency {ctx.agency_id}: shard {shard.origin}"
     if ctx.agency_id in shard.applied:
         raise DuplicatePass(f"{where} was already keyed by this agency")
-    counts = ctx.keys.row_counts
-    if not 1 <= shard.origin <= len(counts):
+    if not 1 <= shard.origin <= ctx.num_agencies:
         raise ProtocolOrderViolation(f"{where} has no such origin")
-    r, n = _completed_parts(shard, where, ctx.keys.block_size, folds,
-                            ctx.keys.b_key.shape[0] + 3,
-                            counts[shard.origin - 1])
-    return _keyed(ctx, shard.origin, shard.applied, r, n)
+    r = _completed_parts(shard, where, folds, ctx.keys.b_key.shape[0] + 3)
+    return _keyed(ctx, shard.origin, shard.applied, r)
 
 
 def shard_factors(x, y, block_size, folds):
@@ -261,82 +261,67 @@ def shard_factors(x, y, block_size, folds):
         axis=-2))
 
 
-def _completed_parts(shard, where, block_size, folds, q, rows=None):
-    """A shard frame's (folds, q, q) factor stack and row count, once both
-    are checked; ``where`` names the receiver and the shard in errors,
-    ``q`` is the expected width, or None for any, and ``rows`` the
-    origin's public row count, or None. Raises :class:`DimMismatch` for a
+def _completed_parts(shard, where, folds, q=None):
+    """A shard frame's (folds, q, q) factor stack, once it is checked;
+    ``where`` names the receiver and the shard in errors, and ``q`` is the
+    expected width, or None for any. Raises :class:`DimMismatch` for a
     matrix of the wrong shape and :class:`ProtocolOrderViolation` for any
-    other frame an honest sender could not have sent, such as a row count
-    above 2**53, past which a float64 holds no exact integer."""
-    if len(shard.matrices) != 2:
+    other frame an honest sender could not have sent."""
+    if len(shard.matrices) != 1:
         raise ProtocolOrderViolation(
-            f"{where} carries {len(shard.matrices)} matrices, expected 2")
-    r, n = shard.matrices
+            f"{where} carries {len(shard.matrices)} matrices, expected 1")
+    r, = shard.matrices
     width = q or (r.shape[1] if r.ndim == 2 else 0)
-    if (r.ndim != 2 or width < 4 or r.shape != (folds * width, width)
-            or n.shape != (1, 1)):
+    if r.ndim != 2 or width < 4 or r.shape != (folds * width, width):
         raise DimMismatch(
-            f"{where} has matrices {r.shape} and {n.shape}, expected "
-            f"({folds}*q, q) with q >= 4 and (1, 1)")
+            f"{where} has a matrix of shape {r.shape}, expected "
+            f"({folds}*q, q) with q >= 4")
     r = r.reshape(folds, width, width)
     if (not np.all(np.isfinite(r)) or np.any(np.tril(r, -1))
             or np.any(np.diagonal(r, 0, -2, -1) < 0.0)):
         raise ProtocolOrderViolation(
             f"{where}: a factor is not finite and upper triangular with a "
             f"non-negative diagonal")
-    n = n[0, 0]
-    if not (1 <= n <= 2**53 and float(n).is_integer()):
-        raise ProtocolOrderViolation(f"{where} has row count {n}")
-    n = int(n)
-    if rows is not None and n != rows:
-        raise ProtocolOrderViolation(
-            f"{where} has row count {n}, but its origin holds {rows} rows")
-    if -(-n // block_size) < folds:
-        raise ProtocolOrderViolation(
-            f"{where} has {n} rows, fewer than one {block_size}-row block "
-            f"per fold of {folds}")
-    return r, n
+    return r
 
 
-def assemble_aggregate(shards, num_agencies, block_size, folds=1,
-                       row_counts=None):
+def assemble_aggregate(shards, row_counts, block_size, folds=1):
     """The cloud's view of the completed shard frames (``pass_encrypt`` of
     each last holder), which must come in origin order; ``shards`` may be
     a generator that receives each one.
 
-    Each frame carries one shard's keyed fold factors and its row count n,
-    both checked as they are taken; n must equal the origin's entry of
-    ``row_counts`` (the public ``AgencyKeys.row_counts``) when that is
-    given. From n, ``block_size`` and ``folds`` the cloud derives the
-    shard's row range and per-fold row counts, in O(folds) whatever n is:
-    block j is in fold j mod ``folds``. Each fold's factor is the
-    R of its stacked per-shard factors, and the factor of every row is the
-    R of the stacked fold factors (Demmel, Grigori, Hoemmen & Langou, SIAM
-    J. Sci. Comput. 2012).
+    Each frame carries one shard's keyed fold factors, checked as they are
+    taken. Its row count is public: ``row_counts`` (the
+    ``AgencyKeys.row_counts`` of the run) holds every origin's, and its
+    length is the number of agencies. From a count, ``block_size`` and
+    ``folds`` the cloud derives the shard's row range and per-fold row
+    counts, in O(folds) whatever the count: block j is in fold j mod
+    ``folds``. Each fold's factor is the R of its stacked per-shard
+    factors, and the factor of every row is the R of the stacked fold
+    factors (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012).
     """
+    k = len(row_counts)
     parts, sizes, origin_rows = [], 0, []
     offset, q = 0, None
     for origin, s in enumerate(shards, start=1):
-        if s.origin != origin or len(s.applied) != num_agencies:
+        if origin > k or s.origin != origin or len(s.applied) != k:
             raise ProtocolOrderViolation(
-                f"expected shard {origin} keyed by all {num_agencies} "
-                f"agencies, got shard {s.origin} keyed by {len(s.applied)}"
+                f"expected shard {origin} keyed by all {k} agencies, got "
+                f"shard {s.origin} keyed by {len(s.applied)}"
             )
-        rows = None if row_counts is None else row_counts[origin - 1]
-        r, n = _completed_parts(s, f"cloud: completed shard {s.origin}",
-                                block_size, folds, q, rows)
+        r = _completed_parts(s, f"cloud: completed shard {s.origin}", folds,
+                             q)
         parts.append(r)
         q = r.shape[-1]
+        n = row_counts[origin - 1]
         rounds, rest = divmod(n, block_size * folds)
         sizes += rounds * block_size + np.clip(
             rest - block_size * np.arange(folds), 0, block_size)
         origin_rows.append((offset, offset + n))
         offset += n
-    if len(parts) != num_agencies:
+    if len(parts) != k:
         raise ProtocolOrderViolation(
-            f"expected one shard per agency 1..{num_agencies}, "
-            f"got {len(parts)}"
+            f"expected one shard per agency 1..{k}, got {len(parts)}"
         )
     fold_factors = r_factor(np.concatenate(parts, axis=-2))
     return EncryptedAggregate(

@@ -192,10 +192,10 @@ def run_pre_modeling(contexts, transport, folds=1):
             shards[a - 1] = protocol.pass_encrypt(ctx, frame, folds)
     for a, shard in enumerate(shards, start=1):
         transport.send(a, CLOUD, shard)
+    keys = contexts[0].keys
     return protocol.assemble_aggregate(
-        _completed_shards(transport, k), k,
-        contexts[0].keys.block_size, folds, contexts[0].keys.row_counts,
-    )
+        _completed_shards(transport, k), keys.row_counts, keys.block_size,
+        folds)
 
 
 #: What each ring carries, as its errors name it.

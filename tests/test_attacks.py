@@ -143,6 +143,14 @@ def test_kpa_one_medians_shrink_with_sigma():
     assert medians[0] > medians[1] > medians[2]
 
 
+@pytest.mark.parametrize("rows, trials, what", [(10, 0, "one trial"),
+                                                (1, 5, "two rows")])
+def test_kpa_sweep_rejects_what_gives_a_nan_median(rows, trials, what):
+    x22 = np.random.default_rng(3).standard_normal((rows, 3))
+    with pytest.raises(ValueError, match=f"at least {what}"):
+        kpa_gram_sweep(x22, (1e-2,), trials, seed=5)
+
+
 def test_kpa_two_no_mask_recovers_exactly():
     rng = np.random.default_rng(4)
     x11 = rng.standard_normal((4, 4))

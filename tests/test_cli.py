@@ -7,7 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from maskreg.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPERED, main
+from maskreg.cli import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_TAMPERED,
+    _write_report,
+    main,
+)
 from maskreg.dataio import load_csv
 from maskreg.model import ols_fit
 
@@ -248,6 +254,26 @@ def test_usage_error_exits_one(tmp_path, capsys, argv):
     assert info.value.code == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tamper", "--action", "perturb_result", "--magnitude", "nan",
+     "--n", "60", "--p", "3"],
+    ["attack-kpa", "--scenario", "1", "--trials", "0"],
+    ["attack-kpa", "--scenario", "1", "--n", "1"],
+], ids=["nan_magnitude", "no_trials", "one_row"])
+def test_input_that_would_report_nan_exits_one(tmp_path, capsys, argv):
+    # report.json is strict JSON: no run writes NaN into it
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_with_a_non_finite_value_is_not_written(tmp_path):
+    with pytest.raises(ValueError):
+        _write_report(str(tmp_path), {"ok": 1.0, "bad": [float("inf")]})
+    assert not os.listdir(tmp_path)
 
 
 def test_help_exits_zero(capsys):

@@ -88,7 +88,7 @@ def decrypt_all(contexts, values):
 def test_full_linear_pipeline_matches_plaintext():
     contexts, x, y = build_contexts(0, (30, 25, 20), 4)
     shards = run_rings(contexts)
-    agg = assemble_aggregate(shards, 3, 8)
+    agg = assemble_aggregate(shards, (30, 25, 20), 8)
     est = decrypt_all(contexts, cloud_fit(agg, "linear").values)
     ref = model.ols_fit(x, y)
     rel = np.max(np.abs(est[:, 0] - ref)) / max(1.0, np.max(np.abs(ref)))
@@ -101,7 +101,7 @@ def test_full_linear_pipeline_matches_plaintext():
 def test_full_ridge_pipeline_matches_plaintext():
     contexts, x, y = build_contexts(1, (28, 30), 5, mode="ridge")
     shards = run_rings(contexts)
-    agg = assemble_aggregate(shards, 2, 8)
+    agg = assemble_aggregate(shards, (28, 30), 8)
     released = np.eye(5)
     for ctx in contexts:
         released = gram_release_step(ctx, released)
@@ -263,7 +263,7 @@ def test_duplicated_masked_column_is_singular():
     for shard in shards:  # the cloud gets factors, so edit what it receives
         r_star = shard.matrices[0]
         r_star[:, 3] = r_star[:, 1]
-    agg = assemble_aggregate(shards, 2, 8)
+    agg = assemble_aggregate(shards, (40, 40), 8)
     with pytest.raises(SingularResult):
         cloud_fit(agg, "linear")
 
@@ -274,6 +274,7 @@ def _identity_contexts(sizes, block_size, rng):
     keys = SimpleNamespace(b_key=np.eye(4), c_key=np.eye(3),
                            row_counts=tuple(sizes), block_size=block_size)
     return [SimpleNamespace(agency_id=i, keys=keys, n_rows=n,
+                            num_agencies=len(sizes),
                             x=rng.standard_normal((n, 4)),
                             responses=rng.standard_normal((n, 3)))
             for i, n in enumerate(sizes, start=1)]
@@ -302,7 +303,7 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     agg = assemble_aggregate(
         (pass_encrypt(contexts[(o + k - 1) % k], s, folds)
          for o, s in enumerate(pass_rings(contexts, folds))),
-        k, block_size, folds)
+        sizes, block_size, folds)
     assert agg.x_star.shape == (sum(sizes), 4)
     assert rel_err(agg.z_factor, r_factor(z)) < 1e-12
     rows = fold_rows(agg, folds)
@@ -340,8 +341,7 @@ def test_completed_shard_keys_the_fold_factors():
                        origin.responses @ origin.keys.c_key
                        @ holder.keys.c_key])
     block = np.arange(75) // 8
-    assert [m.shape for m in done.matrices] == [(21, 7), (1, 1)]
-    assert done.matrices[1][0, 0] == 75
+    assert [m.shape for m in done.matrices] == [(21, 7)]
     assert (done.round, done.applied) == (2, (1, 2))
     for f in range(3):
         assert rel_err(done.matrices[0][7 * f:7 * f + 7],
@@ -357,7 +357,7 @@ def test_shard_factors_reject_fewer_blocks_than_folds():
 
 def test_cloud_fit_keeps_no_rows():
     contexts, _, _ = build_contexts(16, (40, 40), 4)
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg = assemble_aggregate(run_rings(contexts), (40, 40), 8)
     with pytest.raises(ValueError, match="rows must be None"):
         cloud_fit(agg, "linear", rows=np.arange(10))
 
@@ -365,7 +365,7 @@ def test_cloud_fit_keeps_no_rows():
 def test_verification_column_regresses_to_ones():
     contexts, _, _ = build_contexts(3, (40, 35), 3)
     shards = run_rings(contexts)
-    agg = assemble_aggregate(shards, 2, 8)
+    agg = assemble_aggregate(shards, (40, 35), 8)
     est = decrypt_all(contexts, cloud_fit(agg, "linear").values)
     np.testing.assert_allclose(est[:, 1], np.ones(3), atol=1e-8)
 
@@ -447,7 +447,7 @@ def test_ldp_offset_frame_equals_masking_the_explicit_sum():
 
 def test_ridge_fit_requires_released_gram():
     contexts, _, _ = build_contexts(6, (20, 20), 3, mode="ridge")
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg = assemble_aggregate(run_rings(contexts), (20, 20), 8)
     with pytest.raises(ProtocolOrderViolation):
         cloud_fit(agg, "ridge", lam=1.0)
 
@@ -456,47 +456,51 @@ def test_assemble_rejects_incomplete_shards():
     contexts, _, _ = build_contexts(7, (10, 10), 3)
     shards = [local_encrypt(ctx, 1) for ctx in contexts]  # never passed on
     with pytest.raises(ProtocolOrderViolation):
-        assemble_aggregate(shards, 2, 8)
+        assemble_aggregate(shards, (10, 10), 8)
 
 
 def test_assemble_rejects_shards_out_of_origin_order_or_missing():
     contexts, _, _ = build_contexts(7, (10, 10), 3)
     shards = run_rings(contexts)
     with pytest.raises(ProtocolOrderViolation):
-        assemble_aggregate(shards[::-1], 2, 8)
+        assemble_aggregate(shards[::-1], (10, 10), 8)
     with pytest.raises(ProtocolOrderViolation):
-        assemble_aggregate(shards[:1], 2, 8)
+        assemble_aggregate(shards[:1], (10, 10), 8)
+    extra = dataclasses.replace(shards[0], origin=3)  # a third, uncounted
+    with pytest.raises(ProtocolOrderViolation, match="expected shard 3"):
+        assemble_aggregate(shards + [extra], (10, 10), 8)
 
 
 def test_assemble_derives_the_layout_without_walking_the_blocks():
     # The cloud's work on a completed shard is bounded by the frame, not
-    # by the row count it claims: 1e12 rows of 8-row blocks are 1.25e11
+    # by the public row count: 1e12 rows of 8-row blocks are 1.25e11
     # blocks, which the cloud never lists.
     contexts, _, _ = build_contexts(7, (40, 24), 3)
-    huge = [dataclasses.replace(s, matrices=(s.matrices[0], np.array([[1e12]])))
-            for s in run_rings(contexts)]
+    shards = run_rings(contexts)
     t0 = time.perf_counter()
-    agg = assemble_aggregate(huge, 2, 8)
+    agg = assemble_aggregate(shards, (10**12, 10**12), 8)
     assert time.perf_counter() - t0 < 2.0
     assert agg.origin_rows == ((0, 10**12), (10**12, 2 * 10**12))
     assert agg.fold_sizes == (2 * 10**12,)
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg = assemble_aggregate(shards, (40, 24), 8)
     assert agg.block_ranges == ((0, 8), (8, 16), (16, 24), (24, 32),
                                 (32, 40), (40, 48), (48, 56), (56, 64))
 
 
-def test_assemble_checks_row_counts_against_the_public_ones():
+def test_assemble_takes_the_layout_from_the_public_row_counts():
+    # The frames carry factors only: the row ranges and fold sizes follow
+    # the counts the cloud is given, block j in fold j mod 3
     contexts, _, _ = build_contexts(7, (40, 24), 3)
-    shards = run_rings(contexts)
-    assert assemble_aggregate(shards, 2, 8, row_counts=(40, 24)).origin_rows \
-        == ((0, 40), (40, 64))
-    with pytest.raises(ProtocolOrderViolation, match="completed shard 2"):
-        assemble_aggregate(shards, 2, 8, row_counts=(40, 25))
-    beyond = [dataclasses.replace(s, matrices=(s.matrices[0],
-                                               np.array([[2.0**53 + 2]])))
-              for s in shards]
-    with pytest.raises(ProtocolOrderViolation, match="completed shard 1"):
-        assemble_aggregate(beyond, 2, 8)
+    shards = pass_rings(contexts, 3)
+    shards = [pass_encrypt(contexts[1 - o], s, 3)
+              for o, s in enumerate(shards)]
+    assert all(len(s.matrices) == 1 for s in shards)
+    agg = assemble_aggregate(shards, (40, 24), 8, 3)
+    assert agg.origin_rows == ((0, 40), (40, 64))
+    assert agg.fold_sizes == (16 + 8, 16 + 8, 8 + 8)
+    agg = assemble_aggregate(shards, (41, 30), 4, 3)
+    assert agg.origin_rows == ((0, 41), (41, 71))
+    assert agg.fold_sizes == (16 + 12, 13 + 10, 12 + 8)  # tails of 1 and 2
 
 
 def test_residual_gram_round_trip():
@@ -538,7 +542,7 @@ def test_residual_gram_step_rejects_bad_stack(shape):
 def test_agency_tampering_detected(action):
     contexts, _, _ = build_contexts(10, (30, 30), 4)
     inject_tamper(contexts, TamperPlan(action=action, agency=2))
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg = assemble_aggregate(run_rings(contexts), (30, 30), 8)
     if action == "wrong_decrypt":  # the runner swaps the key at this step
         contexts[1].keys.b_key = _fresh_key(contexts[1])
     est = decrypt_all(contexts, cloud_fit(agg, "linear").values)
@@ -547,7 +551,7 @@ def test_agency_tampering_detected(action):
 
 def test_cloud_perturbation_detected():
     contexts, _, _ = build_contexts(11, (30, 30), 4)
-    agg = assemble_aggregate(run_rings(contexts), 2, 8)
+    agg = assemble_aggregate(run_rings(contexts), (30, 30), 8)
     est = cloud_fit(agg, "linear").values
     est[0, 0] += 0.02  # the runner applies this for perturb_result
     est = decrypt_all(contexts, est)
@@ -567,6 +571,12 @@ def test_tamper_plan_validates_action():
         TamperPlan(action="set_fire_to_cloud")
 
 
+@pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+def test_tamper_plan_rejects_non_finite_magnitude(magnitude):
+    with pytest.raises(ValueError, match="magnitude must be finite"):
+        TamperPlan(action="perturb_result", magnitude=magnitude)
+
+
 def test_modes_constant():
     assert MODES == ("linear", "ridge")
 
@@ -575,8 +585,10 @@ def test_decrypt_order_does_not_matter():
     # commuting keys: decrypting 2 then 1 equals decrypting 1 then 2
     c_a, x, y = build_contexts(13, (25, 25), 4)
     c_b, _, _ = build_contexts(13, (25, 25), 4)
-    est_a = cloud_fit(assemble_aggregate(run_rings(c_a), 2, 8), "linear").values
-    est_b = cloud_fit(assemble_aggregate(run_rings(c_b), 2, 8), "linear").values
+    est_a = cloud_fit(assemble_aggregate(run_rings(c_a), (25, 25), 8),
+                      "linear").values
+    est_b = cloud_fit(assemble_aggregate(run_rings(c_b), (25, 25), 8),
+                      "linear").values
     out_a = decrypt_round(c_a[1], decrypt_round(c_a[0], est_a))
     out_b = decrypt_round(c_b[0], decrypt_round(c_b[1], est_b))
     np.testing.assert_allclose(out_a, out_b, atol=1e-9)

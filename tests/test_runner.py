@@ -721,8 +721,8 @@ def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
 def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
                                               delta):
     """No frame on any channel has a shard's row count in its shape: every
-    hop of every shard, the one to the cloud included, carries exactly its
-    (F·q, q) keyed fold factors and its (1, 1) row count. With one agency
+    hop of every shard, the one to the cloud included, carries exactly one
+    matrix, its (F·q, q) keyed fold factors. With one agency
     the origin sends its own round-1 frame to the cloud, and the fit is
     still that of its offset rows."""
     sent = []
@@ -742,8 +742,7 @@ def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
     assert sorted((f.origin, f.round) for f in shards) == [
         (o, r) for o in range(1, k + 1) for r in range(1, k + 1)]
     for frame in shards:
-        assert [m.shape for m in frame.matrices] == [(folds * 7, 7), (1, 1)]
-        assert frame.matrices[1][0, 0] == 77
+        assert [m.shape for m in frame.matrices] == [(folds * 7, 7)]
     assert not any(77 in m.shape for f in sent for m in f.matrices)
     contexts, _ = build_contexts(datasets, config)
     x = np.vstack([c.x for c in contexts])
@@ -758,44 +757,31 @@ def _edited(r, index, value):
     return r
 
 
-def _rows(r, n):
-    """The (n, p) and (n, 3) rows of a shard of n rows: the layout of a
+def _rows(r):
+    """The (48, q) rows of [X | Y] of a 48-row shard: the layout of a
     shard that travelled as rows, not fold factors."""
-    rng = np.random.default_rng(35)
-    rows = int(n[0, 0])
-    return rng.standard_normal((rows, r.shape[1] - 3)), rng.standard_normal(
-        (rows, 3))
+    return (np.random.default_rng(35).standard_normal((48, r.shape[1])),)
 
 
 #: Shard frames no honest agency can send, as (matrices from the honest
-#: ones, the error the receiver must raise). The run is a k=3 CV with 48
-#: rows per agency, 8-row blocks and 3 folds.
+#: one, the error the receiver must raise). The run is a k=3 CV with 48
+#: rows per agency, 8-row blocks and 3 folds; ``two_matrices`` is a frame
+#: that still carries its origin's row count after the factors.
 FORGERIES = {
-    "three_matrices": (lambda r, n: (r, n, n), ProtocolOrderViolation),
-    "one_matrix": (lambda r, n: (r,), ProtocolOrderViolation),
+    "no_matrix": (lambda r: (), ProtocolOrderViolation),
+    "two_matrices": (lambda r: (r, np.array([[48.0]])),
+                     ProtocolOrderViolation),
     "rows": (_rows, DimMismatch),
-    "short_factor_stack": (lambda r, n: (r[:-1], n), DimMismatch),
-    "wide_factor_stack": (lambda r, n: (np.hstack([r, r]), n), DimMismatch),
-    "row_count_shape": (lambda r, n: (r, np.hstack([n, n])), DimMismatch),
-    "not_upper_triangular": (lambda r, n: (_edited(r, (1, 0), 1.0), n),
+    "short_factor_stack": (lambda r: (r[:-1],), DimMismatch),
+    "wide_factor_stack": (lambda r: (np.hstack([r, r]),), DimMismatch),
+    "not_upper_triangular": (lambda r: (_edited(r, (1, 0), 1.0),),
                              ProtocolOrderViolation),
-    "negative_diagonal": (lambda r, n: (_edited(r, (0, 0), -1.0), n),
+    "negative_diagonal": (lambda r: (_edited(r, (0, 0), -1.0),),
                           ProtocolOrderViolation),
-    "nan_factor": (lambda r, n: (_edited(r, (0, 0), np.nan), n),
+    "nan_factor": (lambda r: (_edited(r, (0, 0), np.nan),),
                    ProtocolOrderViolation),
-    "inf_factor": (lambda r, n: (_edited(r, (0, 1), np.inf), n),
+    "inf_factor": (lambda r: (_edited(r, (0, 1), np.inf),),
                    ProtocolOrderViolation),
-    "fractional_rows": (lambda r, n: (r, n + 0.5), ProtocolOrderViolation),
-    "zero_rows": (lambda r, n: (r, 0.0 * n), ProtocolOrderViolation),
-    "negative_rows": (lambda r, n: (r, -n), ProtocolOrderViolation),
-    "nan_rows": (lambda r, n: (r, n * np.nan), ProtocolOrderViolation),
-    "fewer_blocks_than_folds": (lambda r, n: (r, np.array([[16.0]])),
-                                ProtocolOrderViolation),
-    "miscounted_rows": (lambda r, n: (r, n + 1), ProtocolOrderViolation),
-    "huge_rows": (lambda r, n: (r, np.array([[1e12]])),
-                  ProtocolOrderViolation),
-    "rows_beyond_exact_floats": (lambda r, n: (r, np.array([[1e300]])),
-                                 ProtocolOrderViolation),
 }
 
 #: The hop that forges, as (the protocol step whose frame is forged, which

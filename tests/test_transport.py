@@ -493,23 +493,23 @@ FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 #: (type, origin, round, applied ids), the same over the bus and over TCP.
 WIRE_SHA256 = {
     (1, 1, 1, (1,)):
-        "031fe0674396334d4b72a6f4c9e35c81400dd585eefc5ea7b97a86a6009e3dab",
+        "5eb726eed4046d7a3c4416621b209f1758885da7df7fc495d83cc58127a56a40",
     (1, 1, 2, (1, 2)):
-        "b70a275c09f5adc047ac7644da6477d530c155d6a7086c2e4815b615987931d7",
+        "e36f86a00c0fb7d71210bbe649cfec0bc634c68634563c60dd7d6d17919b04ae",
     (1, 1, 3, (1, 2, 3)):
-        "3998689b4a6f6afe5e3992fe3a27f1e490a2bf2700426aac1d6074068973fe73",
+        "36a686ba2372192ca128a11fb3c43d7a8dfe55484a7aef3372d5e0db9f546401",
     (1, 2, 1, (2,)):
-        "12f6eab645ee579cb626d5bdb05693a8556e6eb3007f4c9abde3781dc4285268",
+        "b512a83eb0a8b92671f719fd7379139a6c8b86bbed5db39b6cd39622b5ce3c95",
     (1, 2, 2, (2, 3)):
-        "7f6fe3e12286db7831cddcbc71001604fb3576d6614f344d0bfd029829b69cfd",
+        "052b399ee053c6040f0b236d94f35265cad39172c69c94bd2de9f48eeee28084",
     (1, 2, 3, (2, 3, 1)):
-        "1609b189895f1374ab8b8b3ecc8635b055fae17c307dfc2ba350e254c25c8d3a",
+        "4b7223a0f0bc9f738e4e17cf9b593244a9bf9d4407619bf03a07177e3dc4a219",
     (1, 3, 1, (3,)):
-        "8e7ccc524843096dbb28a709a0d62dd8d0c8e90643984fa510f075e12b0362df",
+        "7715815201015063adc2e14fb8c3112ce48919100ba276d68931f54fd5ea31c2",
     (1, 3, 2, (3, 1)):
-        "a1193e536c692ba148c1a1b8d648e5626d49b5977e3e85fb10acd168d8c6b9c0",
+        "044da2c81a5d10c21b84d6726e113eec011837a81ab1cd2488276478279df06d",
     (1, 3, 3, (3, 1, 2)):
-        "00b22c9104d7160ea9e74a547f641e65f3b29d593ad5e440ea911ab9c10dde53",
+        "d27aa312d1fd3d5207e5838728db8b804715a95dbf78de48e30cf0b3022284d8",
     (2, 0, 0, ()):
         "4a723924497c89b1d18bfe211a128893565124975237d664b69317461567717f",
     (2, 1, 0, (1,)):
@@ -605,7 +605,7 @@ def test_wire_bytes_match_golden(kind):
 #: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
 #: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
 OFFSET_RUN_SHA256 = (
-    "1667c47ff89f15687c30a3ca3b43d75358d69c0eb37ebca6b388dba0a190c876")
+    "8d6d6d40d0a932bbd9b75538f5835efd9d3661aeb83167df2274e9bad6c891ed")
 
 
 def _offset_run_sha256(kind):
