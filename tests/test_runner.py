@@ -765,14 +765,19 @@ def _rows(r):
 
 #: Shard frames no honest agency can send, as (matrices from the honest
 #: one, the error the receiver must raise). The run is a k=3 CV with 48
-#: rows per agency, 8-row blocks and 3 folds; ``two_matrices`` is a frame
-#: that still carries its origin's row count after the factors.
+#: rows per agency, 8-row blocks and 3 folds; ``two_matrices`` and
+#: ``three_matrices`` are frames that still carry the origin's row count
+#: after the factors, and ``fewer_blocks_than_folds`` drops a whole fold's
+#: (q, q) factor, so every block left is a well-formed factor.
 FORGERIES = {
     "no_matrix": (lambda r: (), ProtocolOrderViolation),
     "two_matrices": (lambda r: (r, np.array([[48.0]])),
                      ProtocolOrderViolation),
+    "three_matrices": (lambda r: (r, np.array([[48.0]]), np.array([[48.0]])),
+                       ProtocolOrderViolation),
     "rows": (_rows, DimMismatch),
     "short_factor_stack": (lambda r: (r[:-1],), DimMismatch),
+    "fewer_blocks_than_folds": (lambda r: (r[:-r.shape[1]],), DimMismatch),
     "wide_factor_stack": (lambda r: (np.hstack([r, r]),), DimMismatch),
     "not_upper_triangular": (lambda r: (_edited(r, (1, 0), 1.0),),
                              ProtocolOrderViolation),
