@@ -313,6 +313,8 @@ def _cmd_attack_kpa(args):
     payload = {"command": "attack-kpa", "seed": seed, "n": n, "p": p}
 
     if args.scenario in ("1", "both"):
+        if n < 2:  # one row's standardized columns would be 0/0
+            raise ValueError(f"need at least two rows, got {n}")
         rng = np.random.default_rng([seed, 0xA1])
         x22 = rng.standard_normal((n, p))
         x22 = (x22 - x22.mean(axis=0)) / x22.std(axis=0)

@@ -19,8 +19,8 @@ X_1..X_K (row-partitioned across agencies):
    those of the keyed rows. A row mask whose blocks lie inside the folds
    would leave every fold's R unchanged, R(A·M) = R(M), so no hop draws
    one. A shard is the :class:`~maskreg.transport.Frame` that carries it:
-   origin, the ids that keyed it (its round is their count) and one
-   matrix, its factors;
+   origin, the ids that keyed it, in order, and its one matrix, the
+   factors;
 3. the shard's last holder sends it to the cloud. The cloud stacks the
    factors, takes the R factor of every keyed row from them and
    back-substitutes, and gets a masked estimate; it derives each fold's
@@ -192,16 +192,16 @@ class AgencyContext:
 
 
 def _keyed(ctx, origin, applied, r):
-    """The shard frame one round on from ``r``, a (folds, q, q) stack of
-    fold factors of origin's rows: each factor keyed with this agency's
-    keys, R ← R(R·diag(B, C)), and this agency's id appended."""
+    """The shard frame one hop on from ``r``, a (folds, q, q) stack of fold
+    factors of origin's rows: each factor keyed with this agency's keys,
+    R ← R(R·diag(B, C)), this agency's id appended to ``applied`` and the
+    stack sent as one (folds·q, q) matrix."""
     keys = ctx.keys
     p = keys.b_key.shape[0]
     r = r_factor(np.concatenate(
         [r[..., :p] @ keys.b_key, r[..., p:] @ keys.c_key], axis=-1))
-    applied = applied + (ctx.agency_id,)
-    return Frame(MSG_SHARD, origin, len(applied), applied,
-                 (r.reshape(-1, r.shape[-1]),))
+    return Frame(MSG_SHARD, origin, applied + (ctx.agency_id,),
+                 r.reshape(-1, p + 3))
 
 
 def local_encrypt(ctx, folds):
@@ -265,12 +265,10 @@ def _completed_parts(shard, where, folds, q=None):
     """A shard frame's (folds, q, q) factor stack, once it is checked;
     ``where`` names the receiver and the shard in errors, and ``q`` is the
     expected width, or None for any. Raises :class:`DimMismatch` for a
-    matrix of the wrong shape and :class:`ProtocolOrderViolation` for any
-    other frame an honest sender could not have sent."""
-    if len(shard.matrices) != 1:
-        raise ProtocolOrderViolation(
-            f"{where} carries {len(shard.matrices)} matrices, expected 1")
-    r, = shard.matrices
+    matrix of the wrong shape and :class:`ProtocolOrderViolation` for a
+    factor that is not finite, upper triangular and non-negative on its
+    diagonal, which an honest sender could not have sent."""
+    r = shard.matrix
     width = q or (r.shape[1] if r.ndim == 2 else 0)
     if r.ndim != 2 or width < 4 or r.shape != (folds * width, width):
         raise DimMismatch(

@@ -126,7 +126,7 @@ def build_contexts(datasets, config):
         contexts.append(
             protocol.AgencyContext(i, x, y, keys, bases, config.mode, rng))
     protocol.inject_tamper(contexts, config.tamper)
-    return contexts, bases
+    return contexts
 
 
 def channels(k):
@@ -144,17 +144,15 @@ def _holders(origin, k):
     return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
-def _expect(frame, me, msg_type, origin, round_, applied):
+def _expect(frame, me, msg_type, origin, applied):
     """Return ``frame`` if its whole header is the one ``me`` expects:
-    type, origin (the sender, on a ring), round and exactly the ids applied
+    type, origin (the sender, on a ring) and exactly the ids applied
     before this hop; otherwise raise :class:`ProtocolOrderViolation`."""
-    want = (msg_type, origin, round_, applied)
-    got = (frame.msg_type, frame.origin, frame.round, frame.applied)
+    want = (msg_type, origin, applied)
+    got = (frame.msg_type, frame.origin, frame.applied)
     if got != want:
-        raise ProtocolOrderViolation(
-            f"participant {me} expected (type, origin, round, applied) "
-            f"{want}, got {got}"
-        )
+        raise ProtocolOrderViolation(f"participant {me} expected (type, "
+                                     f"origin, applied) {want}, got {got}")
     return frame
 
 
@@ -164,7 +162,7 @@ def _completed_shards(transport, k):
     for origin in range(1, k + 1):
         holders = _holders(origin, k)
         yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
-                      origin, k, holders)
+                      origin, holders)
 
 
 def run_pre_modeling(contexts, transport, folds=1):
@@ -188,7 +186,7 @@ def run_pre_modeling(contexts, transport, folds=1):
         for a, ctx in enumerate(contexts, start=1):
             origin = (a - r - 1) % k + 1
             frame = _expect(transport.recv((a - 2) % k + 1, a), a, MSG_SHARD,
-                            origin, r, _holders(origin, k)[:r])
+                            origin, _holders(origin, k)[:r])
             shards[a - 1] = protocol.pass_encrypt(ctx, frame, folds)
     for a, shard in enumerate(shards, start=1):
         transport.send(a, CLOUD, shard)
@@ -207,34 +205,28 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
     """Carry one matrix cloud -> 1 -> ... -> k -> cloud; return what returns.
 
     Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
-    and appends its id to the frame's applied ids. Every hop carries round
-    0 and exactly one matrix, and hop ``a`` must arrive from ``a - 1`` with
-    ids (1, ..., a - 1), so the cloud gets back only a matrix every agency
-    stepped exactly once, and only in the shape it sent: any other raises
-    :class:`ProtocolOrderViolation`.
+    and appends its id to the frame's applied ids. Hop ``a`` must arrive
+    from ``a - 1`` with ids (1, ..., a - 1), so the cloud gets back only a
+    matrix every agency stepped exactly once, and only in the shape it
+    sent: any other raises :class:`ProtocolOrderViolation`.
     """
     k = len(contexts)
     shape = np.shape(matrix)
     hops = [CLOUD, *range(1, k + 1), CLOUD]
-    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, 0, (), (matrix,)))
+    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, (), matrix))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
-        frame = _expect(transport.recv(prev, a), a, msg_type, prev, 0,
+        frame = _expect(transport.recv(prev, a), a, msg_type, prev,
                         tuple(range(1, a)))
-        if len(frame.matrices) != 1:
-            raise ProtocolOrderViolation(
-                f"agency {a} expected one {_RING_CARGO[msg_type]}, got "
-                f"{len(frame.matrices)} matrices")
-        matrix = step(contexts[a - 1], frame.matrices[0])
-        transport.send(a, nxt, Frame(msg_type, a, 0, frame.applied + (a,),
-                                     (matrix,)))
-    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, k, 0,
+        matrix = step(contexts[a - 1], frame.matrix)
+        transport.send(a, nxt, Frame(msg_type, a, frame.applied + (a,),
+                                     matrix))
+    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, k,
                     tuple(range(1, k + 1)))
-    got = [m.shape for m in frame.matrices]
-    if got != [shape]:
+    if frame.matrix.shape != shape:
         raise ProtocolOrderViolation(
             f"cloud sent a {_RING_CARGO[msg_type]} of shape {shape} around "
-            f"the ring, got back matrices of shapes {got}")
-    return frame.matrices[0]
+            f"the ring, got back shape {frame.matrix.shape}")
+    return frame.matrix
 
 
 def release_key_factor(contexts, transport):
@@ -415,7 +407,7 @@ def _run(datasets, config, select_lambda=None):
     datasets = [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets]
 
     with _timed(timings, "keygen"):
-        contexts, _ = build_contexts(datasets, config)
+        contexts = build_contexts(datasets, config)
 
     transport = make_transport(config.transport, channels(config.k))
     try:

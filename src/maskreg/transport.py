@@ -6,11 +6,10 @@ Frame layout (all integers little-endian):
     u16  protocol version
     u8   message type
     u8   origin (0 = coordinator/cloud, 1..K = agencies)
-    u16  round counter
     u8   number of applied-agency ids
     u8[] applied-agency ids
-    u8   number of matrix sections
-    then per matrix:  u32 rows, u32 cols, rows*cols f64 (row-major)
+    u32  rows, u32 cols of the one matrix
+    f64  rows*cols entries (row-major), the rest of the frame
 
 The same bytes travel over both transports, so a run is reproducible
 bit-for-bit regardless of which one carries it.
@@ -23,7 +22,7 @@ once with "no channel".
 A frame travels as one buffer, ``encode_frame``'s, whose length is its
 wire length. No frame is large: a shard frame carries its fold factors,
 tens of KB. The bus queues the buffer and TCP sends it with ``sendall``.
-Decoding returns views into the received buffer, with no copy.
+Decoding returns a view into the received buffer, with no copy.
 """
 
 import contextlib
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import TransportFailure
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Message types.
 MSG_SHARD = 1
@@ -47,12 +46,11 @@ MSG_ESTIMATE = 3
 MSG_RESIDUAL_GRAM = 4
 
 _LEN = struct.Struct("<I")
-_HEADER = struct.Struct("<HBBH")
-_COUNT = struct.Struct("<B")
+_HEADER = struct.Struct("<HBBB")
 _MATRIX = struct.Struct("<II")
 
 #: Header bytes up to and including the applied-id count.
-_FIXED = _LEN.size + _HEADER.size + _COUNT.size
+_FIXED = _LEN.size + _HEADER.size
 
 #: The origin field is a single byte and 0 is the coordinator.
 MAX_PARTICIPANTS = 255
@@ -63,43 +61,37 @@ _ABORTED = object()
 
 @dataclass(frozen=True)
 class Frame:
-    """One protocol message: typed header plus a tuple of f64 matrices."""
+    """One protocol message: its type, origin, the ids of the agencies
+    applied so far and one f64 matrix."""
 
     msg_type: int
     origin: int
-    round: int
     applied: tuple
-    matrices: tuple
+    matrix: np.ndarray
 
 
 def encode_frame(frame):
     """A frame's wire bytes, as one fresh ``np.uint8`` buffer."""
-    matrices = [np.asarray(m, dtype="<f8") for m in frame.matrices]
-    for m in matrices:
-        if m.ndim != 2:
-            raise TransportFailure(
-                f"matrix payload must be 2-d, got {m.ndim}-d")
-    head = _FIXED + len(frame.applied) + _COUNT.size
-    wire = np.empty(head + sum(_MATRIX.size + m.nbytes for m in matrices),
-                    dtype=np.uint8)
+    m = np.asarray(frame.matrix, dtype="<f8")
+    if m.ndim != 2:
+        raise TransportFailure(f"matrix payload must be 2-d, got {m.ndim}-d")
+    head = _FIXED + len(frame.applied)
+    wire = np.empty(head + _MATRIX.size + m.nbytes, dtype=np.uint8)
     _LEN.pack_into(wire, 0, wire.nbytes - _LEN.size)
     _HEADER.pack_into(wire, _LEN.size, PROTOCOL_VERSION, frame.msg_type,
-                      frame.origin, frame.round)
-    struct.pack_into(f"<B{len(frame.applied)}sB", wire, _FIXED - _COUNT.size,
-                     len(frame.applied), bytes(frame.applied), len(matrices))
-    off = head
-    for m in matrices:
-        _MATRIX.pack_into(wire, off, *m.shape)
-        off += _MATRIX.size
-        wire[off:off + m.nbytes].view("<f8").reshape(m.shape)[...] = m
-        off += m.nbytes
+                      frame.origin, len(frame.applied))
+    struct.pack_into(f"{len(frame.applied)}B", wire, _FIXED, *frame.applied)
+    _MATRIX.pack_into(wire, head, *m.shape)
+    wire[head + _MATRIX.size:].view("<f8").reshape(m.shape)[...] = m
     return wire
 
 
 def decode_frame(data):
     """Parse one frame from its wire bytes, any buffer.
 
-    The matrices returned are views into ``data``, not copies.
+    The matrix returned is a view into ``data``, not a copy. Exactly
+    8·rows·cols bytes must follow its dimensions, which refuses a frame
+    with no matrix and one with more than one.
     """
     wire = np.frombuffer(data, np.uint8)
     try:
@@ -109,30 +101,23 @@ def decode_frame(data):
                 f"frame length prefix says {length} bytes, got "
                 f"{wire.nbytes - _LEN.size}"
             )
-        version, msg_type, origin, round_ = _HEADER.unpack_from(wire, _LEN.size)
+        version, msg_type, origin, n = _HEADER.unpack_from(wire, _LEN.size)
         if version != PROTOCOL_VERSION:
             raise TransportFailure(
                 f"protocol version {version}, expected {PROTOCOL_VERSION}"
             )
-        off = _FIXED + int(wire[_FIXED - 1])
+        off = _FIXED + n
         applied = tuple(wire[_FIXED:off].tolist())
-        count = int(wire[off])
-        matrices, off = [], off + _COUNT.size
-        while off < wire.nbytes:
-            rows, cols = _MATRIX.unpack_from(wire, off)
-            off += _MATRIX.size
-            if wire.nbytes - off < 8 * rows * cols:
-                raise TransportFailure("truncated matrix payload")
-            matrices.append(np.frombuffer(wire, "<f8", rows * cols, off)
-                            .reshape(rows, cols))
-            off += 8 * rows * cols
-        if len(matrices) != count:
-            raise TransportFailure(
-                f"frame header says {count} matrices, got {len(matrices)}")
-    except (struct.error, IndexError) as exc:
+        rows, cols = _MATRIX.unpack_from(wire, off)
+        off += _MATRIX.size
+    except struct.error as exc:
         raise TransportFailure(f"malformed frame: {exc}") from exc
-    return Frame(msg_type=msg_type, origin=origin, round=round_,
-                 applied=applied, matrices=tuple(matrices))
+    if wire.nbytes - off != 8 * rows * cols:
+        raise TransportFailure(
+            f"a frame's {rows}x{cols} matrix takes {8 * rows * cols} bytes, "
+            f"{wire.nbytes - off} follow its dimensions")
+    matrix = np.frombuffer(wire, "<f8", rows * cols, off).reshape(rows, cols)
+    return Frame(msg_type, origin, applied, matrix)
 
 
 class _Mailboxes:
@@ -212,7 +197,7 @@ def _read_frame(conn):
     prefix = bytearray(_LEN.size)
     _fill(conn, memoryview(prefix))
     (length,) = _LEN.unpack(prefix)
-    if length < _FIXED - _LEN.size + _COUNT.size:
+    if length < _FIXED - _LEN.size + _MATRIX.size:
         raise TransportFailure("frame length prefix is shorter than its header")
     wire = np.empty(_LEN.size + length, dtype=np.uint8)
     wire[:_LEN.size] = prefix

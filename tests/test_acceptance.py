@@ -274,7 +274,7 @@ def test_c7_ldp_limit_and_oracle():
 
 
 def _plaintext_cv(datasets, config):
-    contexts, _ = build_contexts(
+    contexts = build_contexts(
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )

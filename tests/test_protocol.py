@@ -261,8 +261,7 @@ def test_duplicated_masked_column_is_singular():
     contexts, _, _ = build_contexts(16, (40, 40), 4)
     shards = run_rings(contexts)
     for shard in shards:  # the cloud gets factors, so edit what it receives
-        r_star = shard.matrices[0]
-        r_star[:, 3] = r_star[:, 1]
+        shard.matrix[:, 3] = shard.matrix[:, 1]
     agg = assemble_aggregate(shards, (40, 40), 8)
     with pytest.raises(SingularResult):
         cloud_fit(agg, "linear")
@@ -341,10 +340,10 @@ def test_completed_shard_keys_the_fold_factors():
                        origin.responses @ origin.keys.c_key
                        @ holder.keys.c_key])
     block = np.arange(75) // 8
-    assert [m.shape for m in done.matrices] == [(21, 7)]
-    assert (done.round, done.applied) == (2, (1, 2))
+    assert done.matrix.shape == (21, 7)
+    assert done.applied == (1, 2)
     for f in range(3):
-        assert rel_err(done.matrices[0][7 * f:7 * f + 7],
+        assert rel_err(done.matrix[7 * f:7 * f + 7],
                        r_factor(keyed[block % 3 == f])) < 1e-12
     with pytest.raises(DuplicatePass):
         pass_encrypt(contexts[0], shard, 3)
@@ -381,9 +380,8 @@ def _runner_contexts(rows, p, delta, seed=9):
     rng = np.random.default_rng(seed)
     datasets = [(rng.standard_normal((rows, p)), rng.standard_normal(rows))
                 for _ in range(2)]
-    contexts, _ = runner.build_contexts(
+    return runner.build_contexts(
         datasets, runner.RunConfig(k=2, delta=delta, seed=seed))
-    return contexts
 
 
 def _local_encrypt_peak(ctx):
@@ -431,10 +429,10 @@ def test_ldp_offset_frame_equals_masking_the_explicit_sum():
     datasets = [(rng.standard_normal((300, 5)), rng.standard_normal(300))
                 for _ in range(2)]
     config = runner.RunConfig(k=2, delta=0.5, seed=9)
-    contexts, bases = runner.build_contexts(datasets, config)
+    contexts = runner.build_contexts(datasets, config)
     for i, ((x, _), ctx) in enumerate(zip(datasets, contexts), start=1):
         stream = keygen.agency_rng(config.seed, i)
-        keygen.gen_agency_keys(bases, i, (300, 300), config.block_size,
+        keygen.gen_agency_keys(contexts[0].bases, i, (300, 300), config.block_size,
                                stream, sigma_coeff=config.sigma_coeff)
         shifted = x + stream.normal(0.0, config.delta, x.shape)
         assert np.array_equal(ctx.x, shifted)
@@ -494,7 +492,6 @@ def test_assemble_takes_the_layout_from_the_public_row_counts():
     shards = pass_rings(contexts, 3)
     shards = [pass_encrypt(contexts[1 - o], s, 3)
               for o, s in enumerate(shards)]
-    assert all(len(s.matrices) == 1 for s in shards)
     agg = assemble_aggregate(shards, (40, 24), 8, 3)
     assert agg.origin_rows == ((0, 40), (40, 64))
     assert agg.fold_sizes == (16 + 8, 16 + 8, 8 + 8)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 from maskreg import keygen, protocol
+from maskreg import transport as transport_module
 from maskreg.errors import (
     DimMismatch,
     FoldBlockMisaligned,
     ProtocolOrderViolation,
     TooManyAgencies,
+    TransportFailure,
 )
 from maskreg.model import auc, cross_validate, mse, ols_fit, ridge_fit
 from maskreg.protocol import TamperPlan
@@ -191,7 +194,7 @@ def test_offset_run_fits_shifted_data():
     report = run_protocol(datasets, config)
     assert report.verify.verdict == "accepted"
     # rebuild the contexts deterministically to read back the same offsets
-    contexts, _ = build_contexts(
+    contexts = build_contexts(
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )
@@ -211,8 +214,8 @@ def test_tampered_run_flagged():
 
 def test_shard_frame_headers_follow_the_ring(monkeypatch):
     """Origin o's shard is masked by o, o + 1, ... (mod k): each hop
-    carries its origin, the ids that masked it in that order, and round ==
-    len(applied); the cloud receives round k."""
+    carries its origin and the ids that masked it in that order; the cloud
+    receives the frame with all k."""
     original = BusTransport.send
     sent = []
 
@@ -232,10 +235,9 @@ def test_shard_frame_headers_follow_the_ring(monkeypatch):
         ring = rings[frame.origin - 1]
         n_applied = len(frame.applied)
         assert frame.applied == ring[:n_applied]
-        assert frame.round == n_applied
         assert src == frame.applied[-1]
         assert dst == (ring[n_applied] if n_applied < 3 else CLOUD)
-        hops.add((frame.origin, frame.round))
+        hops.add((frame.origin, n_applied))
     assert hops == {(o, r) for o in (1, 2, 3) for r in (1, 2, 3)}
 
 
@@ -477,7 +479,7 @@ def test_report_to_dict_roundtrips_to_json():
 
 
 def _aggregate(datasets, config):
-    contexts, _ = build_contexts(
+    contexts = build_contexts(
         [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
         config,
     )
@@ -739,12 +741,12 @@ def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
     assert report.verify.verdict == "accepted"
     folds = config.folds if cv else 1
     shards = [f for f in sent if f.msg_type == MSG_SHARD]
-    assert sorted((f.origin, f.round) for f in shards) == [
+    assert sorted((f.origin, len(f.applied)) for f in shards) == [
         (o, r) for o in range(1, k + 1) for r in range(1, k + 1)]
     for frame in shards:
-        assert [m.shape for m in frame.matrices] == [(folds * 7, 7)]
-    assert not any(77 in m.shape for f in sent for m in f.matrices)
-    contexts, _ = build_contexts(datasets, config)
+        assert frame.matrix.shape == (folds * 7, 7)
+    assert not any(77 in f.matrix.shape for f in sent)
+    contexts = build_contexts(datasets, config)
     x = np.vstack([c.x for c in contexts])
     y = np.concatenate([y for _, y in datasets])
     ref = ridge_fit(x, y, report.cv["chosen_lambda"]) if cv else ols_fit(x, y)
@@ -763,18 +765,19 @@ def _rows(r):
     return (np.random.default_rng(35).standard_normal((48, r.shape[1])),)
 
 
-#: Shard frames no honest agency can send, as (matrices from the honest
-#: one, the error the receiver must raise). The run is a k=3 CV with 48
-#: rows per agency, 8-row blocks and 3 folds; ``two_matrices`` and
-#: ``three_matrices`` are frames that still carry the origin's row count
-#: after the factors, and ``fewer_blocks_than_folds`` drops a whole fold's
-#: (q, q) factor, so every block left is a well-formed factor.
+#: Shard frames no honest agency can send, as (the matrix sections that
+#: replace the honest one's matrix r on the wire, the error the receiver
+#: must raise). The run is a k=3 CV with 48 rows per agency, 8-row blocks
+#: and 3 folds; ``no_matrix``, ``two_matrices`` and ``three_matrices`` are
+#: frames without exactly one matrix section, the last two still carrying
+#: the origin's row count after the factors, which no longer decode; and
+#: ``fewer_blocks_than_folds`` drops a whole fold's (q, q) factor, so every
+#: block left is a well-formed factor.
 FORGERIES = {
-    "no_matrix": (lambda r: (), ProtocolOrderViolation),
-    "two_matrices": (lambda r: (r, np.array([[48.0]])),
-                     ProtocolOrderViolation),
+    "no_matrix": (lambda r: (), TransportFailure),
+    "two_matrices": (lambda r: (r, np.array([[48.0]])), TransportFailure),
     "three_matrices": (lambda r: (r, np.array([[48.0]]), np.array([[48.0]])),
-                       ProtocolOrderViolation),
+                       TransportFailure),
     "rows": (_rows, DimMismatch),
     "short_factor_stack": (lambda r: (r[:-1],), DimMismatch),
     "fewer_blocks_than_folds": (lambda r: (r[:-r.shape[1]],), DimMismatch),
@@ -789,37 +792,50 @@ FORGERIES = {
                    ProtocolOrderViolation),
 }
 
-#: The hop that forges, as (the protocol step whose frame is forged, which
-#: of its frames, what the receiver's error names). Agency 1 sends its
-#: round-1 frame of shard 1 to agency 2; agency 2 holds shard 3 last and
-#: sends it to the cloud.
+#: The hop that forges, as (the ids applied to the forged shard frame,
+#: what the receiver's error names). Agency 1 sends its round-1 frame of
+#: shard 1 to agency 2; agency 2 holds shard 3 last and sends it to the
+#: cloud. A frame that does not decode names no shard.
 HOPS = {
-    "agency": ("local_encrypt", lambda ctx, frame: ctx.agency_id == 1,
-               "agency 2: shard 1"),
-    "cloud": ("pass_encrypt",
-              lambda ctx, frame: ctx.agency_id == 2 and frame.origin == 3,
-              "completed shard 3"),
+    "agency": ((1,), "agency 2: shard 1"),
+    "cloud": ((3, 1, 2), "completed shard 3"),
 }
+
+
+def _sections(wire, frame, matrices):
+    """``frame``'s wire bytes ``wire`` with its one matrix section replaced
+    by one section per entry of ``matrices``, the length prefix fixed up."""
+    body = bytes(wire)[4:-8 - frame.matrix.nbytes] + b"".join(
+        struct.pack("<II", *m.shape) + np.asarray(m, "<f8").tobytes()
+        for m in matrices)
+    return struct.pack("<I", len(body)) + body
+
+
+def _forging_encoder(monkeypatch, forged, forge):
+    """Make both transports send ``_sections`` of ``forge(matrix)`` for
+    the frame ``forged(frame)`` picks, and every other frame as it is."""
+    encode = transport_module.encode_frame
+
+    def forging(frame):
+        wire = encode(frame)
+        return _sections(wire, frame, forge(frame.matrix)) if forged(
+            frame) else wire
+
+    monkeypatch.setattr(transport_module, "encode_frame", forging)
 
 
 def _forged_run_fails_at_once(monkeypatch, transport, forgery, hop):
     forge, error = FORGERIES[forgery]
-    name, forged, where = HOPS[hop]
-    step = getattr(protocol, name)
-
-    def forging(ctx, *args):
-        frame = step(ctx, *args)
-        if not forged(ctx, frame):
-            return frame
-        return dataclasses.replace(frame, matrices=forge(*frame.matrices))
-
-    monkeypatch.setattr(protocol, name, forging)
+    applied, where = HOPS[hop]
+    _forging_encoder(monkeypatch, lambda frame: (
+        frame.msg_type == MSG_SHARD and frame.applied == applied), forge)
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(error, match=where):
+    with pytest.raises(error) as caught:
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
     assert time.perf_counter() - t0 < 2.0
+    assert error is TransportFailure or where in str(caught.value)
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
@@ -848,7 +864,7 @@ def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
     for cls in (BusTransport, TcpTransport):
         def wrong(self, src, dst, frame, _send=cls.send):
             if src == CLOUD and frame.msg_type == msg_type:
-                frame = dataclasses.replace(frame, matrices=(np.ones(shape),))
+                frame = dataclasses.replace(frame, matrix=np.ones(shape))
             return _send(self, src, dst, frame)
         monkeypatch.setattr(cls, "send", wrong)
     config = RunConfig(k=3, mode="ridge", seed=36, transport=transport)
@@ -859,27 +875,21 @@ def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
-@pytest.mark.parametrize("count", [0, 2])
 @pytest.mark.parametrize("msg_type, src", [
     (MSG_GRAM_RELEASE, CLOUD), (MSG_RESIDUAL_GRAM, 1), (MSG_ESTIMATE, 2)],
     ids=["gram_release", "residual_gram", "estimate"])
-def test_ring_frame_without_exactly_one_matrix_fails_naming_the_agency(
-        monkeypatch, transport, count, msg_type, src):
-    """A ring hop that forwards no matrix, or two, fails at the next
-    agency as ``ProtocolOrderViolation``, not as an ``IndexError``."""
-    for cls in (BusTransport, TcpTransport):
-        def wrong(self, s, dst, frame, _send=cls.send):
-            if s == src and frame.msg_type == msg_type:
-                frame = dataclasses.replace(
-                    frame, matrices=frame.matrices[:1] * count)
-            return _send(self, s, dst, frame)
-        monkeypatch.setattr(cls, "send", wrong)
+def test_ring_frame_with_a_second_matrix_section_fails_at_once(
+        monkeypatch, transport, msg_type, src):
+    """A ring hop whose bytes carry a second matrix section after its one
+    matrix, the length prefix fixed up, fails at the next agency's
+    receive as ``TransportFailure``: no frame decodes to two matrices."""
+    _forging_encoder(monkeypatch, lambda frame: (
+        frame.msg_type == msg_type and frame.origin == src),
+        lambda m: (m, m))
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(ProtocolOrderViolation,
-                       match=f"agency {src + 1} expected one .*, got "
-                             f"{count} matrices"):
+    with pytest.raises(TransportFailure, match="follow its dimensions"):
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 
@@ -895,14 +905,14 @@ def test_cloud_rejects_a_ring_result_of_the_wrong_shape(monkeypatch,
     for cls in (BusTransport, TcpTransport):
         def wrong(self, src, dst, frame, _send=cls.send):
             if dst == CLOUD and frame.msg_type == msg_type:
-                frame = dataclasses.replace(
-                    frame, matrices=(frame.matrices[0][:, :-1],))
+                frame = dataclasses.replace(frame,
+                                            matrix=frame.matrix[:, :-1])
             return _send(self, src, dst, frame)
         monkeypatch.setattr(cls, "send", wrong)
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(ProtocolOrderViolation, match="got back matrices"):
+    with pytest.raises(ProtocolOrderViolation, match="got back shape"):
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 
