@@ -13,7 +13,7 @@ from maskreg import (
     cpa_attack,
     cpa_rank_analysis,
     derive_bases,
-    draw_commuting_key,
+    draw_poly_key,
     random_orthogonal,
 )
 
@@ -24,7 +24,7 @@ def main():
     degree = 3
 
     bases = derive_bases(40, p)
-    coeffs, key = draw_commuting_key(bases.b_basis, degree, rng, 1)
+    coeffs, key = draw_poly_key(bases.b_basis, degree, rng)
     a_mask = random_orthogonal(n, rng)
 
     x = rng.standard_normal((n, p))

@@ -2,7 +2,9 @@
 
 Everything here plays the *attacker*: given what a malicious party could
 plausibly observe, how much of the hidden data or key material falls out.
-The protocol modules never import this one.
+The workbench models the paper's keys, polynomials in the public base
+(``poly_key``); the protocol builds its keys on the base's blocks
+(``keygen.draw_commuting_key``) and never imports this module.
 """
 
 import logging
@@ -20,6 +22,33 @@ logger = logging.getLogger(__name__)
 # reach in floating point.
 SOLVE_RTOL = 1e-6
 CONSISTENT_TOL = 1e-6
+
+
+def poly_key(basis, coeffs):
+    """Evaluate ``sum_j coeffs[j-1] * basis**j`` (powers start at 1).
+
+    Any two matrices of this form built from the same ``basis`` commute.
+    The polynomial deliberately has no constant term. Evaluation uses
+    Horner's scheme: d matrix products for a degree-d key.
+    """
+    basis = np.asarray(basis, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        raise DimMismatch(f"basis must be square, got {basis.shape}")
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise DimMismatch("coeffs must be a non-empty vector")
+    eye = np.eye(basis.shape[0])
+    acc = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        acc = c * eye + basis @ acc
+    return basis @ acc
+
+
+def draw_poly_key(basis, degree, rng):
+    """Standard-normal coefficients of a degree-``degree`` polynomial key
+    over ``basis``, and the key ``poly_key(basis, coeffs)``."""
+    coeffs = rng.standard_normal(degree)
+    return coeffs, poly_key(basis, coeffs)
 
 
 @dataclass(frozen=True)

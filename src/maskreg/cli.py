@@ -86,9 +86,6 @@ def _build_parser():
         p.add_argument("--lambda", dest="lam", type=float,
                        help="ridge penalty")
         p.add_argument("--block-size", type=int)
-        p.add_argument("--sigma-b", "--sigma-coeff", dest="sigma_coeff",
-                       type=float,
-                       help="std dev of key polynomial coefficients")
         p.add_argument("--sigma-delta", dest="delta", type=float,
                        help="std dev of the additive noise mask (0 disables)")
         p.add_argument("--transport", choices=transport.TRANSPORTS)
@@ -236,7 +233,7 @@ def _write_csv(out_dir, name, header, rows):
 def _cmd_protocol(args):
     """run, cv and tamper: one protocol run, its report and its verdict."""
     fields = _set_flags(args, "k", "mode", "lam", "lambda_grid", "folds",
-                        "block_size", "sigma_coeff", "delta", "seed",
+                        "block_size", "delta", "seed",
                         "transport")
     if args.command == "tamper":
         fields["tamper"] = protocol.TamperPlan(
@@ -266,7 +263,7 @@ def _cmd_attack_cpa(args):
     rng = np.random.default_rng([seed, 0xC9])
     x = rng.standard_normal((n, p))
     bases = keygen.derive_bases(seed, p)
-    coeffs, key = keygen.draw_commuting_key(bases.b_basis, degree, rng, 1)
+    coeffs, key = attacks.draw_poly_key(bases.b_basis, degree, rng)
     a_true = random_orthogonal(n, rng)
     x_star_1 = a_true @ x
     x_star_new = x @ key
@@ -335,8 +332,8 @@ def _cmd_attack_kpa(args):
     if args.scenario in ("2", "both"):
         rng = np.random.default_rng([seed, 0xA2])
         b_basis, degree = keygen.derive_bases(seed, p).b_basis, min(p, 3)
-        _, b1 = keygen.draw_commuting_key(b_basis, degree, rng, 2)
-        _, b2 = keygen.draw_commuting_key(b_basis, degree, rng, 2)
+        _, b1 = attacks.draw_poly_key(b_basis, degree, rng)
+        _, b2 = attacks.draw_poly_key(b_basis, degree, rng)
         x11 = rng.standard_normal((p, p))
         x22 = rng.standard_normal((p, p))
         rep = attacks.kpa_scenario_two(x11, x11 @ b1, x22 @ b2, x22)

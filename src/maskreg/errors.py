@@ -9,10 +9,6 @@ class DimMismatch(MaskRegError):
     """Operands have incompatible shapes."""
 
 
-class ResampleExhausted(MaskRegError):
-    """Random search for an acceptable matrix ran out of attempts."""
-
-
 class NotPD(MaskRegError):
     """A matrix that must be symmetric positive definite is not."""
 

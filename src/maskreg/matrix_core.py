@@ -48,25 +48,16 @@ def _haar(gaussian):
     return q
 
 
-def commute_materialize(basis, coeffs):
-    """Evaluate ``sum_j coeffs[j-1] * basis**j`` (powers start at 1).
+def random_well_conditioned(dim, rng):
+    """``V = Q₁·diag(s)·Q₂`` and its inverse, cond(V) ≤ 2.
 
-    Any two matrices of this form built from the same ``basis`` commute,
-    which is what makes the multi-party masking order-independent. The
-    polynomial deliberately has no constant term. Evaluation uses Horner's
-    scheme: d matrix products for a degree-d key.
+    ``Q₁`` and ``Q₂`` are Haar and ``s ~ U[1, 2]``, so the singular values
+    of ``V`` are ``s`` and ``V⁻¹ = Q₂ᵀ·diag(1/s)·Q₁ᵀ`` needs no solve.
     """
-    basis = np.asarray(basis, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise DimMismatch(f"basis must be square, got {basis.shape}")
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise DimMismatch("coeffs must be a non-empty vector")
-    eye = np.eye(basis.shape[0])
-    acc = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        acc = c * eye + basis @ acc
-    return basis @ acc
+    q1 = random_orthogonal(dim, rng)
+    q2 = random_orthogonal(dim, rng)
+    s = rng.uniform(1.0, 2.0, dim)
+    return (q1 * s) @ q2, (q2.T / s) @ q1.T
 
 
 def solve_spd(gram, rhs):

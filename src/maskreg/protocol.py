@@ -49,7 +49,11 @@ from .errors import (
     ProtocolOrderViolation,
     SingularResult,
 )
-from .matrix_core import solve_spd, split_block_sizes  # noqa: F401
+from .matrix_core import (  # noqa: F401
+    random_well_conditioned,
+    solve_spd,
+    split_block_sizes,
+)
 from .transport import MSG_SHARD, Frame
 
 # ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
@@ -505,8 +509,8 @@ def inject_tamper(contexts, plan):
 
     - ``skip_pseudo_response``: replaces the verification response with
       noise, i.e. the agency never computes the pseudo-response it owes;
-    - ``non_commutative_key``: swaps the feature key for a random invertible
-      matrix that is *not* a polynomial in the shared base.
+    - ``non_commutative_key``: swaps the feature key for a random
+      well-conditioned matrix that does not commute with the shared base.
 
     The runner applies the other two at the step they corrupt, after the
     masking phase and the R_B release: ``perturb_result`` shifts the
@@ -520,7 +524,9 @@ def inject_tamper(contexts, plan):
     if plan.action == "skip_pseudo_response":
         ctx.responses[:, 1] = ctx.rng.standard_normal(ctx.n_rows)
     elif plan.action == "non_commutative_key":
-        ctx.keys.b_key = _rogue_invertible(ctx.keys.b_key.shape[0], ctx.rng)
+        # cond ≤ 2, and with probability one not in the base's commutant
+        ctx.keys.b_key = random_well_conditioned(ctx.keys.b_key.shape[0],
+                                                 ctx.rng)[0]
 
 
 def _find_agency(contexts, agency_id):
@@ -530,22 +536,10 @@ def _find_agency(contexts, agency_id):
     raise ValueError(f"no agency with id {agency_id}")
 
 
-def _rogue_invertible(dim, rng):
-    """Random well-conditioned matrix; a fresh Gaussian draw is not a
-    polynomial in the shared base with probability one."""
-    for _ in range(100):
-        m = rng.standard_normal((dim, dim))
-        if np.linalg.cond(m) <= 1e3:
-            return m / np.linalg.norm(m, 2)
-    raise SingularResult("could not draw an invertible rogue key")
-
-
 def _fresh_key(ctx):
-    # A fresh polynomial over the shared base still commutes with every
-    # honest key, which is the subtle case: decryption "works"
-    # algebraically but with the wrong coefficients.
-    _, key = keygen.draw_commuting_key(
-        ctx.bases.b_basis, keygen.default_degree(ctx.bases.b_basis.shape[0]),
-        ctx.rng, ctx.num_agencies,
-    )
+    # A fresh key over the shared base still commutes with every honest
+    # key, which is the subtle case: decryption "works" algebraically but
+    # with the wrong blocks.
+    _, key = keygen.draw_commuting_key(ctx.bases.b_v, ctx.bases.b_v_inv,
+                                       ctx.rng, ctx.num_agencies)
     return key

@@ -52,7 +52,6 @@ class RunConfig:
     lambda_grid: tuple = (0.01, 0.1, 1.0, 10.0)
     folds: int = 5
     block_size: int = 16
-    sigma_coeff: float = 1.0
     delta: float = None
     seed: int = 0
     transport: str = "bus"
@@ -85,10 +84,6 @@ class RunConfig:
         for lam in (self.lam, *self.lambda_grid):
             if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-        if not 0.0 < self.sigma_coeff < math.inf:
-            raise ValueError(
-                f"sigma_coeff must be finite and > 0, got {self.sigma_coeff}"
-            )
         if self.delta is not None and not 0.0 <= self.delta < math.inf:
             raise ValueError(
                 f"delta must be None or finite and >= 0, got {self.delta}"
@@ -115,10 +110,8 @@ def build_contexts(datasets, config):
     contexts = []
     for i, (x, y) in enumerate(datasets, start=1):
         rng = keygen.agency_rng(config.seed, i)
-        keys = keygen.gen_agency_keys(
-            bases, i, row_counts, config.block_size, rng,
-            sigma_coeff=config.sigma_coeff,
-        )
+        keys = keygen.gen_agency_keys(bases, i, row_counts,
+                                      config.block_size, rng)
         if config.delta is not None and config.delta > 0.0:
             offset = rng.normal(0.0, config.delta, size=x.shape)
             offset += x  # the offset rows, with no second (n, p) array
@@ -302,8 +295,6 @@ def _config_echo(config, p, n_total):
         "lambda_grid": [float(v) for v in config.lambda_grid],
         "folds": config.folds,
         "block_size": config.block_size,
-        "degree": keygen.default_degree(p),
-        "sigma_coeff": float(config.sigma_coeff),
         "delta": None if config.delta is None else float(config.delta),
         "seed": int(config.seed),
         "transport": config.transport,

@@ -149,7 +149,10 @@ class _Mailboxes:
         if data is _ABORTED:
             mailbox.put(data)  # for the next recv on this channel
             raise self._error
-        return decode_frame(data)
+        try:
+            return decode_frame(data)
+        except TransportFailure as exc:
+            raise TransportFailure(f"{src} -> {dst}: {exc}") from None
 
     def abort(self, exc):
         """Fail the run: every ``recv`` now waiting, or waiting later on an
@@ -256,14 +259,18 @@ class TcpTransport(_Mailboxes):
                 self._selector.register(conn, selectors.EVENT_READ, channel)
 
     def _pump(self):
-        """Reader thread: queue each whole inbound frame until a read fails."""
+        """Reader thread: queue each whole inbound frame until a read fails;
+        the failure names the channel it was reading, if any."""
+        where = ""
         try:
             while True:
+                where = ""
                 for key, _ in self._selector.select():
+                    where = "%d -> %d: " % key.data
                     self._queues[key.data].put(_read_frame(key.fileobj))
         except Exception as exc:  # not only OSError: no recv may time out
             failure = TransportFailure(
-                f"TCP reader stopped: {type(exc).__name__}: {exc}")
+                f"{where}TCP reader stopped: {type(exc).__name__}: {exc}")
             failure.__cause__ = exc
             self.abort(failure)
 

@@ -10,15 +10,17 @@ from maskreg.attacks import (
     NO_SOLUTION,
     cpa_attack,
     cpa_rank_analysis,
+    draw_poly_key,
     kpa_gram_sweep,
     kpa_scenario_one,
     kpa_scenario_two,
     ldp_ratio,
     ldp_sweep,
+    poly_key,
 )
 from maskreg.errors import DimMismatch, SingularResult
-from maskreg.keygen import derive_bases, draw_commuting_key
-from maskreg.matrix_core import commute_materialize, random_orthogonal
+from maskreg.keygen import derive_bases
+from maskreg.matrix_core import random_orthogonal
 from toy_instance import (
     TOY_BASE,
     TOY_COLUMN_SOLUTIONS,
@@ -45,7 +47,7 @@ def test_toy_instance_regression():
 def test_toy_instance_is_row_masked_cubic_key():
     # TOY_TARGET = A @ TOY_OBSERVED @ K with A orthogonal to print
     # precision; a mistyped constant breaks this before any reference moves.
-    key = commute_materialize(TOY_BASE, TOY_TRUE_COEFFS)
+    key = poly_key(TOY_BASE, TOY_TRUE_COEFFS)
     row_mask = TOY_TARGET @ np.linalg.inv(key) @ np.linalg.inv(TOY_OBSERVED)
     sv = np.linalg.svd(row_mask, compute_uv=False)
     np.testing.assert_allclose(sv, 1.0, atol=0.01)
@@ -56,7 +58,7 @@ def test_honest_attack_recovers_coefficients():
     n = p = 5
     degree = 3
     bases = derive_bases(0, p)
-    coeffs, key = draw_commuting_key(bases.b_basis, degree, rng, 1)
+    coeffs, key = draw_poly_key(bases.b_basis, degree, rng)
     x = rng.standard_normal((n, p))
     a_true = random_orthogonal(n, rng)
     rep = cpa_attack(a_true @ x, x @ key, bases.b_basis, a_plus=a_true.T,
@@ -73,7 +75,7 @@ def test_attack_fails_without_row_mask_knowledge(p):
     for seed in range(trials):
         rng = np.random.default_rng([p, seed])
         bases = derive_bases(seed, p)
-        _, key = draw_commuting_key(bases.b_basis, 3, rng, 1)
+        _, key = draw_poly_key(bases.b_basis, 3, rng)
         x = rng.standard_normal((p, p))
         a_true = random_orthogonal(p, rng)
         rep = cpa_attack(a_true @ x, x @ key, bases.b_basis, a_plus=None,
@@ -87,7 +89,7 @@ def test_fresh_square_instances_inconsistent():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         bases = derive_bases(seed + 100, 4)
-        _, key = draw_commuting_key(bases.b_basis, 3, rng, 1)
+        _, key = draw_poly_key(bases.b_basis, 3, rng)
         x = rng.standard_normal((4, 4))
         a_true = random_orthogonal(4, rng)
         rep = cpa_attack(a_true @ x, x @ key, bases.b_basis, degree=3)
@@ -166,8 +168,8 @@ def test_kpa_two_masked_formula_and_failure():
         rng = np.random.default_rng(seed)
         p = 5
         bases = derive_bases(seed, p)
-        _, b1 = draw_commuting_key(bases.b_basis, 3, rng, 2)
-        _, b2 = draw_commuting_key(bases.b_basis, 3, rng, 2)
+        _, b1 = draw_poly_key(bases.b_basis, 3, rng)
+        _, b2 = draw_poly_key(bases.b_basis, 3, rng)
         x11 = rng.standard_normal((p, p))
         x22 = rng.standard_normal((p, p))
         rep = kpa_scenario_two(x11, x11 @ b1, x22 @ b2, x22)

@@ -151,7 +151,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("degree", 3), ("verify_tol", 1e-3), ("blocksize", 8), ("folds", 3),
-    ("no_header", True),
+    ("no_header", True), ("sigma_coeff", 1.0),
 ])
 def test_config_file_unknown_key_exits_one(tmp_path, capsys, key, value):
     # each value is one the command would otherwise have run with
@@ -185,11 +185,14 @@ def test_config_file_accepts_command_keys(tmp_path):
     assert read_report(tmp_path)["cv"]["folds"] == 3
 
 
-def test_sigma_b_alias(tmp_path):
-    code = main(["run", "--n", "50", "--p", "3", "--sigma-b", "0.01",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    assert read_report(tmp_path)["config"]["sigma_coeff"] == 0.01
+@pytest.mark.parametrize("flag", ["--sigma-b", "--sigma-coeff"])
+def test_key_scale_flags_are_refused(tmp_path, flag):
+    # keys are built on the base's blocks: there is no key scale to set
+    with pytest.raises(SystemExit) as caught:
+        main(["run", "--n", "50", "--p", "3", flag, "0.01",
+              "--out", str(tmp_path)])
+    assert caught.value.code == EXIT_ERROR
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
@@ -303,10 +306,12 @@ def test_no_header_flag_beats_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("flags, field", [
-    (["--sigma-coeff", "0"], "sigma_coeff"),
+    (["--sigma-delta", "nan"], "delta"),
     (["--sigma-delta", "-1"], "delta"),
 ])
 def test_bad_key_or_noise_scale_exits_one(tmp_path, capsys, flags, field):
+    # Only the noise scale is left to set: keys have no scale, and their
+    # flags are refused (test_key_scale_flags_are_refused).
     code = main(["run", "--n", "60", "--p", "3", "--out", str(tmp_path)]
                 + flags)
     assert code == EXIT_ERROR

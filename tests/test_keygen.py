@@ -5,21 +5,14 @@ import pytest
 
 from maskreg.errors import DimMismatch
 from maskreg.keygen import (
-    MAX_KEY_DEGREE,
-    RESPONSE_KEY_DEGREE,
     agency_rng,
-    default_degree,
+    commute_materialize,
     derive_bases,
     draw_commuting_key,
     gen_agency_keys,
     make_responses,
 )
-
-
-def test_default_degree_caps_at_sixteen():
-    assert default_degree(2) == 2
-    assert default_degree(16) == 16
-    assert default_degree(90) == 16
+from maskreg.runner import RunConfig, build_contexts
 
 
 def test_derive_bases_deterministic():
@@ -27,7 +20,8 @@ def test_derive_bases_deterministic():
     b = derive_bases(123, 7)
     assert np.array_equal(a.b_basis, b.b_basis)
     assert np.array_equal(a.c_basis, b.c_basis)
-    assert np.array_equal(a.b_spectrum, b.b_spectrum)
+    assert np.array_equal(a.b_v, b.b_v)
+    assert np.array_equal(a.c_v_inv, b.c_v_inv)
 
 
 def test_derive_bases_seed_sensitivity():
@@ -42,14 +36,6 @@ def test_derive_bases_shapes():
     assert bases.c_basis.shape == (3, 3)
 
 
-def test_draw_commuting_key_rejects_bad_degree():
-    basis = derive_bases(0, 5).b_basis
-    rng = np.random.default_rng(0)
-    for degree in (0, MAX_KEY_DEGREE + 1, 99):
-        with pytest.raises(DimMismatch):
-            draw_commuting_key(basis, degree, rng, 1)
-
-
 @pytest.mark.parametrize("p", [48, 64, 128])
 def test_derive_bases_wide(p):
     # The bases are constructed, so any width works on every seed, with a
@@ -61,13 +47,26 @@ def test_derive_bases_wide(p):
             moduli = np.abs(np.linalg.eigvals(basis))
             assert moduli.min() >= 0.6 * moduli.max()
             assert not np.allclose(basis, basis.T)
+        # V diagonalizes the base into the 2x2 blocks keys are built on
+        lam = bases.b_v_inv @ bases.b_basis @ bases.b_v
+        assert np.allclose(lam, _on_blocks(lam), atol=1e-12)
+        np.testing.assert_allclose(bases.b_v @ bases.b_v_inv, np.eye(p),
+                                   atol=1e-12)
+        assert np.linalg.cond(bases.b_v) <= 2.0
+
+
+def _on_blocks(m):
+    """``m`` with every entry off its 2x2 diagonal blocks (and off the
+    last diagonal entry when the dimension is odd) set to zero."""
+    ids = np.arange(m.shape[0]) // 2
+    return np.where(ids[:, None] == ids[None, :], m, 0.0)
 
 
 def test_drawn_keys_commute_and_invert():
     bases = derive_bases(7, 6)
     rng = np.random.default_rng(1)
-    _, k1 = draw_commuting_key(bases.b_basis, default_degree(6), rng, 3)
-    _, k2 = draw_commuting_key(bases.b_basis, default_degree(6), rng, 3)
+    _, k1 = draw_commuting_key(bases.b_v, bases.b_v_inv, rng, 3)
+    _, k2 = draw_commuting_key(bases.b_v, bases.b_v_inv, rng, 3)
     np.testing.assert_allclose(k1 @ k2, k2 @ k1, atol=1e-10)
     assert np.linalg.cond(k1) < 1e4
     # round-trip through the inverse
@@ -77,29 +76,58 @@ def test_drawn_keys_commute_and_invert():
 
 
 def test_draw_commuting_key_coeff_consistency():
-    bases = derive_bases(7, 4)
-    rng = np.random.default_rng(2)
-    coeffs, key = draw_commuting_key(bases.b_basis, default_degree(4), rng, 2)
-    from maskreg.matrix_core import commute_materialize
+    # the key is V·M·V⁻¹, with M scaled 2x2 rotations on the base's
+    # blocks and, for odd p, one real entry
+    for p in (4, 5):
+        bases = derive_bases(7, p)
+        blocks, key = draw_commuting_key(bases.b_v, bases.b_v_inv,
+                                         np.random.default_rng(2), 2)
+        assert np.array_equal(blocks, _on_blocks(blocks))
+        for i in range(0, p - 1, 2):
+            (a, b), (c, d) = blocks[i:i + 2, i:i + 2]
+            assert a == d and b == -c
+        np.testing.assert_array_equal(
+            key, commute_materialize(bases.b_v, blocks, bases.b_v_inv))
 
-    np.testing.assert_allclose(
-        key, commute_materialize(bases.b_basis, coeffs), atol=1e-12
-    )
+
+def _run_keys(k, p, seed=0):
+    """Every agency's (b_key, c_key) and the bases of a k-agency run."""
+    datasets = [(np.zeros((4, p)), np.zeros(4))] * k
+    contexts = build_contexts(datasets, RunConfig(k=k, seed=seed))
+    return [(c.keys.b_key, c.keys.c_key) for c in contexts], contexts[0].bases
 
 
-def test_keys_drawn_on_the_base_spectrum_match_a_recomputed_one():
-    # derive_bases computes each base's spectrum once; keys drawn with it
-    # are bit-identical to keys that recompute it per draw
-    bases = derive_bases(11, 24)
-    assert np.array_equal(bases.b_spectrum, np.linalg.eigvals(bases.b_basis))
-    assert np.array_equal(bases.c_spectrum, np.linalg.eigvals(bases.c_basis))
-    keys = gen_agency_keys(bases, 2, [40, 40, 40, 40], 4,
-                           np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    _, b_key = draw_commuting_key(bases.b_basis, default_degree(24), rng, 4)
-    _, c_key = draw_commuting_key(bases.c_basis, 3, rng, 4)
-    assert np.array_equal(keys.b_key, b_key)
-    assert np.array_equal(keys.c_key, c_key)
+def test_keys_of_one_run_commute():
+    keys, bases = _run_keys(4, 9)
+    for side, basis in ((0, bases.b_basis), (1, bases.c_basis)):
+        mats = [basis] + [pair[side] for pair in keys]
+        scale = max(np.linalg.norm(m, 2) for m in mats) ** 2
+        for i, a in enumerate(mats):
+            for b in mats[i + 1:]:
+                assert np.max(np.abs(a @ b - b @ a)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_key_eigenvalue_moduli_lie_in_the_agency_band(k):
+    # each key's eigenvalues on the base are its blocks' ρ·e^{±iφ}, with
+    # ρ in [1, 1000^(1/k)], so the product of k keys spans at most 1000
+    keys, _ = _run_keys(k, 16, seed=k)
+    cap = 1000.0 ** (1.0 / k)
+    for pair in keys:
+        for key in pair:
+            moduli = np.abs(np.linalg.eigvals(key))
+            assert moduli.min() >= 1.0 - 1e-9
+            assert moduli.max() <= cap * (1.0 + 1e-9)
+
+
+def test_product_key_condition_is_bounded_at_p128_k64():
+    # cond(ΠB) ≤ cond(V)²·1000 ≤ 4,000 with no key rejected
+    keys, _ = _run_keys(64, 128)
+    for side in (0, 1):
+        product = keys[0][side]
+        for pair in keys[1:]:
+            product = product @ pair[side]
+        assert np.linalg.cond(product) <= 4000.0
 
 
 def test_gen_agency_keys_layout():
@@ -185,10 +213,6 @@ def test_decoy_response_varies_with_rng():
     r1 = make_responses(x, y, "linear", np.random.default_rng(1))
     r2 = make_responses(x, y, "linear", np.random.default_rng(2))
     assert not np.array_equal(r1[:, 2], r2[:, 2])
-
-
-def test_response_key_degree_is_cubic():
-    assert RESPONSE_KEY_DEGREE == 3
 
 
 def test_agency_rng_deterministic_and_distinct():

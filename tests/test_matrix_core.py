@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from maskreg.attacks import poly_key
 from maskreg.errors import DimMismatch, NotPD
 from maskreg.keygen import derive_bases
 from maskreg.matrix_core import (
-    commute_materialize,
     random_ortho_blocks,
     random_orthogonal,
     solve_spd,
@@ -45,7 +45,7 @@ def test_materialize_matches_power_sum():
         c * np.linalg.matrix_power(basis, m + 1) for m, c in enumerate(coeffs)
     )
     np.testing.assert_allclose(
-        commute_materialize(basis, coeffs), direct, atol=1e-12
+        poly_key(basis, coeffs), direct, atol=1e-12
     )
 
 
@@ -53,20 +53,20 @@ def test_materialize_has_no_constant_term():
     # every key is a polynomial with zero constant term, so zero
     # coefficients give the zero matrix, not the identity
     basis = derive_bases(3, 4).b_basis
-    out = commute_materialize(basis, np.zeros(3))
+    out = poly_key(basis, np.zeros(3))
     assert np.all(out == 0.0)
 
 
 def test_materialize_degree_one():
     basis = derive_bases(4, 3).b_basis
-    np.testing.assert_allclose(commute_materialize(basis, [2.5]), 2.5 * basis)
+    np.testing.assert_allclose(poly_key(basis, [2.5]), 2.5 * basis)
 
 
 def test_materialized_keys_commute():
     rng = np.random.default_rng(5)
     basis = derive_bases(5, 6).b_basis
-    k1 = commute_materialize(basis, rng.normal(size=5))
-    k2 = commute_materialize(basis, rng.normal(size=5))
+    k1 = poly_key(basis, rng.normal(size=5))
+    k2 = poly_key(basis, rng.normal(size=5))
     np.testing.assert_allclose(k1 @ k2, k2 @ k1, atol=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_materialize_reference_instance():
     expected = np.array([[-2.3281, 14.0767, 3.9291],
                          [1.7723, 6.0984, 6.2113],
                          [-7.2310, -6.5806, 8.3587]])
-    key = commute_materialize(base, [8.0, 0.3, -2.0])
+    key = poly_key(base, [8.0, 0.3, -2.0])
     np.testing.assert_allclose(key, expected, atol=1e-3)
 
 

@@ -432,8 +432,8 @@ def test_ldp_offset_frame_equals_masking_the_explicit_sum():
     contexts = runner.build_contexts(datasets, config)
     for i, ((x, _), ctx) in enumerate(zip(datasets, contexts), start=1):
         stream = keygen.agency_rng(config.seed, i)
-        keygen.gen_agency_keys(contexts[0].bases, i, (300, 300), config.block_size,
-                               stream, sigma_coeff=config.sigma_coeff)
+        keygen.gen_agency_keys(contexts[0].bases, i, (300, 300),
+                               config.block_size, stream)
         shifted = x + stream.normal(0.0, config.delta, x.shape)
         assert np.array_equal(ctx.x, shifted)
         assert np.array_equal(ctx.responses[:, 1], shifted.sum(axis=1))

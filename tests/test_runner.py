@@ -84,9 +84,6 @@ def test_config_validation():
     for grid in ((), (float("nan"), 1.0), (0.1, float("inf")), (-0.5,)):
         with pytest.raises(ValueError):
             RunConfig(mode="ridge", lambda_grid=grid)
-    for sigma in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="sigma_coeff"):
-            RunConfig(sigma_coeff=sigma)
     for delta in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="delta"):
             RunConfig(delta=delta)
@@ -155,18 +152,20 @@ def test_honest_linear_run_accepted(n, p, k, seed):
 @pytest.mark.parametrize("n, p, k, mode", [
     (20000, 128, 32, "linear"), (20000, 128, 32, "ridge"),
     (20000, 64, 32, "linear"),
+    (8192, 128, 64, "linear"), (8192, 128, 64, "ridge"),
 ])
 def test_wide_many_agency_run_accepted(n, p, k, mode):
-    # The product of 32 keys is ill conditioned at large p; a cloud solve
-    # that squares cond(X·ΠB) rules these honest runs "tampered" or lets
-    # ridge drift off the oracle unseen.
+    # Many keys at large p: a cloud solve that squares cond(X·ΠB) rules
+    # these honest runs "tampered" or lets ridge drift off the oracle
+    # unseen, and so would keys whose product is ill conditioned. Each
+    # key's block moduli lie in [1, 1000^(1/k)], so cond(ΠB) ≤ 4,000.
     datasets = make_datasets(k, n // k, p, seed=0)
     report = run_protocol(datasets, RunConfig(k=k, mode=mode, lam=1.0, seed=0))
     assert report.verify.tolerance == protocol.VERIFY_TOL
     assert report.verify.verdict == "accepted"
     x, y = stacked(datasets)
     ref = ols_fit(x, y) if mode == "linear" else ridge_fit(x, y, 1.0)
-    assert rel_err(report.beta(), ref) < 1e-8
+    assert rel_err(report.beta(), ref) < 1e-9
 
 
 def test_single_agency_run():
@@ -793,12 +792,12 @@ FORGERIES = {
 }
 
 #: The hop that forges, as (the ids applied to the forged shard frame,
-#: what the receiver's error names). Agency 1 sends its round-1 frame of
-#: shard 1 to agency 2; agency 2 holds shard 3 last and sends it to the
-#: cloud. A frame that does not decode names no shard.
+#: what the receiver's error names, the channel a frame that does not
+#: decode is named by). Agency 1 sends its round-1 frame of shard 1 to
+#: agency 2; agency 2 holds shard 3 last and sends it to the cloud.
 HOPS = {
-    "agency": ((1,), "agency 2: shard 1"),
-    "cloud": ((3, 1, 2), "completed shard 3"),
+    "agency": ((1,), "agency 2: shard 1", "1 -> 2: "),
+    "cloud": ((3, 1, 2), "completed shard 3", "2 -> 0: "),
 }
 
 
@@ -826,7 +825,7 @@ def _forging_encoder(monkeypatch, forged, forge):
 
 def _forged_run_fails_at_once(monkeypatch, transport, forgery, hop):
     forge, error = FORGERIES[forgery]
-    applied, where = HOPS[hop]
+    applied, where, channel = HOPS[hop]
     _forging_encoder(monkeypatch, lambda frame: (
         frame.msg_type == MSG_SHARD and frame.applied == applied), forge)
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
@@ -835,7 +834,8 @@ def _forged_run_fails_at_once(monkeypatch, transport, forgery, hop):
     with pytest.raises(error) as caught:
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
     assert time.perf_counter() - t0 < 2.0
-    assert error is TransportFailure or where in str(caught.value)
+    assert str(caught.value).startswith(channel) if (
+        error is TransportFailure) else where in str(caught.value)
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
@@ -882,14 +882,16 @@ def test_ring_frame_with_a_second_matrix_section_fails_at_once(
         monkeypatch, transport, msg_type, src):
     """A ring hop whose bytes carry a second matrix section after its one
     matrix, the length prefix fixed up, fails at the next agency's
-    receive as ``TransportFailure``: no frame decodes to two matrices."""
+    receive as ``TransportFailure`` naming the channel: no frame decodes
+    to two matrices."""
     _forging_encoder(monkeypatch, lambda frame: (
         frame.msg_type == msg_type and frame.origin == src),
         lambda m: (m, m))
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(TransportFailure, match="follow its dimensions"):
+    with pytest.raises(TransportFailure,
+                       match=f"^{src} -> {src % 3 + 1}: .*follow its dimensions"):
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 

@@ -510,47 +510,47 @@ FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 #: (type, origin, applied ids), the same over the bus and over TCP.
 WIRE_SHA256 = {
     (1, 1, (1,)):
-        "eb972bfe1b27d0dbeb32ab2b6b45403334c6b6abf47f706564158c9a1cc449e5",
+        "1e826c5a17ada5e1c7f67b549533e5d99c0ec88ceb2677157b3190de9bc1fc71",
     (1, 1, (1, 2)):
-        "9cf3306f05c3b47e1da76bcb5854ad7c0d45d596a26f324eaaca56e2a9fdb760",
+        "f0d4c6bcba507e01ede52ef111eb276c9a9f7c6653793b0bec029d13deca83bb",
     (1, 1, (1, 2, 3)):
-        "2ba2d213cc187f68cfa0bec5672af578b71a4fa1f545ccdf5970422a3b875e9e",
+        "0924c0da255bd183f4dbcf325eb34cfe8a065f2ddaaf309200c2d7539efabb9d",
     (1, 2, (2,)):
-        "9fdebb2afebc5f7fd5bd79b178ed571cb1ae6194ff29e98ae3a844c83fd1a36b",
+        "f5f903fbf8dc3ff98f2f4a9a0b682837efb2a88e071e8ec7f544983130daf386",
     (1, 2, (2, 3)):
-        "c0602675b8f7bc769577af9fef91edd5a2afdeff48d27f2e4d49dd977fd0dd9b",
+        "2d5ed53c4dc04164e3cb2247eaa45888b4bffd14037c900965b2274aa0fa7d9c",
     (1, 2, (2, 3, 1)):
-        "041d88fff00c5fd5bc87c186300e9eb2584a4dfb9201a0c32d9a8d99b510b748",
+        "5b900d7aa73295d25b069888ef12eed55000f5955b45bef582593d10ddafd7c3",
     (1, 3, (3,)):
-        "99408c2361068e5c50574caa6dc242cc788a9b28aec4d72cf185d59080ee7eb1",
+        "64fa67e5447fa6846154bbda3f85c0d7500da06add6a302ea73125121b2194d4",
     (1, 3, (3, 1)):
-        "a2de300b2f052e89141d5f1859dfe1dab7f3af921b8cc6f07bc120f7d3f7f45a",
+        "87a1be69d6f26592cf42f411cfa844f7dc254f88d6ed3b3aad776bc475f9c8f1",
     (1, 3, (3, 1, 2)):
-        "9c4ba61770806725915ee081fb3dabbcaca2cc40509621f2b9df46dd6b77b024",
+        "76dd569c635ff7cc475cc741b3928651a693c87edb8b163f366a9666c8674865",
     (2, 0, ()):
         "1b242955b42a48185cb1f21ac644abed7d40992a8a062701f1c693f8471bf805",
     (2, 1, (1,)):
-        "92018140c6ddfe2a825dbfa5287970ae25ed6bf25843c133b94144c5259c1003",
+        "5de21544d2be17d16a2dbec7ea78a3dcde95289efcfee5f7e364a636b2e86628",
     (2, 2, (1, 2)):
-        "794cf32f185ffce3c113dcfd4530de622abb9dbc0bc676be7be4d9755877ef11",
+        "0dbba4fe4bd0d0f1113924789036c2c9b32f77691dfbdfa10a5830466bad54e4",
     (2, 3, (1, 2, 3)):
-        "74f05e1aaa26ce9af59a5e9476c41ad591c45851e2088217c5461475a37b9dac",
+        "e746a88a6eaa79efb141df222916100bed4232ef080234e26444bcc2295f2c90",
     (3, 0, ()):
-        "fe8e13af448d986f50e3a69f6a2e19978ef55ada54276eff0dc7765515534eb1",
+        "60967dfcf91796237c95d85c806af8a950e3fcec7835ba6eca18826f3a6c80a5",
     (3, 1, (1,)):
-        "739040c62a7d766a531c095a6ef9749cdcc2fe45d4144116892294ffaa5d166c",
+        "b0d283f97252777608a925ee01926e6c91b5a61231c479231beb0d097162ffab",
     (3, 2, (1, 2)):
-        "01cb03f2c5e2c01ba0bc7c7eb653977bc13b8615a361435dac198a2224ec42b8",
+        "b431a3367c4508d4d5b8737d8515bbf62b70bf85a8ef8476a85a9dbca35206c5",
     (3, 3, (1, 2, 3)):
-        "271361fbcf7ab1223e55b12725eae9f878cb36159594f8c440f70550fc8c7407",
+        "2a88bc62e3ef8aca423664d53098c6b543cd240ebb9eaa43a6d4520b25812529",
     (4, 0, ()):
-        "e1849519021aad8529b634ed89a32fd2a1586c9c1ed26d8939bbe32f5521695b",
+        "ebca3597801a310bf7a1bf174191e868ba2900d0828e4d381beff59af031e532",
     (4, 1, (1,)):
-        "9f53efe6bf40d1cdd707fc116a71e8a4d954419b13286175f24eed0fb315a96b",
+        "eff3f615a446ac1d1c85112bf92120b4a243aefa82f6324f7fd628f778a5636b",
     (4, 2, (1, 2)):
-        "3fec9b7c6dcbfacca5a1ae3c2f6e66421503b379bc3a2f8894973bb00cf7e33e",
+        "6da0651e320bfb313722ca2b1d4602b61e6bb5db1a343a91c05f547c80b61368",
     (4, 3, (1, 2, 3)):
-        "51aa05c0845e030da7ddc74951cf80bd6f6aa9e2fe60930b23b10b4f80fa5778",
+        "457e8cc35d9f60f77b7cdb1f9108153118696e342b53bc2314fa297a37423451",
 }
 
 
@@ -622,7 +622,7 @@ def test_wire_bytes_match_golden(kind):
 #: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
 #: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
 OFFSET_RUN_SHA256 = (
-    "488078d6d3430adc5b06f6b6de4a104d673fb7d6a9e863dd1912c04df6106822")
+    "801315cf302c8b8b20717bb8f9e13b9f7594e90da826c23fa6b3dcd03db0b4f2")
 
 
 def _offset_run_sha256(kind):
