@@ -192,12 +192,16 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng):
 
 
 def make_responses(x, y, mode, rng):
-    """Build the three-column response bundle sent through the protocol.
+    """The response columns an origin factors, and its pseudo-response
+    weights.
 
-    Column 0 is the real response. Column 1 is the verification response:
-    row sums of the features for a linear fit, so its decrypted
-    coefficients must all equal one, and the zero vector for a ridge fit,
-    so they must all equal zero. Column 2 is a standard-normal decoy.
+    Returns the (n, 2) columns [y | decoy], the real response and a
+    standard-normal decoy, and the (p,) weights w of the verification
+    column v = x·w: ones for a linear fit, so its decrypted coefficients
+    must all equal one, and zeros for a ridge fit, so they must all equal
+    zero. v lies in the span of x, so its column of x's R factor is R_xx·w
+    over zeros, and the origin writes it there (``protocol.local_encrypt``)
+    instead of summing its rows.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -208,13 +212,13 @@ def make_responses(x, y, mode, rng):
             f"y has shape {y.shape}, expected ({x.shape[0]},)"
         )
     if mode == "linear":
-        verify = x.sum(axis=1)
+        weights = np.ones(x.shape[1])
     elif mode == "ridge":
-        verify = np.zeros(x.shape[0])
+        weights = np.zeros(x.shape[1])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     decoy = rng.standard_normal(x.shape[0])
-    return np.column_stack([y, verify, decoy])
+    return np.column_stack([y, decoy]), weights
 
 
 def agency_rng(master_seed, agency_id):

@@ -5,13 +5,16 @@ X_1..X_K (row-partitioned across agencies):
 
 1. every agency factors its own shard: the rows of [X + Δ | Y], with Δ
    its local-DP offset, added to its rows once when its context is built
-   (``runner.build_contexts``), and Y the three-column response bundle,
-   whose verification column sums each row of X + Δ. The rows fall into
-   ``block_size``-row blocks, block j into fold j mod F, and each fold's
-   rows give one (q, q) R factor. The agency keys each factor with its
-   feature key B and its response key C, R ← R(R·diag(B, C)), and sends
-   the (F·q, q) stack on as round 1. No row leaves the agency, and no row
-   count either: every agency's is public (``AgencyKeys.row_counts``);
+   (``runner.build_contexts``), and Y = [y | v | decoy] the three response
+   columns. The verification column v = (X + Δ)·w, with w all ones for a
+   linear fit and all zeros for ridge, lies in the span of X + Δ, so the
+   agency factors only [X + Δ | y, decoy] and writes v's column of each
+   factor as R_xx·w over zeros. The rows fall into ``block_size``-row
+   blocks, block j into fold j mod F, and each fold's rows give one
+   (q, q) R factor. The agency keys each factor with its feature key B
+   and its response key C, R ← R(R·diag(B, C)), and sends the (F·q, q)
+   stack on as round 1. No row leaves the agency, and no row count
+   either: every agency's is public (``AgencyKeys.row_counts``);
 2. the shard travels around a ring, and every other agency checks the
    frame and keys the factors it received the same way, one round on.
    With M the shard's rows and K the product of the keys so far,
@@ -76,8 +79,8 @@ VERIFY_TOL = 1e-6
 #: Rows per block in each level of :func:`r_factor`; 2q for wider q columns.
 TSQR_ROWS = 256
 
-#: Most elements of [X + Δ | Y] that :func:`shard_factors` copies and
-#: factors at once (512 KB).
+#: Most elements of [X + Δ | y, decoy] that :func:`shard_factors` copies
+#: and factors at once (512 KB).
 SHARD_CHUNK = 2**16
 
 #: A diagonal entry of R_xx at or below this fraction of the largest one
@@ -169,7 +172,9 @@ class VerifyReport:
 class AgencyContext:
     """One agency's private state for a protocol run. ``x`` is the rows it
     encrypts: its features with its local-DP offset already added, if the
-    run has one."""
+    run has one. ``responses`` is the (n, 2) columns [y | decoy] it factors
+    beside them, and ``verify_weights`` the (p,) w of its verification
+    column x·w (``keygen.make_responses``)."""
 
     def __init__(self, agency_id, x, y, keys, bases, mode, rng):
         if mode not in MODES:
@@ -184,11 +189,8 @@ class AgencyContext:
         self.keys = keys
         self.bases = bases
         self.rng = rng
-        self.responses = keygen.make_responses(self.x, y, mode, rng)
-
-    @property
-    def n_rows(self):
-        return self.x.shape[0]
+        self.responses, self.verify_weights = keygen.make_responses(
+            self.x, y, mode, rng)
 
     @property
     def num_agencies(self):
@@ -210,10 +212,32 @@ def _keyed(ctx, origin, applied, r):
 
 def local_encrypt(ctx, folds):
     """Round 1 of an origin's own shard: the keyed factors of each fold of
-    its [X + Δ | Y] (``ctx.x``, ``shard_factors``). The agency's own rows
-    are read, never written or sent."""
+    its [X + Δ | y, v, decoy]. It factors [X + Δ | y, decoy] (``ctx.x``
+    and ``ctx.responses``, ``shard_factors``) and writes in the column of
+    v = (X + Δ)·w (``_with_pseudo_response``). The agency's own rows are
+    read, never written or sent."""
     r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds)
-    return _keyed(ctx, ctx.agency_id, (), r)
+    return _keyed(ctx, ctx.agency_id, (),
+                  _with_pseudo_response(r, ctx.verify_weights))
+
+
+def _with_pseudo_response(r, w):
+    """The (..., q, q) factors of [X | y, X·w, decoy], given the
+    (..., q − 1, q − 1) factors ``r`` of [X | y, decoy] and the (p,)
+    weights ``w``.
+
+    X·w lies in the span of X, so its column of R is R_xx·w over zeros:
+    the decoy's column and diagonal move one place right, and the row
+    beneath R_xx·w is zero. RᵀR is then the Gram of [X | y, X·w, decoy]
+    whenever ``r``'s is that of [X | y, decoy]. The R of these
+    rank-deficient rows is not unique below the dependent column, and this
+    is one valid choice."""
+    p = w.shape[0]
+    keep = np.r_[:p + 1, p + 2]
+    full = np.zeros(r.shape[:-2] + (p + 3, p + 3))
+    full[..., keep[:, None], keep] = r
+    full[..., :p, p + 1] = full[..., :p, :p] @ w
+    return full
 
 
 def pass_encrypt(ctx, shard, folds):
@@ -243,6 +267,7 @@ def shard_factors(x, y, block_size, folds):
     than folds.
     """
     n, p = x.shape
+    q = p + y.shape[1]
     blocks = len(split_block_sizes(n, block_size))
     if blocks < folds:
         raise FoldBlockMisaligned(
@@ -253,13 +278,13 @@ def shard_factors(x, y, block_size, folds):
 
     def fold_factors(lo, hi):
         """(folds, q, q) R factors of rows lo:hi of [x | y]."""
-        buf = np.zeros((-(-(hi - lo) // span) * span, p + 3))
+        buf = np.zeros((-(-(hi - lo) // span) * span, q))
         buf[:hi - lo, :p] = x[lo:hi]
         buf[:hi - lo, p:] = y[lo:hi]
-        return r_factor(buf.reshape(-1, folds, block_size, p + 3)
-                        .swapaxes(0, 1).reshape(folds, -1, p + 3))
+        return r_factor(buf.reshape(-1, folds, block_size, q)
+                        .swapaxes(0, 1).reshape(folds, -1, q))
 
-    step = span * max(1, SHARD_CHUNK // (span * (p + 3)))
+    step = span * max(1, SHARD_CHUNK // (span * q))
     return r_factor(np.concatenate(
         [fold_factors(lo, min(lo + step, n)) for lo in range(0, n, step)],
         axis=-2))
@@ -507,8 +532,9 @@ def inject_tamper(contexts, plan):
 
     Two actions corrupt the named agency in place before it masks:
 
-    - ``skip_pseudo_response``: replaces the verification response with
-      noise, i.e. the agency never computes the pseudo-response it owes;
+    - ``skip_pseudo_response``: replaces the verification weights w with
+      noise, so the agency regresses X·w′, not the pseudo-response it
+      owes;
     - ``non_commutative_key``: swaps the feature key for a random
       well-conditioned matrix that does not commute with the shared base.
 
@@ -522,7 +548,7 @@ def inject_tamper(contexts, plan):
         return
     ctx = _find_agency(contexts, plan.agency)
     if plan.action == "skip_pseudo_response":
-        ctx.responses[:, 1] = ctx.rng.standard_normal(ctx.n_rows)
+        ctx.verify_weights = ctx.rng.standard_normal(ctx.x.shape[1])
     elif plan.action == "non_commutative_key":
         # cond ≤ 2, and with probability one not in the base's commutant
         ctx.keys.b_key = random_well_conditioned(ctx.keys.b_key.shape[0],

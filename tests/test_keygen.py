@@ -173,46 +173,31 @@ def test_make_responses_linear():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 4))
     y = rng.standard_normal(6)
-    resp = make_responses(x, y, "linear", rng)
-    assert resp.shape == (6, 3)
-    np.testing.assert_allclose(resp[:, 0], y)
-    np.testing.assert_allclose(resp[:, 1], x.sum(axis=1))
-
-
-@pytest.mark.parametrize("shape", [(12_000, 24), (1, 3), (4097, 8), (50, 700)])
-def test_make_responses_row_sums_are_bit_identical(shape):
-    # the offset rows' verification column equals, bit for bit, the sums
-    # of x + delta taken 2**15 // p + 1 rows at a time: a row's sum does
-    # not depend on how the rows around it are chunked, nor on the order
-    # of the two addends
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(shape)
-    y = rng.standard_normal(shape[0])
-    delta = rng.standard_normal(shape)
-    step = 2**15 // shape[1] + 1
-    want = np.concatenate([(x[i:i + step] + delta[i:i + step]).sum(axis=1)
-                           for i in range(0, shape[0], step)])
-    offset = delta.copy()
-    offset += x
-    resp = make_responses(offset, y, "linear", rng)
-    assert np.array_equal(resp[:, 1], want)
+    state = rng.bit_generator.state
+    cols, weights = make_responses(x, y, "linear", rng)
+    assert cols.shape == (6, 2)
+    assert np.array_equal(cols[:, 0], y)
+    assert np.array_equal(weights, np.ones(4))
+    # the decoy is the stream's next six normals: no row pass comes first
+    rng.bit_generator.state = state
+    assert np.array_equal(cols[:, 1], rng.standard_normal(6))
 
 
 def test_make_responses_ridge_targets_zero():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
     y = rng.standard_normal(6)
-    resp = make_responses(x, y, "ridge", rng)
-    assert np.all(resp[:, 1] == 0.0)
-    np.testing.assert_allclose(resp[:, 0], y)
+    cols, weights = make_responses(x, y, "ridge", rng)
+    assert np.array_equal(weights, np.zeros(4))
+    np.testing.assert_allclose(cols[:, 0], y)
 
 
 def test_decoy_response_varies_with_rng():
     x = np.ones((4, 2))
     y = np.ones(4)
-    r1 = make_responses(x, y, "linear", np.random.default_rng(1))
-    r2 = make_responses(x, y, "linear", np.random.default_rng(2))
-    assert not np.array_equal(r1[:, 2], r2[:, 2])
+    r1, _ = make_responses(x, y, "linear", np.random.default_rng(1))
+    r2, _ = make_responses(x, y, "linear", np.random.default_rng(2))
+    assert not np.array_equal(r1[:, 1], r2[:, 1])
 
 
 def test_agency_rng_deterministic_and_distinct():

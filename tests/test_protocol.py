@@ -79,6 +79,24 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+def explicit_rows(ctx):
+    """[X + Δ | y, (X + Δ)·w, decoy]: the rows whose Gram an origin's fold
+    factors carry."""
+    y, decoy = ctx.responses.T
+    return np.column_stack([ctx.x, y, ctx.x @ ctx.verify_weights, decoy])
+
+
+def factor_err(r, rows):
+    """Relative distance of the R factor ``r`` from that of ``rows``, whose
+    column p + 1 lies in the span of the first p: rows 0..p entry by entry,
+    where R is unique, and the trailing 2×2 block, which is not, through
+    RᵀR."""
+    p = rows.shape[1] - 3
+    want = r_factor(rows)
+    return max(rel_err(r[:p + 1], want[:p + 1]),
+               rel_err(r.T @ r, rows.T @ rows))
+
+
 def decrypt_all(contexts, values):
     for ctx in contexts:
         values = decrypt_round(ctx, values)
@@ -272,10 +290,11 @@ def _identity_contexts(sizes, block_size, rng):
     shard frames carry the fold factors of the origins' own rows."""
     keys = SimpleNamespace(b_key=np.eye(4), c_key=np.eye(3),
                            row_counts=tuple(sizes), block_size=block_size)
-    return [SimpleNamespace(agency_id=i, keys=keys, n_rows=n,
+    return [SimpleNamespace(agency_id=i, keys=keys,
                             num_agencies=len(sizes),
                             x=rng.standard_normal((n, 4)),
-                            responses=rng.standard_normal((n, 3)))
+                            responses=rng.standard_normal((n, 2)),
+                            verify_weights=rng.standard_normal(4))
             for i, n in enumerate(sizes, start=1)]
 
 
@@ -298,18 +317,18 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     rng = np.random.default_rng(len(sizes) + folds)
     k = len(sizes)
     contexts = _identity_contexts(sizes, block_size, rng)
-    z = np.vstack([np.hstack([c.x, c.responses]) for c in contexts])
+    z = np.vstack([explicit_rows(c) for c in contexts])
     agg = assemble_aggregate(
         (pass_encrypt(contexts[(o + k - 1) % k], s, folds)
          for o, s in enumerate(pass_rings(contexts, folds))),
         sizes, block_size, folds)
     assert agg.x_star.shape == (sum(sizes), 4)
-    assert rel_err(agg.z_factor, r_factor(z)) < 1e-12
+    assert factor_err(agg.z_factor, z) < 1e-12
     rows = fold_rows(agg, folds)
     assert agg.fold_sizes == tuple(r.size for r in rows)
     assert agg.fold_factors.shape == (folds, 7, 7)
     for factor, fold in zip(agg.fold_factors, rows):
-        assert rel_err(factor, r_factor(z[fold])) < 1e-12
+        assert factor_err(factor, z[fold]) < 1e-12
 
 
 @pytest.mark.parametrize("n, block_size, folds", [
@@ -336,17 +355,44 @@ def test_completed_shard_keys_the_fold_factors():
     origin, holder = contexts
     shard = pass_rings(contexts, 3)[0]
     done = pass_encrypt(holder, shard, 3)
-    keyed = np.hstack([origin.x @ origin.keys.b_key @ holder.keys.b_key,
-                       origin.responses @ origin.keys.c_key
-                       @ holder.keys.c_key])
+    rows = explicit_rows(origin)
+    keyed = np.hstack([rows[:, :4] @ origin.keys.b_key @ holder.keys.b_key,
+                       rows[:, 4:] @ origin.keys.c_key @ holder.keys.c_key])
     block = np.arange(75) // 8
     assert done.matrix.shape == (21, 7)
     assert done.applied == (1, 2)
     for f in range(3):
-        assert rel_err(done.matrix[7 * f:7 * f + 7],
-                       r_factor(keyed[block % 3 == f])) < 1e-12
+        assert factor_err(done.matrix[7 * f:7 * f + 7],
+                          keyed[block % 3 == f]) < 1e-12
     with pytest.raises(DuplicatePass):
         pass_encrypt(contexts[0], shard, 3)
+
+
+@pytest.mark.parametrize("folds", [1, 3])
+@pytest.mark.parametrize("delta", [None, 0.5])
+@pytest.mark.parametrize("mode", ["linear", "ridge"])
+def test_round1_factors_carry_the_pseudo_response_column(mode, delta, folds):
+    """An origin writes its verification column into each fold factor as
+    R_xx·w, bit for bit, over a zero row, and RᵀR is the Gram of that
+    fold's explicit rows [X + Δ | y, (X + Δ)·w, decoy]. Identity keys make
+    the round-1 frame carry the origin's factors as they are."""
+    rng = np.random.default_rng(40)
+    datasets = [(rng.standard_normal((300, 5)), rng.standard_normal(300))
+                for _ in range(2)]
+    contexts = runner.build_contexts(datasets, runner.RunConfig(
+        k=2, mode=mode, delta=delta, seed=40))
+    want = np.ones(5) if mode == "linear" else np.zeros(5)
+    for ctx in contexts:
+        assert np.array_equal(ctx.verify_weights, want)
+        ctx.keys.b_key, ctx.keys.c_key = np.eye(5), np.eye(3)
+        r = local_encrypt(ctx, folds).matrix.reshape(folds, 8, 8)
+        assert np.array_equal(r[:, :5, 6], r[:, :5, :5] @ want)
+        assert not np.any(r[:, 6]) and not np.any(r[:, 5:, 6])
+        rows = explicit_rows(ctx)
+        block = np.arange(300) // ctx.keys.block_size
+        for f in range(folds):
+            fold = rows[block % folds == f]
+            assert rel_err(r[f].T @ r[f], fold.T @ fold) < 1e-12
 
 
 def test_shard_factors_reject_fewer_blocks_than_folds():
@@ -423,8 +469,8 @@ def test_ldp_offset_build_holds_one_shard_per_agency():
 
 def test_ldp_offset_frame_equals_masking_the_explicit_sum():
     """Each agency draws its offset from its own stream right after its
-    keys; its rows are x + offset, its verification column their row
-    sums, and its round-1 frame that of those rows."""
+    keys; its rows are x + offset, its verification weights all ones, and
+    its round-1 frame that of those rows."""
     rng = np.random.default_rng(9)
     datasets = [(rng.standard_normal((300, 5)), rng.standard_normal(300))
                 for _ in range(2)]
@@ -436,7 +482,7 @@ def test_ldp_offset_frame_equals_masking_the_explicit_sum():
                                config.block_size, stream)
         shifted = x + stream.normal(0.0, config.delta, x.shape)
         assert np.array_equal(ctx.x, shifted)
-        assert np.array_equal(ctx.responses[:, 1], shifted.sum(axis=1))
+        assert np.array_equal(ctx.verify_weights, np.ones(5))
         summed = copy.copy(ctx)
         summed.x = shifted
         assert bytes(encode_frame(local_encrypt(ctx, 1))) == bytes(

@@ -362,6 +362,24 @@ def test_ridge_key_tampering_detected(action):
         assert report.verify.verdict == "tampered"
 
 
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("mode, delta", [("ridge", None), ("ridge", 0.5),
+                                         ("linear", 0.5)])
+def test_skip_pseudo_response_rejected(mode, delta, transport):
+    """An agency that regresses its rows on noise weights instead of the
+    w it owes is caught in either mode, with or without an offset."""
+    datasets = make_datasets(3, 60, 4, seed=14)
+    for agency in (1, 3):
+        plan = TamperPlan(action="skip_pseudo_response", agency=agency)
+        config = RunConfig(k=3, mode=mode, delta=delta, seed=14 + agency,
+                           transport=transport)
+        assert run_protocol(datasets, config).verify.accepted
+        report = run_protocol(datasets,
+                              dataclasses.replace(config, tamper=plan))
+        assert report.verify.verdict == "tampered"
+        assert report.verify.max_deviation > 1e3 * report.verify.tolerance
+
+
 def test_unknown_transport_rejected_before_keygen(monkeypatch):
     calls = []
     monkeypatch.setattr(keygen, "derive_bases",
@@ -455,11 +473,24 @@ def usable_cpus():
 def test_run_leaves_no_blas_worker_spinning():
     # A BLAS call large enough to thread leaves OpenBLAS's workers spinning
     # for about 0.1 s of CPU after it returns; every call on a run's path is
-    # small, so the process idles once the run is over.
-    run_protocol(make_datasets(3, 8000, 16, seed=5), RunConfig(k=3, seed=5))
-    start = time.process_time()
-    time.sleep(0.3)
-    assert time.process_time() - start < 0.03
+    # small, so the process idles once the run is over. The runs are a
+    # linear fit on the bus, an encrypted CV at the cv_select benchmark's
+    # shape and a four-agency TCP fit.
+    grid = tuple(float(v) for v in np.logspace(-3.0, 2.0, 16))
+    runs = [
+        (run_protocol, make_datasets(3, 8000, 16, seed=5),
+         RunConfig(k=3, seed=5)),
+        (cross_validate_encrypted,
+         make_datasets(2, 12_000, 24, seed=5, noise=1.0),
+         RunConfig(k=2, mode="ridge", folds=5, lambda_grid=grid, seed=5)),
+        (run_protocol, make_datasets(4, 4000, 24, seed=5),
+         RunConfig(k=4, seed=5, transport="tcp")),
+    ]
+    for run, datasets, config in runs:
+        assert run(datasets, config).verify.accepted
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start < 0.03, (run.__name__, config)
 
 
 def test_report_to_dict_roundtrips_to_json():
@@ -650,7 +681,9 @@ def _capture_cloud_view(monkeypatch):
                           rows[:, p:] @ ctx.keys.c_key])
 
     def recording_local(ctx, folds):
-        shards[ctx.agency_id] = keyed(ctx, np.hstack([ctx.x, ctx.responses]))
+        y, decoy = ctx.responses.T
+        shards[ctx.agency_id] = keyed(ctx, np.column_stack(
+            [ctx.x, y, ctx.x @ ctx.verify_weights, decoy]))
         return local(ctx, folds)
 
     def recording_pass(ctx, shard, folds):

@@ -510,23 +510,23 @@ FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 #: (type, origin, applied ids), the same over the bus and over TCP.
 WIRE_SHA256 = {
     (1, 1, (1,)):
-        "1e826c5a17ada5e1c7f67b549533e5d99c0ec88ceb2677157b3190de9bc1fc71",
+        "d50b543f8ec7017dad54d72942c6c5bed0e48e524a2963aad1ac75c5e1cfeddf",
     (1, 1, (1, 2)):
-        "f0d4c6bcba507e01ede52ef111eb276c9a9f7c6653793b0bec029d13deca83bb",
+        "d2539d12e8867f8e80299c7fdc643279c8b4ed88dd23bac0f44c5f40e49815d7",
     (1, 1, (1, 2, 3)):
-        "0924c0da255bd183f4dbcf325eb34cfe8a065f2ddaaf309200c2d7539efabb9d",
+        "51372e9bf008c6530d5dcfc0b2982360a89ad7d0bc79db4cd29464a053401002",
     (1, 2, (2,)):
-        "f5f903fbf8dc3ff98f2f4a9a0b682837efb2a88e071e8ec7f544983130daf386",
+        "da034f825bc10832d511407ce211bbce73181f07202b1143d65c9a0ee307ab3e",
     (1, 2, (2, 3)):
-        "2d5ed53c4dc04164e3cb2247eaa45888b4bffd14037c900965b2274aa0fa7d9c",
+        "c198ea5ff508c2b636cdd051a7fd719cc17038d3a4c1d95fa65e09bb4aed09d3",
     (1, 2, (2, 3, 1)):
-        "5b900d7aa73295d25b069888ef12eed55000f5955b45bef582593d10ddafd7c3",
+        "67259a3e0b9871d6c33571b2f3ef33688a3aa670fdc28308c499cb1ced32e072",
     (1, 3, (3,)):
-        "64fa67e5447fa6846154bbda3f85c0d7500da06add6a302ea73125121b2194d4",
+        "5ad194cfab83ff25533229bd95bf4daa25c95dc2ae2db9bc9a9ffb803ce09cd1",
     (1, 3, (3, 1)):
-        "87a1be69d6f26592cf42f411cfa844f7dc254f88d6ed3b3aad776bc475f9c8f1",
+        "9cd9ffc6ec92031efc4f0e53db0a17518016c06abdac298f411b356aab553cf4",
     (1, 3, (3, 1, 2)):
-        "76dd569c635ff7cc475cc741b3928651a693c87edb8b163f366a9666c8674865",
+        "6f1640897ccd44730e5165eee682bc907a10ff987d46b93d46b03799a8de358b",
     (2, 0, ()):
         "1b242955b42a48185cb1f21ac644abed7d40992a8a062701f1c693f8471bf805",
     (2, 1, (1,)):
@@ -536,21 +536,21 @@ WIRE_SHA256 = {
     (2, 3, (1, 2, 3)):
         "e746a88a6eaa79efb141df222916100bed4232ef080234e26444bcc2295f2c90",
     (3, 0, ()):
-        "60967dfcf91796237c95d85c806af8a950e3fcec7835ba6eca18826f3a6c80a5",
+        "30d798f27f6dfa6bfdca9184562e2d8b801c57ef923ae88deaefb34fc2d79b4d",
     (3, 1, (1,)):
-        "b0d283f97252777608a925ee01926e6c91b5a61231c479231beb0d097162ffab",
+        "ced329b8f065d39cd5f6d52a9aece5f8609afdc706ecc6a36650dd174347d623",
     (3, 2, (1, 2)):
-        "b431a3367c4508d4d5b8737d8515bbf62b70bf85a8ef8476a85a9dbca35206c5",
+        "16bbe2c551a596a567dcf0f7bc4d04fdc7c3624093741d7ccb5e59e764f3349e",
     (3, 3, (1, 2, 3)):
-        "2a88bc62e3ef8aca423664d53098c6b543cd240ebb9eaa43a6d4520b25812529",
+        "437ca415d23cf8d8d66495d36ef67505305e719f652a6b947551d0581ba220a7",
     (4, 0, ()):
-        "ebca3597801a310bf7a1bf174191e868ba2900d0828e4d381beff59af031e532",
+        "59c8ec64aaba0036d9fa6245d56fddb81dc2e395ad402ee0be80412c49b57b5b",
     (4, 1, (1,)):
-        "eff3f615a446ac1d1c85112bf92120b4a243aefa82f6324f7fd628f778a5636b",
+        "7be3539722434679151e3db3518b12dbab0fff4994336dc7829bfcf74669a170",
     (4, 2, (1, 2)):
-        "6da0651e320bfb313722ca2b1d4602b61e6bb5db1a343a91c05f547c80b61368",
+        "86ff0ef2897b064aea29cd1d5a40d18bc560ebf494aa8efe051d102655a0c653",
     (4, 3, (1, 2, 3)):
-        "457e8cc35d9f60f77b7cdb1f9108153118696e342b53bc2314fa297a37423451",
+        "b16568b03631745abe8e783459216fb1991d16d1a0747529e231c251e1796585",
 }
 
 
@@ -622,7 +622,7 @@ def test_wire_bytes_match_golden(kind):
 #: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
 #: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
 OFFSET_RUN_SHA256 = (
-    "801315cf302c8b8b20717bb8f9e13b9f7594e90da826c23fa6b3dcd03db0b4f2")
+    "2a0c4d4d5d9c411fdd9a60be1a43dcd0a20767d70114f3c49ce800cf28b6953c")
 
 
 def _offset_run_sha256(kind):
