@@ -21,10 +21,6 @@ class RankDeficient(MaskRegError):
     """Design matrix does not have full column rank."""
 
 
-class DuplicatePass(MaskRegError):
-    """An agency attempted to key the same shard twice."""
-
-
 class ProtocolOrderViolation(MaskRegError):
     """A protocol message arrived out of the expected order."""
 

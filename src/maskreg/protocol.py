@@ -16,19 +16,18 @@ X_1..X_K (row-partitioned across agencies):
    stack on as round 1. No row leaves the agency, and no row count
    either: every agency's is public (``AgencyKeys.row_counts``);
 2. the shard travels around a ring, and every other agency checks the
-   frame and keys the factors it received the same way, one round on.
-   With M the shard's rows and K the product of the keys so far,
-   (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K), so R(M·K) = R(R·K): each hop's factors are
-   those of the keyed rows. A row mask whose blocks lie inside the folds
-   would leave every fold's R unchanged, R(A·M) = R(M), so no hop draws
-   one. A shard is the :class:`~maskreg.transport.Frame` that carries it:
-   origin, the ids that keyed it, in order, and its one matrix, the
-   factors;
+   factors and keys them the same way, one round on. With M the shard's
+   rows and K the product of the keys so far, (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K),
+   so R(M·K) = R(R·K): each hop's factors are those of the keyed rows. A
+   row mask whose blocks lie inside the folds would leave every fold's R
+   unchanged, R(A·M) = R(M), so no hop draws one. A shard is its
+   (F·q, q) factor matrix; the runner sends it in a frame whose applied
+   ids, the agencies that keyed it in order, it checks at every hop;
 3. the shard's last holder sends it to the cloud. The cloud stacks the
    factors, takes the R factor of every keyed row from them and
    back-substitutes, and gets a masked estimate; it derives each fold's
    row count from the public row counts. With one agency, the origin
-   sends its round-1 frame to the cloud;
+   sends its round-1 factors to the cloud;
 4. the masked estimate travels one decryption round per agency; what
    comes out is the plaintext estimate for all three response columns;
 5. the cloud checks the verification column of an estimate that came
@@ -37,7 +36,9 @@ X_1..X_K (row-partitioned across agencies):
    corrupted.
 
 Orchestration across a transport lives in :mod:`maskreg.runner`; functions
-here are pure single steps so they can be tested (and attacked) directly.
+here are pure single steps that take and return matrices, so they can be
+tested (and attacked) directly. Only the runner builds a frame and checks
+its header.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ import numpy as np
 from . import keygen
 from .errors import (
     DimMismatch,
-    DuplicatePass,
     FoldBlockMisaligned,
     ProtocolOrderViolation,
     SingularResult,
@@ -57,7 +57,6 @@ from .matrix_core import (  # noqa: F401
     solve_spd,
     split_block_sizes,
 )
-from .transport import MSG_SHARD, Frame
 
 # ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
 # name ``protocol.solve_spd``, so it stays importable from this module.
@@ -197,17 +196,16 @@ class AgencyContext:
         return len(self.keys.row_counts)
 
 
-def _keyed(ctx, origin, applied, r):
-    """The shard frame one hop on from ``r``, a (folds, q, q) stack of fold
-    factors of origin's rows: each factor keyed with this agency's keys,
-    R ← R(R·diag(B, C)), this agency's id appended to ``applied`` and the
-    stack sent as one (folds·q, q) matrix."""
+def _keyed(ctx, r):
+    """The shard one hop on from ``r``, a (folds, q, q) stack of fold
+    factors: each factor keyed with this agency's keys,
+    R ← R(R·diag(B, C)), and the stack returned as one (folds·q, q)
+    matrix."""
     keys = ctx.keys
     p = keys.b_key.shape[0]
     r = r_factor(np.concatenate(
         [r[..., :p] @ keys.b_key, r[..., p:] @ keys.c_key], axis=-1))
-    return Frame(MSG_SHARD, origin, applied + (ctx.agency_id,),
-                 r.reshape(-1, p + 3))
+    return r.reshape(-1, p + 3)
 
 
 def local_encrypt(ctx, folds):
@@ -217,8 +215,7 @@ def local_encrypt(ctx, folds):
     v = (X + Δ)·w (``_with_pseudo_response``). The agency's own rows are
     read, never written or sent."""
     r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds)
-    return _keyed(ctx, ctx.agency_id, (),
-                  _with_pseudo_response(r, ctx.verify_weights))
+    return _keyed(ctx, _with_pseudo_response(r, ctx.verify_weights))
 
 
 def _with_pseudo_response(r, w):
@@ -240,17 +237,13 @@ def _with_pseudo_response(r, w):
     return full
 
 
-def pass_encrypt(ctx, shard, folds):
-    """One hop of a shard: check the received frame as the cloud does
-    (``_completed_parts``) and key its factors, one round on. The last
-    holder sends the result to the cloud."""
-    where = f"agency {ctx.agency_id}: shard {shard.origin}"
-    if ctx.agency_id in shard.applied:
-        raise DuplicatePass(f"{where} was already keyed by this agency")
-    if not 1 <= shard.origin <= ctx.num_agencies:
-        raise ProtocolOrderViolation(f"{where} has no such origin")
+def pass_encrypt(ctx, shard, folds, origin):
+    """One hop of origin's shard, its (folds·q, q) factor matrix: check it
+    as the cloud does (``_completed_parts``) and key its factors, one
+    round on. The last holder sends the result to the cloud."""
+    where = f"agency {ctx.agency_id}: shard {origin}"
     r = _completed_parts(shard, where, folds, ctx.keys.b_key.shape[0] + 3)
-    return _keyed(ctx, shard.origin, shard.applied, r)
+    return _keyed(ctx, r)
 
 
 def shard_factors(x, y, block_size, folds):
@@ -290,14 +283,14 @@ def shard_factors(x, y, block_size, folds):
         axis=-2))
 
 
-def _completed_parts(shard, where, folds, q=None):
-    """A shard frame's (folds, q, q) factor stack, once it is checked;
-    ``where`` names the receiver and the shard in errors, and ``q`` is the
-    expected width, or None for any. Raises :class:`DimMismatch` for a
-    matrix of the wrong shape and :class:`ProtocolOrderViolation` for a
-    factor that is not finite, upper triangular and non-negative on its
-    diagonal, which an honest sender could not have sent."""
-    r = shard.matrix
+def _completed_parts(r, where, folds, q=None):
+    """A shard's (folds, q, q) factor stack, once its (folds·q, q) matrix
+    ``r`` is checked; ``where`` names the receiver and the shard in
+    errors, and ``q`` is the expected width, or None for any. Raises
+    :class:`DimMismatch` for a matrix of the wrong shape and
+    :class:`ProtocolOrderViolation` for a factor that is not finite, upper
+    triangular and non-negative on its diagonal, which an honest sender
+    could not have sent."""
     width = q or (r.shape[1] if r.ndim == 2 else 0)
     if r.ndim != 2 or width < 4 or r.shape != (folds * width, width):
         raise DimMismatch(
@@ -313,11 +306,11 @@ def _completed_parts(shard, where, folds, q=None):
 
 
 def assemble_aggregate(shards, row_counts, block_size, folds=1):
-    """The cloud's view of the completed shard frames (``pass_encrypt`` of
-    each last holder), which must come in origin order; ``shards`` may be
-    a generator that receives each one.
+    """The cloud's view of the completed shards, the factor matrices
+    (``pass_encrypt`` of each last holder) in origin order; ``shards`` may
+    be a generator that receives each one.
 
-    Each frame carries one shard's keyed fold factors, checked as they are
+    Each matrix holds one shard's keyed fold factors, checked as they are
     taken. Its row count is public: ``row_counts`` (the
     ``AgencyKeys.row_counts`` of the run) holds every origin's, and its
     length is the number of agencies. From a count, ``block_size`` and
@@ -331,13 +324,10 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
     parts, sizes, origin_rows = [], 0, []
     offset, q = 0, None
     for origin, s in enumerate(shards, start=1):
-        if origin > k or s.origin != origin or len(s.applied) != k:
+        if origin > k:
             raise ProtocolOrderViolation(
-                f"expected shard {origin} keyed by all {k} agencies, got "
-                f"shard {s.origin} keyed by {len(s.applied)}"
-            )
-        r = _completed_parts(s, f"cloud: completed shard {s.origin}", folds,
-                             q)
+                f"expected one shard per agency 1..{k}, got more")
+        r = _completed_parts(s, f"cloud: completed shard {origin}", folds, q)
         parts.append(r)
         q = r.shape[-1]
         n = row_counts[origin - 1]

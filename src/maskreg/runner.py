@@ -58,7 +58,7 @@ class RunConfig:
     tamper: protocol.TamperPlan = field(default_factory=protocol.TamperPlan)
 
     def __post_init__(self):
-        for name in ("k", "folds"):
+        for name in ("k", "folds", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, "
                                  f"got {getattr(self, name)!r}")
@@ -137,25 +137,25 @@ def _holders(origin, k):
     return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
-def _expect(frame, me, msg_type, origin, applied):
-    """Return ``frame`` if its whole header is the one ``me`` expects:
-    type, origin (the sender, on a ring) and exactly the ids applied
-    before this hop; otherwise raise :class:`ProtocolOrderViolation`."""
-    want = (msg_type, origin, applied)
-    got = (frame.msg_type, frame.origin, frame.applied)
+def _expect(frame, me, msg_type, applied):
+    """Return ``frame`` if its whole header is the one ``me`` expects: its
+    type and exactly the ids applied before this hop; otherwise raise
+    :class:`ProtocolOrderViolation`. The sender is the channel's."""
+    want = (msg_type, applied)
+    got = (frame.msg_type, frame.applied)
     if got != want:
         raise ProtocolOrderViolation(f"participant {me} expected (type, "
-                                     f"origin, applied) {want}, got {got}")
+                                     f"applied) {want}, got {got}")
     return frame
 
 
 def _completed_shards(transport, k):
-    """The cloud's completed-shard frames, received in origin order and
-    each header checked as it arrives."""
+    """The cloud's completed shards, received in origin order, each frame's
+    header checked as it arrives, as factor matrices."""
     for origin in range(1, k + 1):
         holders = _holders(origin, k)
         yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
-                      origin, holders)
+                      holders).matrix
 
 
 def run_pre_modeling(contexts, transport, folds=1):
@@ -170,17 +170,24 @@ def run_pre_modeling(contexts, transport, folds=1):
     its shard, and the cloud stacks them in origin order
     (``protocol.assemble_aggregate``). An exception leaves from the call
     that raised it; the caller closes the transport.
+
+    A shard's frame carries its holders so far, origin first: a receiver
+    requires exactly that prefix of ``_holders``, which never holds the
+    receiver, and the cloud all k of them.
     """
     k = len(contexts)
-    shards = [protocol.local_encrypt(ctx, folds) for ctx in contexts]
+    shards = [Frame(MSG_SHARD, (a,), protocol.local_encrypt(ctx, folds))
+              for a, ctx in enumerate(contexts, start=1)]
     for r in range(1, k):  # agency a gets origin a - r's shard, keyed r times
         for a, shard in enumerate(shards, start=1):
             transport.send(a, a % k + 1, shard)
         for a, ctx in enumerate(contexts, start=1):
             origin = (a - r - 1) % k + 1
             frame = _expect(transport.recv((a - 2) % k + 1, a), a, MSG_SHARD,
-                            origin, _holders(origin, k)[:r])
-            shards[a - 1] = protocol.pass_encrypt(ctx, frame, folds)
+                            _holders(origin, k)[:r])
+            shards[a - 1] = Frame(MSG_SHARD, frame.applied + (a,),
+                                  protocol.pass_encrypt(ctx, frame.matrix,
+                                                        folds, origin))
     for a, shard in enumerate(shards, start=1):
         transport.send(a, CLOUD, shard)
     keys = contexts[0].keys
@@ -206,14 +213,13 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
     k = len(contexts)
     shape = np.shape(matrix)
     hops = [CLOUD, *range(1, k + 1), CLOUD]
-    transport.send(CLOUD, 1, Frame(msg_type, CLOUD, (), matrix))
+    transport.send(CLOUD, 1, Frame(msg_type, (), matrix))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
-        frame = _expect(transport.recv(prev, a), a, msg_type, prev,
+        frame = _expect(transport.recv(prev, a), a, msg_type,
                         tuple(range(1, a)))
         matrix = step(contexts[a - 1], frame.matrix)
-        transport.send(a, nxt, Frame(msg_type, a, frame.applied + (a,),
-                                     matrix))
-    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type, k,
+        transport.send(a, nxt, Frame(msg_type, frame.applied + (a,), matrix))
+    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type,
                     tuple(range(1, k + 1)))
     if frame.matrix.shape != shape:
         raise ProtocolOrderViolation(
@@ -311,18 +317,21 @@ def _config_echo(config, p, n_total):
 
 def _metrics(datasets, beta):
     """Pooled MSE (and AUC for a binary response) of ``beta`` on every
-    agency's rows. Each agency's rows are scored by ``einsum``: one BLAS
+    agency's rows; a metric that overflows, as a tampered β of 1e200 makes
+    the MSE, is None. Each agency's rows are scored by ``einsum``: one BLAS
     matvec over all of them is large enough to wake BLAS's worker threads
     (DECISIONS.md, "No BLAS call on an op's path is large enough to
     thread")."""
     y = np.concatenate([y for _, y in datasets])
-    scores = np.concatenate([np.einsum("ij,j->i", x, beta)
-                             for x, _ in datasets])
-    out = {"mse": float(mse(y, scores))}
-    lo, hi = y.min(), y.max()
-    if lo != hi and np.all((y == lo) | (y == hi)):  # two values, no sort
-        out["auc"] = float(auc(y, scores))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.concatenate([np.einsum("ij,j->i", x, beta)
+                                 for x, _ in datasets])
+        out = {"mse": mse(y, scores)}
+        lo, hi = y.min(), y.max()
+        if lo != hi and np.all((y == lo) | (y == hi)):  # two values, no sort
+            out["auc"] = auc(y, scores)
+    return {name: float(v) if math.isfinite(v) else None
+            for name, v in out.items()}
 
 
 def run_protocol(datasets, config):

@@ -5,14 +5,15 @@ Frame layout (all integers little-endian):
     u32  length of everything after this prefix
     u16  protocol version
     u8   message type
-    u8   origin (0 = coordinator/cloud, 1..K = agencies)
     u8   number of applied-agency ids
     u8[] applied-agency ids
     u32  rows, u32 cols of the one matrix
     f64  rows*cols entries (row-major), the rest of the frame
 
 The same bytes travel over both transports, so a run is reproducible
-bit-for-bit regardless of which one carries it.
+bit-for-bit regardless of which one carries it. A header holds only what
+its channel does not say: the sender is the channel's source, so no
+field repeats it.
 
 A transport carries only the channels it is built with: the directed
 (src, dst) pairs a run sends on (``runner.channels``), each with one
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import TransportFailure
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Message types.
 MSG_SHARD = 1
@@ -46,13 +47,13 @@ MSG_ESTIMATE = 3
 MSG_RESIDUAL_GRAM = 4
 
 _LEN = struct.Struct("<I")
-_HEADER = struct.Struct("<HBBB")
+_HEADER = struct.Struct("<HBB")
 _MATRIX = struct.Struct("<II")
 
 #: Header bytes up to and including the applied-id count.
 _FIXED = _LEN.size + _HEADER.size
 
-#: The origin field is a single byte and 0 is the coordinator.
+#: An applied id is a single byte, and 0 is the cloud, which applies none.
 MAX_PARTICIPANTS = 255
 
 #: What ``abort`` puts in every mailbox, after the frames already there.
@@ -61,11 +62,10 @@ _ABORTED = object()
 
 @dataclass(frozen=True)
 class Frame:
-    """One protocol message: its type, origin, the ids of the agencies
-    applied so far and one f64 matrix."""
+    """One protocol message: its type, the ids of the agencies applied so
+    far and one f64 matrix."""
 
     msg_type: int
-    origin: int
     applied: tuple
     matrix: np.ndarray
 
@@ -79,7 +79,7 @@ def encode_frame(frame):
     wire = np.empty(head + _MATRIX.size + m.nbytes, dtype=np.uint8)
     _LEN.pack_into(wire, 0, wire.nbytes - _LEN.size)
     _HEADER.pack_into(wire, _LEN.size, PROTOCOL_VERSION, frame.msg_type,
-                      frame.origin, len(frame.applied))
+                      len(frame.applied))
     struct.pack_into(f"{len(frame.applied)}B", wire, _FIXED, *frame.applied)
     _MATRIX.pack_into(wire, head, *m.shape)
     wire[head + _MATRIX.size:].view("<f8").reshape(m.shape)[...] = m
@@ -101,7 +101,7 @@ def decode_frame(data):
                 f"frame length prefix says {length} bytes, got "
                 f"{wire.nbytes - _LEN.size}"
             )
-        version, msg_type, origin, n = _HEADER.unpack_from(wire, _LEN.size)
+        version, msg_type, n = _HEADER.unpack_from(wire, _LEN.size)
         if version != PROTOCOL_VERSION:
             raise TransportFailure(
                 f"protocol version {version}, expected {PROTOCOL_VERSION}"
@@ -117,7 +117,7 @@ def decode_frame(data):
             f"a frame's {rows}x{cols} matrix takes {8 * rows * cols} bytes, "
             f"{wire.nbytes - off} follow its dimensions")
     matrix = np.frombuffer(wire, "<f8", rows * cols, off).reshape(rows, cols)
-    return Frame(msg_type, origin, applied, matrix)
+    return Frame(msg_type, applied, matrix)
 
 
 class _Mailboxes:

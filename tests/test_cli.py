@@ -55,12 +55,21 @@ def test_run_flags_echoed(tmp_path):
 
 
 def test_tamper_exits_two(tmp_path):
-    code = main(["tamper", "--n", "60", "--p", "3",
-                 "--action", "perturb_result", "--magnitude", "0.05",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_TAMPERED
-    report = read_report(tmp_path)
-    assert report["verify"]["verdict"] == "tampered"
+    """A detected tamper exits 2 and writes strict JSON, also when the
+    perturbed β is so large that its MSE overflows: that metric is null."""
+    def strict(name):
+        raise ValueError(f"non-finite value {name}")
+
+    for magnitude in ("0.05", "1e200"):
+        out = tmp_path / magnitude
+        code = main(["tamper", "--n", "60", "--p", "3",
+                     "--action", "perturb_result", "--magnitude", magnitude,
+                     "--out", str(out)])
+        assert code == EXIT_TAMPERED
+        with open(out / "report.json") as fh:
+            report = json.load(fh, parse_constant=strict)
+        assert report["verify"]["verdict"] == "tampered"
+        assert (report["metrics"]["mse"] is None) == (magnitude == "1e200")
 
 
 def test_cv_reports_chosen_lambda(tmp_path):

@@ -92,11 +92,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="block_size"):
             RunConfig(block_size=block_size)
     assert RunConfig(block_size=np.int64(16)).block_size == 16
-    for name in ("k", "folds"):
+    for name in ("k", "folds", "seed"):
         for value in (2.0, 3.5, "3", None):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 RunConfig(**{name: value})
     assert RunConfig(k=np.int64(3), folds=np.int64(4)).folds == 4
+    assert RunConfig(seed=np.int64(7)).seed == 7
     for action in ("skip_pseudo_response", "non_commutative_key",
                    "wrong_decrypt"):
         for agency in (0, -1, 3):
@@ -213,7 +214,7 @@ def test_tampered_run_flagged():
 
 def test_shard_frame_headers_follow_the_ring(monkeypatch):
     """Origin o's shard is masked by o, o + 1, ... (mod k): each hop
-    carries its origin and the ids that masked it in that order; the cloud
+    carries the ids that masked it in that order, origin first; the cloud
     receives the frame with all k."""
     original = BusTransport.send
     sent = []
@@ -231,12 +232,12 @@ def test_shard_frame_headers_follow_the_ring(monkeypatch):
     assert len(sent) == 9
     hops = set()
     for src, dst, frame in sent:
-        ring = rings[frame.origin - 1]
+        ring = rings[frame.applied[0] - 1]
         n_applied = len(frame.applied)
         assert frame.applied == ring[:n_applied]
         assert src == frame.applied[-1]
         assert dst == (ring[n_applied] if n_applied < 3 else CLOUD)
-        hops.add((frame.origin, n_applied))
+        hops.add((frame.applied[0], n_applied))
     assert hops == {(o, r) for o in (1, 2, 3) for r in (1, 2, 3)}
 
 
@@ -298,10 +299,10 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     """An exception in one agency's step ends the run as itself."""
     original = protocol.pass_encrypt
 
-    def failing(ctx, shard, folds):
+    def failing(ctx, shard, folds, origin):
         if ctx.agency_id == 2:
             raise ValueError("agency 2 cannot mask")
-        return original(ctx, shard, folds)
+        return original(ctx, shard, folds, origin)
 
     monkeypatch.setattr(protocol, "pass_encrypt", failing)
     datasets = make_datasets(3, 40, 3, seed=6)
@@ -647,24 +648,41 @@ def test_encrypted_cv_rejects_short_gram_stack(monkeypatch):
         cross_validate_encrypted(datasets, config)
 
 
-@pytest.mark.parametrize("forged", [(1,), (1, 2, 2)], ids=["hidden", "repeated"])
-@pytest.mark.parametrize("msg_type", [MSG_GRAM_RELEASE, MSG_RESIDUAL_GRAM,
-                                      MSG_ESTIMATE],
-                         ids=["gram_release", "residual_gram", "estimate"])
-def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type, forged):
-    """Agency 2 forwards a ring frame whose applied ids hide its step or
-    repeat it; the next hop refuses the frame."""
-    original = BusTransport.send
+#: The applied ids a forging agency sends in place of a frame's own ids:
+#: with its last holder hidden, or with that holder repeated.
+FORGED_IDS = {"hidden": lambda ids: ids[:-1],
+              "repeated": lambda ids: ids + ids[-1:]}
 
-    def forging(self, src, dst, frame):
-        if src == 2 and frame.msg_type == msg_type:
-            frame = dataclasses.replace(frame, applied=forged)
-        return original(self, src, dst, frame)
 
-    monkeypatch.setattr(BusTransport, "send", forging)
+@pytest.mark.parametrize("msg_type, forged, dst, transport", [
+    *(pytest.param(msg_type, forged, 3, "bus", id=f"{name}-{forged}")
+      for name, msg_type in [("estimate", MSG_ESTIMATE),
+                             ("gram_release", MSG_GRAM_RELEASE),
+                             ("residual_gram", MSG_RESIDUAL_GRAM)]
+      for forged in FORGED_IDS),
+    *(pytest.param(MSG_SHARD, forged, 3, kind, id=f"shard-{forged}-{kind}")
+      for forged in FORGED_IDS for kind in ("bus", "tcp")),
+    *(pytest.param(MSG_SHARD, "hidden", CLOUD, kind,
+                   id=f"completed_shard-hidden-{kind}")
+      for kind in ("bus", "tcp")),
+])
+def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type,
+                                                  forged, dst, transport):
+    """Agency 2 sends ``dst`` a frame whose applied ids hide its last holder
+    or repeat it: a ring frame or a shard to agency 3, or completed shard
+    3 to the cloud without agency 2's id; ``dst`` refuses the frame."""
+    for cls in (BusTransport, TcpTransport):
+        def forging(self, src, to, frame, _send=cls.send):
+            if src == 2 and to == dst and frame.msg_type == msg_type:
+                frame = dataclasses.replace(
+                    frame, applied=FORGED_IDS[forged](frame.applied))
+            return _send(self, src, to, frame)
+        monkeypatch.setattr(cls, "send", forging)
     datasets = make_datasets(3, 48, 3, seed=21, noise=0.5)
-    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=21)
-    with pytest.raises(ProtocolOrderViolation):
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=21,
+                       transport=transport)
+    with pytest.raises(ProtocolOrderViolation,
+                       match=f"^participant {dst} expected"):
         cross_validate_encrypted(datasets, config)
 
 
@@ -686,9 +704,9 @@ def _capture_cloud_view(monkeypatch):
             [ctx.x, y, ctx.x @ ctx.verify_weights, decoy]))
         return local(ctx, folds)
 
-    def recording_pass(ctx, shard, folds):
-        shards[shard.origin] = keyed(ctx, shards[shard.origin])
-        return passing(ctx, shard, folds)
+    def recording_pass(ctx, shard, folds, origin):
+        shards[origin] = keyed(ctx, shards[origin])
+        return passing(ctx, shard, folds, origin)
 
     monkeypatch.setattr(protocol, "local_encrypt", recording_local)
     monkeypatch.setattr(protocol, "pass_encrypt", recording_pass)
@@ -773,7 +791,7 @@ def test_cloud_receives_fold_factors_not_rows(monkeypatch, transport, k, cv,
     assert report.verify.verdict == "accepted"
     folds = config.folds if cv else 1
     shards = [f for f in sent if f.msg_type == MSG_SHARD]
-    assert sorted((f.origin, len(f.applied)) for f in shards) == [
+    assert sorted((f.applied[0], len(f.applied)) for f in shards) == [
         (o, r) for o in range(1, k + 1) for r in range(1, k + 1)]
     for frame in shards:
         assert frame.matrix.shape == (folds * 7, 7)
@@ -918,8 +936,8 @@ def test_ring_frame_with_a_second_matrix_section_fails_at_once(
     receive as ``TransportFailure`` naming the channel: no frame decodes
     to two matrices."""
     _forging_encoder(monkeypatch, lambda frame: (
-        frame.msg_type == msg_type and frame.origin == src),
-        lambda m: (m, m))
+        frame.msg_type == msg_type
+        and frame.applied == tuple(range(1, src + 1))), lambda m: (m, m))
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
                        transport=transport)
     t0 = time.perf_counter()

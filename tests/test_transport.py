@@ -40,14 +40,13 @@ from maskreg.transport import (
 def _sample_frame(rng):
     return Frame(
         msg_type=MSG_SHARD,
-        origin=3,
         applied=(3, 1),
         matrix=rng.standard_normal((8, 3)),
     )
 
 
 def test_message_type_constants():
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     assert (MSG_SHARD, MSG_GRAM_RELEASE, MSG_ESTIMATE, MSG_RESIDUAL_GRAM) == (
         1, 2, 3, 4,
     )
@@ -58,14 +57,13 @@ def test_encode_decode_roundtrip():
     frame = _sample_frame(rng)
     out = decode_frame(encode_frame(frame))
     assert out.msg_type == frame.msg_type
-    assert out.origin == frame.origin
     assert out.applied == frame.applied
     assert out.matrix.dtype == np.float64
     assert np.array_equal(out.matrix, frame.matrix)  # bit-exact
 
 
 def test_roundtrip_preserves_empty_and_single_cases():
-    frame = Frame(MSG_ESTIMATE, 0, (), np.zeros((1, 1)))
+    frame = Frame(MSG_ESTIMATE, (), np.zeros((1, 1)))
     out = decode_frame(encode_frame(frame))
     assert out.applied == ()
     assert out.matrix.shape == (1, 1)
@@ -95,9 +93,8 @@ def _wire_bytes(frame, matrices=None):
     docstring lays them out, with one matrix section per entry of
     ``matrices`` (default: the frame's one matrix) and the length prefix
     fixed up."""
-    body = struct.pack(f"<HBBB{len(frame.applied)}B", PROTOCOL_VERSION,
-                       frame.msg_type, frame.origin, len(frame.applied),
-                       *frame.applied)
+    body = struct.pack(f"<HBB{len(frame.applied)}B", PROTOCOL_VERSION,
+                       frame.msg_type, len(frame.applied), *frame.applied)
     for m in (frame.matrix,) if matrices is None else matrices:
         body += struct.pack("<II", *m.shape) + m.astype("<f8").tobytes()
     return struct.pack("<I", len(body)) + body
@@ -120,20 +117,20 @@ def test_decode_refuses_a_short_payload_with_a_fixed_up_prefix():
 
 
 def test_decode_refuses_a_version_1_frame():
-    """A frame in the first layout, whose header held a u16 round and a u8
-    matrix count, is refused by its version."""
+    """A frame in the first layout, whose header held an origin byte, a u16
+    round and a u8 matrix count, is refused by its version."""
     frame = _sample_frame(np.random.default_rng(15))
-    body = struct.pack("<HBBHB2sB", 1, frame.msg_type, frame.origin, 2, 2,
+    body = struct.pack("<HBBHB2sB", 1, frame.msg_type, 3, 2, 2,
                        bytes(frame.applied), 1)
     body += struct.pack("<II", 8, 3) + frame.matrix.astype("<f8").tobytes()
-    with pytest.raises(TransportFailure, match="protocol version 1, expected 2"):
+    with pytest.raises(TransportFailure, match="protocol version 1, expected 3"):
         decode_frame(struct.pack("<I", len(body)) + body)
 
 
 def test_bus_fifo_per_channel():
     bus = BusTransport([(1, 2)])
     rng = np.random.default_rng(4)
-    sent = [Frame(MSG_ESTIMATE, 1, (), rng.standard_normal((2, 2)))
+    sent = [Frame(MSG_ESTIMATE, (), rng.standard_normal((2, 2)))
             for _ in range(5)]
     for f in sent:
         bus.send(1, 2, f)
@@ -149,7 +146,7 @@ def test_bus_timeout():
 
 def test_bus_rejects_unknown_channel():
     bus = BusTransport([(0, 1)])
-    frame = Frame(MSG_ESTIMATE, 0, (), np.zeros((1, 1)))
+    frame = Frame(MSG_ESTIMATE, (), np.zeros((1, 1)))
     with pytest.raises(TransportFailure):
         bus.send(0, 7, frame)
 
@@ -164,13 +161,13 @@ def test_tcp_roundtrip_all_pairs():
             for dst in (0, 1, 2):
                 if src == dst:
                     continue
-                f = Frame(MSG_GRAM_RELEASE, src, (),
+                f = Frame(MSG_GRAM_RELEASE, (src, dst),
                           rng.standard_normal((3, 3)))
                 frames[(src, dst)] = f
                 tcp.send(src, dst, f)
         for (src, dst), f in frames.items():
             got = tcp.recv(src, dst)
-            assert got.origin == f.origin
+            assert got.applied == (src, dst)
             assert np.array_equal(got.matrix, f.matrix)
     finally:
         tcp.close()
@@ -182,7 +179,7 @@ def test_tcp_concurrent_large_frames():
     tcp = TcpTransport([(1, 2)])
     try:
         big = np.random.default_rng(6).standard_normal((1400, 40))
-        frame = Frame(MSG_SHARD, 1, (1,), big)
+        frame = Frame(MSG_SHARD, (1,), big)
         result = {}
 
         def receiver():
@@ -204,8 +201,8 @@ def test_tcp_crossing_large_frames():
     try:
         rng = np.random.default_rng(8)
         frames = {
-            (1, 2): Frame(MSG_SHARD, 1, (1,), rng.standard_normal((1024, 1024))),
-            (2, 1): Frame(MSG_SHARD, 2, (2,), rng.standard_normal((1024, 1024))),
+            (1, 2): Frame(MSG_SHARD, (1,), rng.standard_normal((1024, 1024))),
+            (2, 1): Frame(MSG_SHARD, (2,), rng.standard_normal((1024, 1024))),
         }
         senders = [
             threading.Thread(target=tcp.send, args=(src, dst, f), daemon=True)
@@ -249,7 +246,7 @@ def test_abort_wakes_blocked_recv(kind):
 
 def test_abort_delivers_queued_frames_first():
     bus = BusTransport([(0, 1)])
-    frame = Frame(MSG_ESTIMATE, 0, (), np.ones((1, 1)))
+    frame = Frame(MSG_ESTIMATE, (), np.ones((1, 1)))
     bus.send(0, 1, frame)
     bus.abort(ValueError("agency failed"))
     assert bus.recv(0, 1).matrix[0, 0] == 1.0
@@ -308,8 +305,8 @@ def test_concurrent_aborts_give_every_recv_one_failure():
 def _header(length_after_prefix):
     """The wire header of a shard frame with no applied ids, up to its
     matrix section, its length prefix saying ``length_after_prefix``."""
-    return struct.pack("<IHBBB", length_after_prefix, PROTOCOL_VERSION,
-                       MSG_SHARD, 0, 0)
+    return struct.pack("<IHBB", length_after_prefix, PROTOCOL_VERSION,
+                       MSG_SHARD, 0)
 
 
 def test_send_fails_at_once_after_the_reader_dies():
@@ -322,7 +319,7 @@ def test_send_fails_at_once_after_the_reader_dies():
         matrix = np.zeros((1024, 8192))  # 64 MiB, more than sockets buffer
         t0 = time.perf_counter()
         with pytest.raises(TransportFailure, match="send 0 -> 1 failed"):
-            tcp.send(0, 1, Frame(MSG_SHARD, 0, (), matrix))
+            tcp.send(0, 1, Frame(MSG_SHARD, (), matrix))
         assert time.perf_counter() - t0 < 2.0
     finally:
         tcp.close()
@@ -399,7 +396,7 @@ def test_transports_hold_one_mailbox_and_connection_per_channel(k):
         if before is not None:
             # both ends of each channel and the selector
             assert _open_descriptors() - before == 2 * len(pairs) + 1
-        frame = Frame(MSG_ESTIMATE, 0, (), np.zeros((1, 1)))
+        frame = Frame(MSG_ESTIMATE, (), np.zeros((1, 1)))
         for transport in (bus, tcp):
             with pytest.raises(TransportFailure, match="no channel"):
                 transport.send(0, 2, frame)
@@ -507,50 +504,52 @@ GOLDEN_ROWS = (1541, 40, 48)
 FINGERPRINT = "e25c7d7f50809a10450a87751b63de9bd207341ea21758c6ed13f6e14695da3b"
 
 #: SHA-256 of every frame's wire bytes in the golden run, keyed by
-#: (type, origin, applied ids), the same over the bus and over TCP.
+#: (type, applied ids), the same over the bus and over TCP. A shard's
+#: first applied id is its origin; a ring frame's are those of the agencies
+#: before its receiver, so no key repeats.
 WIRE_SHA256 = {
-    (1, 1, (1,)):
-        "d50b543f8ec7017dad54d72942c6c5bed0e48e524a2963aad1ac75c5e1cfeddf",
-    (1, 1, (1, 2)):
-        "d2539d12e8867f8e80299c7fdc643279c8b4ed88dd23bac0f44c5f40e49815d7",
-    (1, 1, (1, 2, 3)):
-        "51372e9bf008c6530d5dcfc0b2982360a89ad7d0bc79db4cd29464a053401002",
-    (1, 2, (2,)):
-        "da034f825bc10832d511407ce211bbce73181f07202b1143d65c9a0ee307ab3e",
-    (1, 2, (2, 3)):
-        "c198ea5ff508c2b636cdd051a7fd719cc17038d3a4c1d95fa65e09bb4aed09d3",
-    (1, 2, (2, 3, 1)):
-        "67259a3e0b9871d6c33571b2f3ef33688a3aa670fdc28308c499cb1ced32e072",
-    (1, 3, (3,)):
-        "5ad194cfab83ff25533229bd95bf4daa25c95dc2ae2db9bc9a9ffb803ce09cd1",
-    (1, 3, (3, 1)):
-        "9cd9ffc6ec92031efc4f0e53db0a17518016c06abdac298f411b356aab553cf4",
-    (1, 3, (3, 1, 2)):
-        "6f1640897ccd44730e5165eee682bc907a10ff987d46b93d46b03799a8de358b",
-    (2, 0, ()):
-        "1b242955b42a48185cb1f21ac644abed7d40992a8a062701f1c693f8471bf805",
-    (2, 1, (1,)):
-        "5de21544d2be17d16a2dbec7ea78a3dcde95289efcfee5f7e364a636b2e86628",
-    (2, 2, (1, 2)):
-        "0dbba4fe4bd0d0f1113924789036c2c9b32f77691dfbdfa10a5830466bad54e4",
-    (2, 3, (1, 2, 3)):
-        "e746a88a6eaa79efb141df222916100bed4232ef080234e26444bcc2295f2c90",
-    (3, 0, ()):
-        "30d798f27f6dfa6bfdca9184562e2d8b801c57ef923ae88deaefb34fc2d79b4d",
-    (3, 1, (1,)):
-        "ced329b8f065d39cd5f6d52a9aece5f8609afdc706ecc6a36650dd174347d623",
-    (3, 2, (1, 2)):
-        "16bbe2c551a596a567dcf0f7bc4d04fdc7c3624093741d7ccb5e59e764f3349e",
-    (3, 3, (1, 2, 3)):
-        "437ca415d23cf8d8d66495d36ef67505305e719f652a6b947551d0581ba220a7",
-    (4, 0, ()):
-        "59c8ec64aaba0036d9fa6245d56fddb81dc2e395ad402ee0be80412c49b57b5b",
-    (4, 1, (1,)):
-        "7be3539722434679151e3db3518b12dbab0fff4994336dc7829bfcf74669a170",
-    (4, 2, (1, 2)):
-        "86ff0ef2897b064aea29cd1d5a40d18bc560ebf494aa8efe051d102655a0c653",
-    (4, 3, (1, 2, 3)):
-        "b16568b03631745abe8e783459216fb1991d16d1a0747529e231c251e1796585",
+    (1, (1,)):
+        "51345cc9c3ab8847a767ac3a9e07a81005e0c8c4c01ff00e50ddf0e4c4ddfaf6",
+    (1, (1, 2)):
+        "15371752d19d8ddcecf3cba55dc510f1e416d3dd74060cf5eb2c15e839442acf",
+    (1, (1, 2, 3)):
+        "91562f382f8840fde96dafa7c162c12caeb59286900fe5ab8a9854a91c249c13",
+    (1, (2,)):
+        "0b3da5776bbf7725991a1658a89cb180f91b5165f7393d03d0135b6a5a9db0e7",
+    (1, (2, 3)):
+        "bda2f8fd1adbcb93ae53d2532742bd87bc9af95c64255b54fc417cc20e6b47de",
+    (1, (2, 3, 1)):
+        "007d911f806167932e4bf0d03f7ea8cddaf28b5eb96d6334933f8c6d30e28254",
+    (1, (3,)):
+        "4c4ba37bcb7e0fb8f54e352b7c2ec5b25ed49ee70a1b4721286dbc433e8f6330",
+    (1, (3, 1)):
+        "0f584f006a1fe10fad1596369fa7eb61d87dd2ca6f7e9b456111336aa60fec99",
+    (1, (3, 1, 2)):
+        "e8b236bdf72ed28d7679ab17dcebf35940ee7f0a09c51703655134f9c6bb2385",
+    (2, ()):
+        "49672aa6aed62eaeda09e0f00ec6f55b1c0aac1682f36d1680e904a8868b1e91",
+    (2, (1,)):
+        "dbbf4087ff8bf926b545468b73de245876c551b06577f6b26bee14876a9a6413",
+    (2, (1, 2)):
+        "e4e54c732986918ca173e2f498625518e5918cb444543d6771294e43a3f57fe7",
+    (2, (1, 2, 3)):
+        "2296de5657d54284cc6f7ebec425047465237c1ed483104214d32ea513443f8c",
+    (3, ()):
+        "46faf0038169be94f79a72f22ee9de4d325b0276ec0e6f60152f64ab302062c5",
+    (3, (1,)):
+        "737c89afe258f2badf83ceef4c7eda07f540b52547db6ee18ee16af0d27822da",
+    (3, (1, 2)):
+        "af28be698febcaf793a36c0cae1d9ec9e7bcc54220dbe880282dde6d79e893e0",
+    (3, (1, 2, 3)):
+        "5e1c66ae29f56c9682defb391315788a12965b748cd80c8e92aa3c26a19c8bcf",
+    (4, ()):
+        "dd5fbf54ab7b3b4f7a44769353561251fadc7d0f9e596cfeb843d9ea98eed1a8",
+    (4, (1,)):
+        "a5bd66c91156a134b146054fc24d75eec777385348f4e583a70c6b5c6e0b841a",
+    (4, (1, 2)):
+        "844f267e1adb2713ad318cd9e871e3be57de3a752321769d824540eee3c4d2b7",
+    (4, (1, 2, 3)):
+        "97567e28ececc939aab3a1491cdb0a92c26bf00ebc719a3546b2ef4cbb874188",
 }
 
 
@@ -588,7 +587,7 @@ def _recorded_run(run, config):
 
     def recording(frame):
         wire = encode(frame)
-        key = (frame.msg_type, frame.origin, frame.applied)
+        key = (frame.msg_type, frame.applied)
         assert key not in hashes
         hashes[key] = hashlib.sha256(bytes(wire)).hexdigest()
         return wire
@@ -622,7 +621,7 @@ def test_wire_bytes_match_golden(kind):
 #: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
 #: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
 OFFSET_RUN_SHA256 = (
-    "2a0c4d4d5d9c411fdd9a60be1a43dcd0a20767d70114f3c49ce800cf28b6953c")
+    "9d5812267f9b917b16ac6cf61a320ad8344d9321ec2c6e09db1ee803220d960d")
 
 
 def _offset_run_sha256(kind):
