@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch
-# random_ortho_blocks is no longer called here; perfbench/spans.py still
-# wraps the name keygen.random_ortho_blocks, so it stays importable.
-from .matrix_core import (  # noqa: F401
-    random_ortho_blocks,
-    random_well_conditioned,
-    split_block_sizes,
-)
+from .matrix_core import random_well_conditioned, split_block_sizes
 
 #: Bound on the condition of the product of all agencies' block matrices;
 #: each agency's block moduli lie in [1, this ** (1/k)].
@@ -189,6 +183,11 @@ def gen_agency_keys(bases, agency_id, row_counts, block_size, rng):
         row_counts=tuple(int(n) for n in row_counts),
         block_size=block_size,
     )
+
+
+# perfbench/spans.py:128 wraps keygen.random_ortho_blocks (ROADMAP direction 2)
+def random_ortho_blocks(*args, **kwargs):
+    raise NotImplementedError("keygen draws no row masks")
 
 
 def make_responses(x, y, mode, rng):

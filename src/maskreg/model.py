@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SingleClass
-from .matrix_core import solve_spd
+from .errors import DimMismatch, NotPD, RankDeficient, SingleClass
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +29,27 @@ def ols_fit(x, y):
             f"design matrix has rank {rank} < {x.shape[1]} columns"
         )
     return beta
+
+
+def solve_spd(gram, rhs):
+    """Solve ``gram @ x = rhs`` for symmetric positive definite ``gram``.
+
+    Uses a Cholesky factorization; raises :class:`NotPD` when the
+    factorization fails.
+    """
+    gram = np.asarray(gram, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise DimMismatch(f"gram must be square, got {gram.shape}")
+    if rhs.shape[0] != gram.shape[0]:
+        raise DimMismatch(
+            f"rhs has {rhs.shape[0]} rows, expected {gram.shape[0]}"
+        )
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NotPD(f"gram matrix is not positive definite: {exc}") from exc
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def ridge_fit(x, y, lam):

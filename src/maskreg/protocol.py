@@ -52,14 +52,9 @@ from .errors import (
     ProtocolOrderViolation,
     SingularResult,
 )
-from .matrix_core import (  # noqa: F401
-    random_well_conditioned,
-    solve_spd,
-    split_block_sizes,
-)
-
-# ``solve_spd`` is no longer called here; perfbench/spans.py still wraps the
-# name ``protocol.solve_spd``, so it stays importable from this module.
+from .matrix_core import random_well_conditioned, split_block_sizes
+# perfbench/spans.py:135 wraps protocol.solve_spd (ROADMAP direction 2)
+from .model import solve_spd  # noqa: F401
 
 MODES = ("linear", "ridge")
 
@@ -112,41 +107,26 @@ class TamperPlan:
 @dataclass
 class EncryptedAggregate:
     """Everything the cloud keeps of the completed shards: the R factors
-    their last holders sent and the row layout the public row counts give.
-    The cloud never receives a row.
+    their last holders sent and the per-fold row counts the public row
+    counts give. The cloud never receives a row.
 
     ``fold_factors`` stacks the (q, q) R factor of each fold's keyed rows
     of [X* | Y*] (one fold when no CV runs), and ``fold_sizes`` their row
-    counts; ``z_factor`` is the R factor of every row. ``origin_rows`` is
-    each shard's row range in the stacked order, and ``block_size`` the
-    rows per fold block. ``key_factor`` is the released R_B of the
-    stacked feature keys (ridge only).
+    counts; ``z_factor`` is the R factor of every row. ``key_factor`` is
+    the released R_B of the stacked feature keys (ridge only).
     """
 
     fold_factors: np.ndarray
     fold_sizes: tuple
     z_factor: np.ndarray
-    origin_rows: tuple
-    block_size: int
     key_factor: np.ndarray = None
 
-    @property
-    def block_ranges(self):
-        """Each fold block's row range in the stacked order, built on
-        demand: the cloud itself never walks the blocks."""
-        ranges = []
-        for lo, hi in self.origin_rows:
-            for size in split_block_sizes(hi - lo, self.block_size):
-                ranges.append((lo, lo + size))
-                lo += size
-        return tuple(ranges)
-
+    # perfbench/spans.py:116 reads x_star's row count (ROADMAP direction 2)
     @property
     def x_star(self):
         """Shape-only (n, p) stand-in for the stacked masked features: a
-        read-only all-NaN view that allocates nothing, since the cloud
-        keeps no rows."""
-        n = self.origin_rows[-1][1]
+        read-only all-NaN view that allocates nothing."""
+        n = sum(self.fold_sizes)
         return np.broadcast_to(np.nan, (n, self.z_factor.shape[1] - 3))
 
 
@@ -314,15 +294,14 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
     taken. Its row count is public: ``row_counts`` (the
     ``AgencyKeys.row_counts`` of the run) holds every origin's, and its
     length is the number of agencies. From a count, ``block_size`` and
-    ``folds`` the cloud derives the shard's row range and per-fold row
-    counts, in O(folds) whatever the count: block j is in fold j mod
-    ``folds``. Each fold's factor is the R of its stacked per-shard
-    factors, and the factor of every row is the R of the stacked fold
-    factors (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012).
+    ``folds`` the cloud derives the shard's per-fold row counts, in
+    O(folds) whatever the count: block j is in fold j mod ``folds``. Each
+    fold's factor is the R of its stacked per-shard factors, and the
+    factor of every row is the R of the stacked fold factors (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012).
     """
     k = len(row_counts)
-    parts, sizes, origin_rows = [], 0, []
-    offset, q = 0, None
+    parts, sizes, q = [], 0, None
     for origin, s in enumerate(shards, start=1):
         if origin > k:
             raise ProtocolOrderViolation(
@@ -334,8 +313,6 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
         rounds, rest = divmod(n, block_size * folds)
         sizes += rounds * block_size + np.clip(
             rest - block_size * np.arange(folds), 0, block_size)
-        origin_rows.append((offset, offset + n))
-        offset += n
     if len(parts) != k:
         raise ProtocolOrderViolation(
             f"expected one shard per agency 1..{k}, got {len(parts)}"
@@ -345,8 +322,6 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
         fold_factors=fold_factors,
         fold_sizes=tuple(int(v) for v in sizes),
         z_factor=r_factor(fold_factors.reshape(-1, q)),
-        origin_rows=tuple(origin_rows),
-        block_size=block_size,
     )
 
 
@@ -440,6 +415,7 @@ def residual_gram(r, values):
     return rm.swapaxes(-1, -2) @ rm
 
 
+# perfbench/workloads.py:171 passes rows=rows (ROADMAP direction 2)
 def cloud_fit(agg, mode, lam=0.0, rows=None):
     """Solve least squares from ``agg.z_factor``, the R factor of every
     masked row; the result is still masked. For ridge,
@@ -463,13 +439,16 @@ def _shaped(ctx, m, shape, what):
 
 
 def decrypt_round(ctx, values):
-    """Apply one agency's decryption: values <- B_i @ values @ C_i^{-1}."""
+    """Apply one agency's decryption: values <- B_i @ values @ C_i^{-1}.
+    An estimate perturbed near the float64 limit overflows here, silently:
+    ``verify_estimate`` rules a non-finite estimate tampered."""
     values = _shaped(ctx, values, (ctx.keys.b_key.shape[0], 3), "estimate")
-    try:
-        right = np.linalg.solve(ctx.keys.c_key.T, values.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularResult(f"response key is singular: {exc}") from exc
-    return ctx.keys.b_key @ right
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            right = np.linalg.solve(ctx.keys.c_key.T, values.T).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularResult(f"response key is singular: {exc}") from exc
+        return ctx.keys.b_key @ right
 
 
 def gram_release_step(ctx, r):
@@ -505,15 +484,17 @@ def verify_estimate(values, mode, tol=VERIFY_TOL):
 
     Linear fits regress the row sums of the (offset) features, so the
     verification coefficients must all be 1; ridge fits regress the zero
-    vector, so they must all be 0. A deviation beyond ``tol`` in max-norm
-    is ruled tampered. That every agency decrypted exactly once is the
-    decryption ring's check (``runner.ring_pass``), not this one's.
+    vector, so they must all be 0. A deviation beyond ``tol`` in max-norm,
+    or any entry of ``values`` that is not finite, is ruled tampered. That
+    every agency decrypted exactly once is the decryption ring's check
+    (``runner.ring_pass``), not this one's.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     target = 1.0 if mode == "linear" else 0.0
     max_dev = float(np.max(np.abs(values[:, 1] - target)))
-    verdict = "accepted" if max_dev <= tol else "tampered"
+    honest = max_dev <= tol and np.all(np.isfinite(values))
+    verdict = "accepted" if honest else "tampered"
     return VerifyReport(verdict=verdict, max_deviation=max_dev, tolerance=tol)
 
 

@@ -236,18 +236,21 @@ def release_key_factor(contexts, transport):
                      protocol.gram_release_step)
 
 
-def fold_rows(agg, folds):
+# perfbench/workloads.py:130 calls fold_rows (ROADMAP direction 2)
+def fold_rows(layout, folds):
     """Assign whole blocks to folds, round-robin within each agency.
 
-    Every fold therefore contains complete blocks only, as in
+    ``layout`` gives each agency's row range in the stacked order as
+    ``origin_rows`` and each block's as ``block_ranges``. Every fold
+    therefore contains complete blocks only, as in
     ``protocol.shard_factors``, and every agency contributes blocks to
     every fold. Raises :class:`FoldBlockMisaligned` when an agency has
     fewer blocks than folds.
     """
     assignments = [[] for _ in range(folds)]
-    for origin, (lo, hi) in enumerate(agg.origin_rows, start=1):
+    for origin, (lo, hi) in enumerate(layout.origin_rows, start=1):
         agency_blocks = [
-            (a, b) for a, b in agg.block_ranges if a >= lo and b <= hi
+            (a, b) for a, b in layout.block_ranges if a >= lo and b <= hi
         ]
         if len(agency_blocks) < folds:
             raise FoldBlockMisaligned(
@@ -278,11 +281,11 @@ class RunReport:
         out = {
             "config": self.config,
             "protocol": self.protocol_info,
-            "estimate": [[float(v) for v in row] for row in self.estimate],
-            "beta": [float(v) for v in self.estimate[:, 0]],
+            "estimate": [[_finite(v) for v in row] for row in self.estimate],
+            "beta": [_finite(v) for v in self.estimate[:, 0]],
             "verify": {
                 "verdict": self.verify.verdict,
-                "max_deviation": float(self.verify.max_deviation),
+                "max_deviation": _finite(self.verify.max_deviation),
                 "tolerance": float(self.verify.tolerance),
             },
             "metrics": self.metrics,
@@ -330,8 +333,13 @@ def _metrics(datasets, beta):
         lo, hi = y.min(), y.max()
         if lo != hi and np.all((y == lo) | (y == hi)):  # two values, no sort
             out["auc"] = auc(y, scores)
-    return {name: float(v) if math.isfinite(v) else None
-            for name, v in out.items()}
+    return {name: _finite(v) for name, v in out.items()}
+
+
+def _finite(v):
+    """``v`` as a float, or None when it is not finite: report.json is
+    strict JSON."""
+    return float(v) if math.isfinite(v) else None
 
 
 def run_protocol(datasets, config):

@@ -282,7 +282,10 @@ class TcpTransport(_Mailboxes):
         try:
             conn.sendall(wire)
         except OSError as exc:
-            raise TransportFailure(f"send {src} -> {dst} failed: {exc}") from exc
+            # after an abort the sockets are shut down: name the cause first
+            cause = "" if self._error is None else f"{self._error}; "
+            raise TransportFailure(
+                f"{cause}send {src} -> {dst} failed: {exc}") from exc
 
     def recv(self, src, dst, timeout=30.0):
         """Receive the next frame sent from ``src`` to ``dst``."""

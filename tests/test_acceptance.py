@@ -25,14 +25,12 @@ from maskreg.model import cross_validate, ols_fit, ridge_fit
 from maskreg.protocol import TamperPlan
 from maskreg.runner import (
     RunConfig,
-    build_contexts,
-    channels,
     cross_validate_encrypted,
     fold_rows,
-    run_pre_modeling,
     run_protocol,
 )
-from maskreg.transport import make_transport
+
+from fold_layout import fold_layout
 from toy_instance import (
     TOY_BASE,
     TOY_COLUMN_SOLUTIONS,
@@ -274,16 +272,8 @@ def test_c7_ldp_limit_and_oracle():
 
 
 def _plaintext_cv(datasets, config):
-    contexts = build_contexts(
-        [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
-        config,
-    )
-    transport = make_transport("bus", channels(len(contexts)))
-    try:
-        agg = run_pre_modeling(contexts, transport)
-    finally:
-        transport.close()
-    folds = fold_rows(agg, config.folds)
+    layout = fold_layout([len(y) for _, y in datasets], config.block_size)
+    folds = fold_rows(layout, config.folds)
     x = np.vstack([x for x, _ in datasets])
     y = np.concatenate([y for _, y in datasets])
     return cross_validate(x, y, config.lambda_grid, folds)

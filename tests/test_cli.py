@@ -56,11 +56,12 @@ def test_run_flags_echoed(tmp_path):
 
 def test_tamper_exits_two(tmp_path):
     """A detected tamper exits 2 and writes strict JSON, also when the
-    perturbed β is so large that its MSE overflows: that metric is null."""
+    perturbed β is so large that its MSE overflows, or so large that
+    decryption overflows: a non-finite value is null."""
     def strict(name):
         raise ValueError(f"non-finite value {name}")
 
-    for magnitude in ("0.05", "1e200"):
+    for magnitude in ("0.05", "1e200", "1e308"):
         out = tmp_path / magnitude
         code = main(["tamper", "--n", "60", "--p", "3",
                      "--action", "perturb_result", "--magnitude", magnitude,
@@ -69,7 +70,7 @@ def test_tamper_exits_two(tmp_path):
         with open(out / "report.json") as fh:
             report = json.load(fh, parse_constant=strict)
         assert report["verify"]["verdict"] == "tampered"
-        assert (report["metrics"]["mse"] is None) == (magnitude == "1e200")
+        assert (report["metrics"]["mse"] is None) == (magnitude != "0.05")
 
 
 def test_cv_reports_chosen_lambda(tmp_path):

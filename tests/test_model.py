@@ -8,8 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskreg.errors import RankDeficient, SingleClass
-from maskreg.model import auc, cross_validate, mse, ols_fit, ridge_fit
+from maskreg.errors import NotPD, RankDeficient, SingleClass
+from maskreg.model import (
+    auc,
+    cross_validate,
+    mse,
+    ols_fit,
+    ridge_fit,
+    solve_spd,
+)
 
 
 def test_ols_matches_lstsq():
@@ -55,6 +62,22 @@ def test_ridge_zero_penalty_equals_ols():
 def test_ridge_rejects_negative_penalty():
     with pytest.raises(ValueError):
         ridge_fit(np.eye(3), np.ones(3), -1.0)
+
+
+def test_solve_spd_matches_dense_solve():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((8, 5))
+    gram = a.T @ a + 0.1 * np.eye(5)
+    rhs = rng.standard_normal((5, 3))
+    np.testing.assert_allclose(
+        solve_spd(gram, rhs), np.linalg.solve(gram, rhs), atol=1e-10
+    )
+
+
+def test_solve_spd_rejects_indefinite():
+    gram = np.array([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(NotPD):
+        solve_spd(gram, np.ones(2))
 
 
 def test_mse():

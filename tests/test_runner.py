@@ -30,7 +30,6 @@ from maskreg.runner import (
     channels,
     cross_validate_encrypted,
     fold_rows,
-    run_pre_modeling,
     run_protocol,
 )
 from maskreg.transport import (
@@ -40,8 +39,9 @@ from maskreg.transport import (
     MSG_SHARD,
     BusTransport,
     TcpTransport,
-    make_transport,
 )
+
+from fold_layout import fold_layout
 
 
 def make_datasets(k, n_per, p, seed=0, noise=0.01):
@@ -509,28 +509,20 @@ def test_report_to_dict_roundtrips_to_json():
 # ---------------------------------------------------------------- folds
 
 
-def _aggregate(datasets, config):
-    contexts = build_contexts(
-        [(np.asarray(x, float), np.asarray(y, float)) for x, y in datasets],
-        config,
-    )
-    transport = make_transport("bus", channels(len(contexts)))
-    try:
-        return run_pre_modeling(contexts, transport)
-    finally:
-        transport.close()
+def _layout(datasets, config):
+    return fold_layout([len(y) for _, y in datasets], config.block_size)
 
 
 def test_fold_rows_whole_blocks_round_robin():
     datasets = make_datasets(2, 48, 3, seed=1)
     config = RunConfig(k=2, block_size=8, folds=3, seed=1)
-    agg = _aggregate(datasets, config)
-    folds = fold_rows(agg, 3)
+    layout = _layout(datasets, config)
+    folds = fold_rows(layout, 3)
     # partition of all rows
     all_rows = np.sort(np.concatenate(folds))
     np.testing.assert_array_equal(all_rows, np.arange(96))
     # every fold contains whole blocks from both agencies
-    ranges = agg.block_ranges
+    ranges = layout.block_ranges
     for rows in folds:
         row_set = set(rows.tolist())
         touched = [(a, b) for a, b in ranges if a in row_set]
@@ -543,9 +535,8 @@ def test_fold_rows_whole_blocks_round_robin():
 def test_fold_rows_misaligned_rejected():
     datasets = make_datasets(2, 20, 3, seed=1)
     config = RunConfig(k=2, block_size=16, folds=5, seed=1)
-    agg = _aggregate(datasets, config)
     with pytest.raises(FoldBlockMisaligned):
-        fold_rows(agg, 5)
+        fold_rows(_layout(datasets, config), 5)
 
 
 # ---------------------------------------------------------------- CV
@@ -560,8 +551,7 @@ def test_encrypted_cv_matches_plaintext_oracle():
     report = cross_validate_encrypted(datasets, config)
     assert report.verify.verdict == "accepted"
 
-    agg = _aggregate(datasets, config)
-    folds = fold_rows(agg, config.folds)
+    folds = fold_rows(_layout(datasets, config), config.folds)
     x, y = stacked(datasets)
     oracle = cross_validate(x, y, config.lambda_grid, folds)
 
@@ -580,7 +570,7 @@ def test_encrypted_cv_fold_mse_exact():
         lambda_grid=(0.0, 0.1, 1.0, 10.0), seed=23,
     )
     report = cross_validate_encrypted(datasets, config)
-    folds = fold_rows(_aggregate(datasets, config), config.folds)
+    folds = fold_rows(_layout(datasets, config), config.folds)
     x, y = stacked(datasets)
     oracle = cross_validate(x, y, config.lambda_grid, folds)
     assert rel_err(np.asarray(report.cv["fold_mse"]), oracle.fold_mse) < 1e-10
@@ -626,7 +616,7 @@ def test_encrypted_cv_sends_one_residual_gram_ring(
     report = cross_validate_encrypted(datasets, config)
     assert sent.count(MSG_RESIDUAL_GRAM) == k + 1
 
-    folds_ = fold_rows(_aggregate(datasets, config), folds)
+    folds_ = fold_rows(_layout(datasets, config), folds)
     x, y = stacked(datasets)
     oracle = cross_validate(x, y, config.lambda_grid, folds_)
     assert rel_err(np.asarray(report.cv["fold_mse"]), oracle.fold_mse) < 1e-10
@@ -760,7 +750,8 @@ def test_cloud_factors_match_stacked_shards(monkeypatch, transport, mode, cv):
     z = _stacked_shards(shards)
     assert agg.x_star.shape == (z.shape[0], 4)
     assert rel_err(agg.z_factor, protocol.r_factor(z)) < 1e-12
-    folds = fold_rows(agg, config.folds) if cv else [np.arange(len(z))]
+    folds = (fold_rows(_layout(datasets, config), config.folds) if cv
+             else [np.arange(len(z))])
     assert agg.fold_factors.shape == (len(folds), 7, 7)
     assert agg.fold_sizes == tuple(rows.size for rows in folds)
     for factor, rows in zip(agg.fold_factors, folds):

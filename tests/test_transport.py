@@ -325,6 +325,23 @@ def test_send_fails_at_once_after_the_reader_dies():
         tcp.close()
 
 
+def test_send_after_an_abort_names_its_cause_first():
+    """A send on a shut-down socket names the channel whose bad frame
+    aborted the run before its own broken pipe."""
+    tcp = TcpTransport([(0, 1), (1, 0)])
+    try:
+        tcp._out[(0, 1)].sendall(_header(0))  # kills the reader on 0 -> 1
+        with pytest.raises(TransportFailure):
+            tcp.recv(0, 1, timeout=5.0)
+        tcp._reader.join(timeout=5.0)  # every socket is shut down
+        with pytest.raises(TransportFailure) as caught:
+            tcp.send(1, 0, Frame(MSG_SHARD, (), np.zeros((2, 2))))
+        assert str(caught.value).startswith("0 -> 1: ")
+        assert "send 1 -> 0 failed" in str(caught.value)
+    finally:
+        tcp.close()
+
+
 def test_close_ends_a_read_stuck_mid_frame():
     tcp = TcpTransport([(0, 1)])
     # a 1 MiB frame is announced and never sent
