@@ -6,7 +6,9 @@ class MaskRegError(Exception):
 
 
 class DimMismatch(MaskRegError):
-    """Operands have incompatible shapes."""
+    """Local inputs have incompatible shapes: a caller's data, keys or
+    sizes, never a received frame (that is
+    :class:`ProtocolOrderViolation`)."""
 
 
 class NotPD(MaskRegError):
@@ -22,7 +24,10 @@ class RankDeficient(MaskRegError):
 
 
 class ProtocolOrderViolation(MaskRegError):
-    """A protocol message arrived out of the expected order."""
+    """A received frame is not what its receiver expects: its type,
+    applied ids or matrix shape differ from the header an honest sender
+    sends, or its content, such as a factor that is not upper triangular,
+    is one no honest sender could have sent."""
 
 
 class FoldBlockMisaligned(MaskRegError):

@@ -21,8 +21,11 @@ X_1..X_K (row-partitioned across agencies):
    so R(M·K) = R(R·K): each hop's factors are those of the keyed rows. A
    row mask whose blocks lie inside the folds would leave every fold's R
    unchanged, R(A·M) = R(M), so no hop draws one. A shard is its
-   (F·q, q) factor matrix; the runner sends it in a frame whose applied
-   ids, the agencies that keyed it in order, it checks at every hop;
+   (F·q, q) factor matrix; the runner sends it in a frame whose header
+   it checks at every hop: the applied ids, the agencies that keyed it in
+   order, and the matrix's shape, which is public. A hop checks only
+   what a header cannot show: each factor is finite and upper
+   triangular, with a non-negative diagonal;
 3. the shard's last holder sends it to the cloud. The cloud stacks the
    factors, takes the R factor of every keyed row from them and
    back-substitutes, and gets a masked estimate; it derives each fold's
@@ -217,13 +220,12 @@ def _with_pseudo_response(r, w):
     return full
 
 
-def pass_encrypt(ctx, shard, folds, origin):
-    """One hop of origin's shard, its (folds·q, q) factor matrix: check it
-    as the cloud does (``_completed_parts``) and key its factors, one
+def pass_encrypt(ctx, shard, origin):
+    """One hop of origin's shard, its (folds·q, q) factor matrix: check its
+    factors as the cloud does (``_completed_parts``) and key them, one
     round on. The last holder sends the result to the cloud."""
-    where = f"agency {ctx.agency_id}: shard {origin}"
-    r = _completed_parts(shard, where, folds, ctx.keys.b_key.shape[0] + 3)
-    return _keyed(ctx, r)
+    return _keyed(ctx, _completed_parts(
+        shard, f"agency {ctx.agency_id}: shard {origin}"))
 
 
 def shard_factors(x, y, block_size, folds):
@@ -263,20 +265,15 @@ def shard_factors(x, y, block_size, folds):
         axis=-2))
 
 
-def _completed_parts(r, where, folds, q=None):
+def _completed_parts(r, where):
     """A shard's (folds, q, q) factor stack, once its (folds·q, q) matrix
     ``r`` is checked; ``where`` names the receiver and the shard in
-    errors, and ``q`` is the expected width, or None for any. Raises
-    :class:`DimMismatch` for a matrix of the wrong shape and
-    :class:`ProtocolOrderViolation` for a factor that is not finite, upper
-    triangular and non-negative on its diagonal, which an honest sender
-    could not have sent."""
-    width = q or (r.shape[1] if r.ndim == 2 else 0)
-    if r.ndim != 2 or width < 4 or r.shape != (folds * width, width):
-        raise DimMismatch(
-            f"{where} has a matrix of shape {r.shape}, expected "
-            f"({folds}*q, q) with q >= 4")
-    r = r.reshape(folds, width, width)
+    errors. The runner has checked the matrix's shape with the frame's
+    header (``runner._expect``); this checks what a header cannot show.
+    Raises :class:`ProtocolOrderViolation` for a factor that is not
+    finite, upper triangular and non-negative on its diagonal, which an
+    honest sender could not have sent."""
+    r = r.reshape(-1, r.shape[1], r.shape[1])
     if (not np.all(np.isfinite(r)) or np.any(np.tril(r, -1))
             or np.any(np.diagonal(r, 0, -2, -1) < 0.0)):
         raise ProtocolOrderViolation(
@@ -290,8 +287,9 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
     (``pass_encrypt`` of each last holder) in origin order; ``shards`` may
     be a generator that receives each one.
 
-    Each matrix holds one shard's keyed fold factors, checked as they are
-    taken. Its row count is public: ``row_counts`` (the
+    Each matrix holds one shard's keyed fold factors, its shape checked
+    with its frame's header (``runner._expect``) and its factors as they
+    are taken. Its row count is public: ``row_counts`` (the
     ``AgencyKeys.row_counts`` of the run) holds every origin's, and its
     length is the number of agencies. From a count, ``block_size`` and
     ``folds`` the cloud derives the shard's per-fold row counts, in
@@ -301,14 +299,12 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012).
     """
     k = len(row_counts)
-    parts, sizes, q = [], 0, None
+    parts, sizes = [], 0
     for origin, s in enumerate(shards, start=1):
         if origin > k:
             raise ProtocolOrderViolation(
                 f"expected one shard per agency 1..{k}, got more")
-        r = _completed_parts(s, f"cloud: completed shard {origin}", folds, q)
-        parts.append(r)
-        q = r.shape[-1]
+        parts.append(_completed_parts(s, f"cloud: completed shard {origin}"))
         n = row_counts[origin - 1]
         rounds, rest = divmod(n, block_size * folds)
         sizes += rounds * block_size + np.clip(
@@ -321,7 +317,7 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
     return EncryptedAggregate(
         fold_factors=fold_factors,
         fold_sizes=tuple(int(v) for v in sizes),
-        z_factor=r_factor(fold_factors.reshape(-1, q)),
+        z_factor=r_factor(np.concatenate(fold_factors)),
     )
 
 
@@ -428,21 +424,10 @@ def cloud_fit(agg, mode, lam=0.0, rows=None):
     return EstimateMatrix(values=values)
 
 
-def _shaped(ctx, m, shape, what):
-    """``m`` as an array, if its shape is ``shape``; otherwise raise
-    :class:`DimMismatch` naming the agency."""
-    m = np.asarray(m)
-    if m.shape != shape:
-        raise DimMismatch(f"agency {ctx.agency_id} expected a {what} of "
-                          f"shape {shape}, got shape {m.shape}")
-    return m
-
-
 def decrypt_round(ctx, values):
     """Apply one agency's decryption: values <- B_i @ values @ C_i^{-1}.
     An estimate perturbed near the float64 limit overflows here, silently:
     ``verify_estimate`` rules a non-finite estimate tampered."""
-    values = _shaped(ctx, values, (ctx.keys.b_key.shape[0], 3), "estimate")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             right = np.linalg.solve(ctx.keys.c_key.T, values.T).T
@@ -456,7 +441,7 @@ def gram_release_step(ctx, r):
     R <- qr(R B_i).R. From R = I the ring returns R_B, the Cholesky factor
     with a positive diagonal of (ΠB)ᵀ(ΠB)."""
     b = ctx.keys.b_key
-    return r_factor(_shaped(ctx, r, b.shape, "key factor") @ b)
+    return r_factor(r @ b)
 
 
 def residual_gram_decrypt_step(ctx, s):
@@ -464,15 +449,8 @@ def residual_gram_decrypt_step(ctx, s):
     every masked residual Gram in a vertical stack ``s`` of m 3×3 blocks,
     shape (3m, 3): each block S becomes C_i^{-T} S C_i^{-1}."""
     c = ctx.keys.c_key
-    q = c.shape[0]
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[1] != q or s.shape[0] == 0 or s.shape[0] % q:
-        raise DimMismatch(
-            f"agency {ctx.agency_id} expected a stack of {q}x{q} residual "
-            f"Grams, got shape {s.shape}"
-        )
     try:
-        half = np.linalg.solve(c.T, s.reshape(-1, q, q))
+        half = np.linalg.solve(c.T, s.reshape(-1, 3, 3))
         out = np.linalg.solve(c.T, half.swapaxes(-1, -2)).swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularResult(f"response key is singular: {exc}") from exc
@@ -513,24 +491,17 @@ def inject_tamper(contexts, plan):
     masking phase and the R_B release: ``perturb_result`` shifts the
     cloud's masked estimate, and ``wrong_decrypt`` swaps the named agency's
     feature key for ``_fresh_key``, so it decrypts with a key it did not
-    encrypt with. Here ``wrong_decrypt`` only has its agency looked up.
+    encrypt with. Agency ids are 1..k in context order.
     """
-    if plan.action in ("honest", "perturb_result"):
+    if plan.action not in ("skip_pseudo_response", "non_commutative_key"):
         return
-    ctx = _find_agency(contexts, plan.agency)
+    ctx = contexts[plan.agency - 1]
     if plan.action == "skip_pseudo_response":
         ctx.verify_weights = ctx.rng.standard_normal(ctx.x.shape[1])
     elif plan.action == "non_commutative_key":
         # cond ≤ 2, and with probability one not in the base's commutant
         ctx.keys.b_key = random_well_conditioned(ctx.keys.b_key.shape[0],
                                                  ctx.rng)[0]
-
-
-def _find_agency(contexts, agency_id):
-    for ctx in contexts:
-        if ctx.agency_id == agency_id:
-            return ctx
-    raise ValueError(f"no agency with id {agency_id}")
 
 
 def _fresh_key(ctx):

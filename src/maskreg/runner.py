@@ -137,25 +137,26 @@ def _holders(origin, k):
     return tuple((origin + j - 1) % k + 1 for j in range(k))
 
 
-def _expect(frame, me, msg_type, applied):
+def _expect(frame, me, msg_type, applied, shape):
     """Return ``frame`` if its whole header is the one ``me`` expects: its
-    type and exactly the ids applied before this hop; otherwise raise
-    :class:`ProtocolOrderViolation`. The sender is the channel's."""
-    want = (msg_type, applied)
-    got = (frame.msg_type, frame.applied)
+    type, exactly the ids applied before this hop and its matrix's shape,
+    which is public; otherwise raise :class:`ProtocolOrderViolation`. The
+    sender is the channel's."""
+    want = (msg_type, applied, shape)
+    got = (frame.msg_type, frame.applied, frame.matrix.shape)
     if got != want:
         raise ProtocolOrderViolation(f"participant {me} expected (type, "
-                                     f"applied) {want}, got {got}")
+                                     f"applied, shape) {want}, got {got}")
     return frame
 
 
-def _completed_shards(transport, k):
+def _completed_shards(transport, k, shape):
     """The cloud's completed shards, received in origin order, each frame's
     header checked as it arrives, as factor matrices."""
     for origin in range(1, k + 1):
         holders = _holders(origin, k)
         yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
-                      holders).matrix
+                      holders, shape).matrix
 
 
 def run_pre_modeling(contexts, transport, folds=1):
@@ -173,9 +174,13 @@ def run_pre_modeling(contexts, transport, folds=1):
 
     A shard's frame carries its holders so far, origin first: a receiver
     requires exactly that prefix of ``_holders``, which never holds the
-    receiver, and the cloud all k of them.
+    receiver, and the cloud all k of them. Every shard frame has the
+    public shape (F·q, q): F fold factors of the q = p + 3 columns
+    [X | y, v, decoy].
     """
     k = len(contexts)
+    q = contexts[0].keys.b_key.shape[0] + 3
+    shape = (folds * q, q)
     shards = [Frame(MSG_SHARD, (a,), protocol.local_encrypt(ctx, folds))
               for a, ctx in enumerate(contexts, start=1)]
     for r in range(1, k):  # agency a gets origin a - r's shard, keyed r times
@@ -184,21 +189,16 @@ def run_pre_modeling(contexts, transport, folds=1):
         for a, ctx in enumerate(contexts, start=1):
             origin = (a - r - 1) % k + 1
             frame = _expect(transport.recv((a - 2) % k + 1, a), a, MSG_SHARD,
-                            _holders(origin, k)[:r])
+                            _holders(origin, k)[:r], shape)
             shards[a - 1] = Frame(MSG_SHARD, frame.applied + (a,),
                                   protocol.pass_encrypt(ctx, frame.matrix,
-                                                        folds, origin))
+                                                        origin))
     for a, shard in enumerate(shards, start=1):
         transport.send(a, CLOUD, shard)
     keys = contexts[0].keys
     return protocol.assemble_aggregate(
-        _completed_shards(transport, k), keys.row_counts, keys.block_size,
-        folds)
-
-
-#: What each ring carries, as its errors name it.
-_RING_CARGO = {MSG_GRAM_RELEASE: "key factor", MSG_ESTIMATE: "estimate",
-               MSG_RESIDUAL_GRAM: "stack of residual Grams"}
+        _completed_shards(transport, k, shape), keys.row_counts,
+        keys.block_size, folds)
 
 
 def ring_pass(contexts, transport, msg_type, matrix, step):
@@ -206,9 +206,12 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
 
     Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
     and appends its id to the frame's applied ids. Hop ``a`` must arrive
-    from ``a - 1`` with ids (1, ..., a - 1), so the cloud gets back only a
-    matrix every agency stepped exactly once, and only in the shape it
-    sent: any other raises :class:`ProtocolOrderViolation`.
+    from ``a - 1`` with ids (1, ..., a - 1) and in the shape of the matrix
+    the cloud starts the ring with, which is public: p×p for the R_B
+    release, p×3 for the estimate and (3·L·F)×3 for the residual Grams of
+    L lambdas and F folds. So the cloud gets back only a matrix every
+    agency stepped exactly once, in the shape it sent: any other frame
+    raises :class:`ProtocolOrderViolation` where it arrives.
     """
     k = len(contexts)
     shape = np.shape(matrix)
@@ -216,16 +219,11 @@ def ring_pass(contexts, transport, msg_type, matrix, step):
     transport.send(CLOUD, 1, Frame(msg_type, (), matrix))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
         frame = _expect(transport.recv(prev, a), a, msg_type,
-                        tuple(range(1, a)))
+                        tuple(range(1, a)), shape)
         matrix = step(contexts[a - 1], frame.matrix)
         transport.send(a, nxt, Frame(msg_type, frame.applied + (a,), matrix))
-    frame = _expect(transport.recv(k, CLOUD), CLOUD, msg_type,
-                    tuple(range(1, k + 1)))
-    if frame.matrix.shape != shape:
-        raise ProtocolOrderViolation(
-            f"cloud sent a {_RING_CARGO[msg_type]} of shape {shape} around "
-            f"the ring, got back shape {frame.matrix.shape}")
-    return frame.matrix
+    return _expect(transport.recv(k, CLOUD), CLOUD, msg_type,
+                   tuple(range(1, k + 1)), shape).matrix
 
 
 def release_key_factor(contexts, transport):
@@ -435,7 +433,7 @@ def _run(datasets, config, select_lambda=None):
             if config.tamper.action == "perturb_result":
                 est.values[0, 0] += config.tamper.magnitude
             elif config.tamper.action == "wrong_decrypt":
-                rogue = protocol._find_agency(contexts, config.tamper.agency)
+                rogue = contexts[config.tamper.agency - 1]
                 rogue.keys.b_key = protocol._fresh_key(rogue)
         with _timed(timings, "decrypt"):
             plain = ring_pass(contexts, transport, MSG_ESTIMATE, est.values,

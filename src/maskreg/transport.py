@@ -13,7 +13,9 @@ Frame layout (all integers little-endian):
 The same bytes travel over both transports, so a run is reproducible
 bit-for-bit regardless of which one carries it. A header holds only what
 its channel does not say: the sender is the channel's source, so no
-field repeats it.
+field repeats it. Decoding checks only that the bytes make one frame;
+whether its type, applied ids and matrix shape are the ones its receiver
+expects is ``runner._expect``'s one check.
 
 A transport carries only the channels it is built with: the directed
 (src, dst) pairs a run sends on (``runner.channels``), each with one

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -299,10 +300,10 @@ def test_agency_error_aborts_run_at_once(monkeypatch, transport):
     """An exception in one agency's step ends the run as itself."""
     original = protocol.pass_encrypt
 
-    def failing(ctx, shard, folds, origin):
+    def failing(ctx, shard, origin):
         if ctx.agency_id == 2:
             raise ValueError("agency 2 cannot mask")
-        return original(ctx, shard, folds, origin)
+        return original(ctx, shard, origin)
 
     monkeypatch.setattr(protocol, "pass_encrypt", failing)
     datasets = make_datasets(3, 40, 3, seed=6)
@@ -624,7 +625,7 @@ def test_encrypted_cv_sends_one_residual_gram_ring(
 
 def test_encrypted_cv_rejects_short_gram_stack(monkeypatch):
     """A ring that returns fewer stacked residual Grams than it was sent
-    fails closed."""
+    fails closed, at the cloud's header check."""
     original = protocol.residual_gram_decrypt_step
 
     def dropping(ctx, s):
@@ -634,7 +635,8 @@ def test_encrypted_cv_rejects_short_gram_stack(monkeypatch):
     monkeypatch.setattr(protocol, "residual_gram_decrypt_step", dropping)
     datasets = make_datasets(2, 48, 3, seed=21, noise=0.5)
     config = RunConfig(k=2, mode="ridge", block_size=8, folds=3, seed=21)
-    with pytest.raises(ProtocolOrderViolation, match="residual Grams"):
+    with pytest.raises(ProtocolOrderViolation,
+                       match="^participant 0 expected"):
         cross_validate_encrypted(datasets, config)
 
 
@@ -694,9 +696,9 @@ def _capture_cloud_view(monkeypatch):
             [ctx.x, y, ctx.x @ ctx.verify_weights, decoy]))
         return local(ctx, folds)
 
-    def recording_pass(ctx, shard, folds, origin):
+    def recording_pass(ctx, shard, origin):
         shards[origin] = keyed(ctx, shards[origin])
-        return passing(ctx, shard, folds, origin)
+        return passing(ctx, shard, origin)
 
     monkeypatch.setattr(protocol, "local_encrypt", recording_local)
     monkeypatch.setattr(protocol, "pass_encrypt", recording_pass)
@@ -807,39 +809,51 @@ def _rows(r):
 
 
 #: Shard frames no honest agency can send, as (the matrix sections that
-#: replace the honest one's matrix r on the wire, the error the receiver
-#: must raise). The run is a k=3 CV with 48 rows per agency, 8-row blocks
-#: and 3 folds; ``no_matrix``, ``two_matrices`` and ``three_matrices`` are
-#: frames without exactly one matrix section, the last two still carrying
-#: the origin's row count after the factors, which no longer decode; and
+#: replace the honest one's matrix r on the wire, the check that refuses
+#: them: "frame" when the bytes do not decode, "header" when the matrix
+#: is not the public (F·q, q) shape, "factor" when a factor is not finite
+#: and upper triangular with a non-negative diagonal). The run is a k=3
+#: CV with 48 rows per agency, 4 features, 8-row blocks and 3 folds, so a
+#: shard is (21, 7); ``no_matrix``, ``two_matrices`` and
+#: ``three_matrices`` are frames without exactly one matrix section, the
+#: last two still carrying the origin's row count after the factors,
+#: which no longer decode; and
 #: ``fewer_blocks_than_folds`` drops a whole fold's (q, q) factor, so every
 #: block left is a well-formed factor.
 FORGERIES = {
-    "no_matrix": (lambda r: (), TransportFailure),
-    "two_matrices": (lambda r: (r, np.array([[48.0]])), TransportFailure),
+    "no_matrix": (lambda r: (), "frame"),
+    "two_matrices": (lambda r: (r, np.array([[48.0]])), "frame"),
     "three_matrices": (lambda r: (r, np.array([[48.0]]), np.array([[48.0]])),
-                       TransportFailure),
-    "rows": (_rows, DimMismatch),
-    "short_factor_stack": (lambda r: (r[:-1],), DimMismatch),
-    "fewer_blocks_than_folds": (lambda r: (r[:-r.shape[1]],), DimMismatch),
-    "wide_factor_stack": (lambda r: (np.hstack([r, r]),), DimMismatch),
-    "not_upper_triangular": (lambda r: (_edited(r, (1, 0), 1.0),),
-                             ProtocolOrderViolation),
-    "negative_diagonal": (lambda r: (_edited(r, (0, 0), -1.0),),
-                          ProtocolOrderViolation),
-    "nan_factor": (lambda r: (_edited(r, (0, 0), np.nan),),
-                   ProtocolOrderViolation),
-    "inf_factor": (lambda r: (_edited(r, (0, 1), np.inf),),
-                   ProtocolOrderViolation),
+                       "frame"),
+    "rows": (_rows, "header"),
+    "short_factor_stack": (lambda r: (r[:-1],), "header"),
+    "fewer_blocks_than_folds": (lambda r: (r[:-r.shape[1]],), "header"),
+    "wide_factor_stack": (lambda r: (np.hstack([r, r]),), "header"),
+    "not_upper_triangular": (lambda r: (_edited(r, (1, 0), 1.0),), "factor"),
+    "negative_diagonal": (lambda r: (_edited(r, (0, 0), -1.0),), "factor"),
+    "nan_factor": (lambda r: (_edited(r, (0, 0), np.nan),), "factor"),
+    "inf_factor": (lambda r: (_edited(r, (0, 1), np.inf),), "factor"),
 }
 
+#: The error each check raises.
+CHECKS = {"frame": TransportFailure, "header": ProtocolOrderViolation,
+          "factor": ProtocolOrderViolation}
+
 #: The hop that forges, as (the ids applied to the forged shard frame,
-#: what the receiver's error names, the channel a frame that does not
-#: decode is named by). Agency 1 sends its round-1 frame of shard 1 to
-#: agency 2; agency 2 holds shard 3 last and sends it to the cloud.
+#: how each check's error begins). Agency 1 sends its round-1 frame of
+#: shard 1 to agency 2; agency 2 holds shard 3 last and sends it to the
+#: cloud.
 HOPS = {
-    "agency": ((1,), "agency 2: shard 1", "1 -> 2: "),
-    "cloud": ((3, 1, 2), "completed shard 3", "2 -> 0: "),
+    "agency": ((1,), {
+        "frame": "1 -> 2: ",
+        "header": "participant 2 expected (type, applied, shape) "
+                  "(1, (1,), (21, 7)), got",
+        "factor": "agency 2: shard 1: "}),
+    "cloud": ((3, 1, 2), {
+        "frame": "2 -> 0: ",
+        "header": "participant 0 expected (type, applied, shape) "
+                  "(1, (3, 1, 2), (21, 7)), got",
+        "factor": "cloud: completed shard 3: "}),
 }
 
 
@@ -866,18 +880,17 @@ def _forging_encoder(monkeypatch, forged, forge):
 
 
 def _forged_run_fails_at_once(monkeypatch, transport, forgery, hop):
-    forge, error = FORGERIES[forgery]
-    applied, where, channel = HOPS[hop]
+    forge, check = FORGERIES[forgery]
+    applied, starts = HOPS[hop]
     _forging_encoder(monkeypatch, lambda frame: (
         frame.msg_type == MSG_SHARD and frame.applied == applied), forge)
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=34,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(error) as caught:
+    with pytest.raises(CHECKS[check]) as caught:
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=34), config)
     assert time.perf_counter() - t0 < 2.0
-    assert str(caught.value).startswith(channel) if (
-        error is TransportFailure) else where in str(caught.value)
+    assert str(caught.value).startswith(starts[check])
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
@@ -895,24 +908,64 @@ def test_agency_rejects_a_forged_shard_at_once(monkeypatch, transport,
 
 
 @pytest.mark.parametrize("transport", ["bus", "tcp"])
-@pytest.mark.parametrize("msg_type, shape", [
-    (MSG_ESTIMATE, (4, 3)), (MSG_GRAM_RELEASE, (4, 4))],
-    ids=["estimate", "gram_release"])
+@pytest.mark.parametrize("msg_type, forge", [
+    pytest.param(MSG_ESTIMATE, lambda m: np.ones((4, 3)), id="estimate"),
+    pytest.param(MSG_GRAM_RELEASE, lambda m: np.ones((4, 4)),
+                 id="gram_release"),
+    pytest.param(MSG_RESIDUAL_GRAM, lambda m: m[:-3], id="residual_gram"),
+    # a frame's matrix is 2-d on the wire, so a (9,) or (2, 3, 3) stack
+    # reaches agency 1 as (9, 1) or as two Grams, (6, 3)
+    *(pytest.param(MSG_RESIDUAL_GRAM, lambda m, shape=shape: np.ones(shape),
+                   id=f"residual_gram-{shape[0]}x{shape[1]}")
+      for shape in [(4, 3), (3, 4), (0, 3), (9, 1), (6, 3)]),
+])
 def test_wrong_shaped_ring_matrix_fails_naming_the_agency(
-        monkeypatch, transport, msg_type, shape):
-    """A cloud that starts the decryption ring with a (p+1, 3) estimate,
-    or the R_B release with a (p+1, p+1) seed, fails at agency 1 as
-    ``DimMismatch``, not as a matmul error."""
+        monkeypatch, transport, msg_type, forge):
+    """A cloud that starts a ring with other than its public shape fails
+    at agency 1 as ``ProtocolOrderViolation``, not as a matmul error: a
+    (p+1, 3) estimate, a (p+1, p+1) R_B seed, or a stack of residual
+    Grams that is not the (3·L·F, 3) of 4 lambdas and 3 folds, 3 rows
+    short or of another shape."""
     for cls in (BusTransport, TcpTransport):
         def wrong(self, src, dst, frame, _send=cls.send):
             if src == CLOUD and frame.msg_type == msg_type:
-                frame = dataclasses.replace(frame, matrix=np.ones(shape))
+                frame = dataclasses.replace(frame, matrix=forge(frame.matrix))
             return _send(self, src, dst, frame)
         monkeypatch.setattr(cls, "send", wrong)
-    config = RunConfig(k=3, mode="ridge", seed=36, transport=transport)
+    config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=36,
+                       transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(DimMismatch, match="agency 1 expected"):
-        run_protocol(make_datasets(3, 40, 3, seed=36), config)
+    with pytest.raises(ProtocolOrderViolation,
+                       match="^participant 1 expected"):
+        cross_validate_encrypted(make_datasets(3, 48, 3, seed=36), config)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_cloud_refuses_a_forged_completed_shard_1_on_arrival(
+        monkeypatch, transport, k):
+    """Completed shard 1 forged to a valid (q+1, q+1) factor is refused by
+    the cloud as it arrives, naming shard 1's holders: the shape the cloud
+    expects is public, not the first shard's, so no honest shard is blamed
+    and no forgery reaches the decryption ring."""
+    holders = tuple(range(1, k + 1))
+    forged = protocol.r_factor(np.random.default_rng(3).standard_normal(
+        (12, 6)))
+    for cls in (BusTransport, TcpTransport):
+        def forging(self, src, dst, frame, _send=cls.send):
+            if (dst == CLOUD and frame.msg_type == MSG_SHARD
+                    and frame.applied == holders):
+                frame = dataclasses.replace(frame, matrix=forged)
+            return _send(self, src, dst, frame)
+        monkeypatch.setattr(cls, "send", forging)
+    config = RunConfig(k=k, seed=3, transport=transport)
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolOrderViolation, match="^" + re.escape(
+            f"participant 0 expected (type, applied, shape) "
+            f"({MSG_SHARD}, {holders}, (5, 5)), got ({MSG_SHARD}, "
+            f"{holders}, (6, 6))")):
+        run_protocol(make_datasets(k, 40, 2, seed=3), config)
     assert time.perf_counter() - t0 < 2.0
 
 
@@ -956,7 +1009,8 @@ def test_cloud_rejects_a_ring_result_of_the_wrong_shape(monkeypatch,
     config = RunConfig(k=3, mode="ridge", block_size=8, folds=3, seed=37,
                        transport=transport)
     t0 = time.perf_counter()
-    with pytest.raises(ProtocolOrderViolation, match="got back shape"):
+    with pytest.raises(ProtocolOrderViolation,
+                       match="^participant 0 expected"):
         cross_validate_encrypted(make_datasets(3, 48, 4, seed=37), config)
     assert time.perf_counter() - t0 < 2.0
 
