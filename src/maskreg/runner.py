@@ -1,14 +1,16 @@
 """Drives complete protocol runs over a transport.
 
-The caller's thread drives every participant in a deterministic order.
-The shard phase runs in rounds: each agency factors its own rows, then
-keys every shard's fold factors once as they pass around the ring. The
-release, decryption and cross-validation chains are strictly sequential
-rings. All messages cross the configured transport as encoded frames
+The caller's thread drives every participant in a deterministic order,
+one ring at a time, and every ring is one ``ring_pass``. Each agency's
+shard travels its own ring, from the agency that factors it through
+every other agency, which keys its fold factors once, to the cloud; the
+release, decryption and cross-validation rings start and end at the
+cloud. All messages cross the configured transport as encoded frames
 even when everything lives in one process — the bus and the TCP mesh
 carry identical bytes.
 """
 
+import functools
 import logging
 import math
 import numbers
@@ -130,13 +132,6 @@ def channels(k):
     return sorted([(CLOUD, 1), *ring, *((a, CLOUD) for a in range(1, k + 1))])
 
 
-def _holders(origin, k):
-    """The agencies that hold origin's shard, in order: origin, origin + 1,
-    ... (mod k). Agency a therefore always receives from a - 1 and sends to
-    a + 1, and the last holder sends the shard to the cloud."""
-    return tuple((origin + j - 1) % k + 1 for j in range(k))
-
-
 def _expect(frame, me, msg_type, applied, shape):
     """Return ``frame`` if its whole header is the one ``me`` expects: its
     type, exactly the ids applied before this hop and its matrix's shape,
@@ -150,88 +145,62 @@ def _expect(frame, me, msg_type, applied, shape):
     return frame
 
 
-def _completed_shards(transport, k, shape):
-    """The cloud's completed shards, received in origin order, each frame's
-    header checked as it arrives, as factor matrices."""
-    for origin in range(1, k + 1):
-        holders = _holders(origin, k)
-        yield _expect(transport.recv(holders[-1], CLOUD), CLOUD, MSG_SHARD,
-                      holders, shape).matrix
-
-
 def run_pre_modeling(contexts, transport, folds=1):
-    """Execute the masking ring and return the cloud's assembled view.
+    """Execute the masking rings and return the cloud's assembled view.
 
-    The caller's thread drives every agency in rounds. Each agency first
-    factors its own shard into its ``folds`` keyed fold factors
-    (``protocol.local_encrypt``). In round r = 1..k-1 every agency sends
-    the shard it holds to the next, then every agency receives, checks and
-    keys the one that arrived (``protocol.pass_encrypt``), so a channel
-    holds at most one frame per round. Each last holder sends the cloud
-    its shard, and the cloud stacks them in origin order
-    (``protocol.assemble_aggregate``). An exception leaves from the call
-    that raised it; the caller closes the transport.
-
-    A shard's frame carries its holders so far, origin first: a receiver
-    requires exactly that prefix of ``_holders``, which never holds the
-    receiver, and the cloud all k of them. Every shard frame has the
-    public shape (F·q, q): F fold factors of the q = p + 3 columns
-    [X | y, v, decoy].
+    One origin at a time, each agency factors its own shard into its
+    ``folds`` keyed fold factors (``protocol.local_encrypt``) and starts
+    its shard's ``ring_pass``: every other agency keys it once
+    (``protocol.pass_encrypt``) and the last holder sends it to the
+    cloud, which stacks the completed shards in origin order
+    (``protocol.assemble_aggregate``). Every shard frame has the public
+    shape (F·q, q): F fold factors of the q = p + 3 columns
+    [X | y, v, decoy]. An exception leaves from the call that raised it;
+    the caller closes the transport.
     """
-    k = len(contexts)
-    q = contexts[0].keys.b_key.shape[0] + 3
-    shape = (folds * q, q)
-    shards = [Frame(MSG_SHARD, (a,), protocol.local_encrypt(ctx, folds))
-              for a, ctx in enumerate(contexts, start=1)]
-    for r in range(1, k):  # agency a gets origin a - r's shard, keyed r times
-        for a, shard in enumerate(shards, start=1):
-            transport.send(a, a % k + 1, shard)
-        for a, ctx in enumerate(contexts, start=1):
-            origin = (a - r - 1) % k + 1
-            frame = _expect(transport.recv((a - 2) % k + 1, a), a, MSG_SHARD,
-                            _holders(origin, k)[:r], shape)
-            shards[a - 1] = Frame(MSG_SHARD, frame.applied + (a,),
-                                  protocol.pass_encrypt(ctx, frame.matrix,
-                                                        origin))
-    for a, shard in enumerate(shards, start=1):
-        transport.send(a, CLOUD, shard)
+    def completed_shards():
+        for origin, ctx in enumerate(contexts, start=1):
+            yield ring_pass(
+                contexts, transport, MSG_SHARD,
+                protocol.local_encrypt(ctx, folds),
+                functools.partial(protocol.pass_encrypt, origin=origin),
+                start=origin)
+
     keys = contexts[0].keys
-    return protocol.assemble_aggregate(
-        _completed_shards(transport, k, shape), keys.row_counts,
-        keys.block_size, folds)
+    return protocol.assemble_aggregate(completed_shards(), keys.row_counts,
+                                       keys.block_size, folds)
 
 
-def ring_pass(contexts, transport, msg_type, matrix, step):
-    """Carry one matrix cloud -> 1 -> ... -> k -> cloud; return what returns.
+def ring_pass(contexts, transport, msg_type, matrix, step, start=CLOUD):
+    """Carry one matrix from ``start`` once around the agencies to the
+    cloud; return what reaches the cloud.
 
-    Agency ``a`` replaces the matrix by ``step(contexts[a - 1], matrix)``
-    and appends its id to the frame's applied ids. Hop ``a`` must arrive
-    from ``a - 1`` with ids (1, ..., a - 1) and in the shape of the matrix
-    the cloud starts the ring with, which is public: p×p for the R_B
-    release, p×3 for the estimate and (3·L·F)×3 for the residual Grams of
-    L lambdas and F folds. So the cloud gets back only a matrix every
-    agency stepped exactly once, in the shape it sent: any other frame
+    The cloud starts a ring with no id applied, and it goes 1, ..., k.
+    An origin agency starts its shard's ring with its own factors as
+    ``matrix`` and its id applied, and it goes origin + 1, ..., k, 1, ...,
+    origin - 1. Each agency ``a`` after the start replaces the matrix by
+    ``step(contexts[a - 1], matrix)`` and appends its id to the frame's
+    applied ids. Each hop must arrive from the previous holder with
+    exactly the ids applied before it and in the shape of the matrix the
+    ring starts with, which is public: (F·q, q) for a shard, p×p for the
+    R_B release, p×3 for the estimate and (3·L·F)×3 for the residual
+    Grams of L lambdas and F folds. So the cloud gets back only a matrix
+    every agency stepped exactly once, in that shape: any other frame
     raises :class:`ProtocolOrderViolation` where it arrives.
     """
     k = len(contexts)
     shape = np.shape(matrix)
-    hops = [CLOUD, *range(1, k + 1), CLOUD]
-    transport.send(CLOUD, 1, Frame(msg_type, (), matrix))
+    applied = () if start == CLOUD else (start,)
+    hops = [start, *((start + j) % k + 1 for j in range(k - len(applied))),
+            CLOUD]
+    transport.send(start, hops[1], Frame(msg_type, applied, matrix))
     for prev, a, nxt in zip(hops, hops[1:], hops[2:]):
-        frame = _expect(transport.recv(prev, a), a, msg_type,
-                        tuple(range(1, a)), shape)
+        frame = _expect(transport.recv(prev, a), a, msg_type, applied, shape)
         matrix = step(contexts[a - 1], frame.matrix)
-        transport.send(a, nxt, Frame(msg_type, frame.applied + (a,), matrix))
-    return _expect(transport.recv(k, CLOUD), CLOUD, msg_type,
-                   tuple(range(1, k + 1)), shape).matrix
-
-
-def release_key_factor(contexts, transport):
-    """Round-robin release of R_B, the triangular factor of the stacked
-    feature keys: R_BᵀR_B = (ΠB_i)ᵀ(ΠB_i)."""
-    p = contexts[0].keys.b_key.shape[0]
-    return ring_pass(contexts, transport, MSG_GRAM_RELEASE, np.eye(p),
-                     protocol.gram_release_step)
+        applied += (a,)
+        transport.send(a, nxt, Frame(msg_type, applied, matrix))
+    return _expect(transport.recv(hops[-2], CLOUD), CLOUD, msg_type, applied,
+                   shape).matrix
 
 
 # perfbench/workloads.py:130 calls fold_rows (ROADMAP direction 2)
@@ -423,7 +392,10 @@ def _run(datasets, config, select_lambda=None):
                 folds=1 if select_lambda is None else config.folds,
             )
             if config.mode == "ridge":
-                agg.key_factor = release_key_factor(contexts, transport)
+                p = contexts[0].keys.b_key.shape[0]
+                agg.key_factor = ring_pass(contexts, transport,
+                                           MSG_GRAM_RELEASE, np.eye(p),
+                                           protocol.gram_release_step)
         lam, cv = config.lam, None
         if select_lambda is not None:
             with _timed(timings, "cv"):

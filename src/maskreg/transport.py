@@ -142,7 +142,8 @@ class _Mailboxes:
         except KeyError:
             raise TransportFailure(f"no channel {src} -> {dst}") from None
 
-    def _recv(self, src, dst, timeout):
+    def recv(self, src, dst, timeout=30.0):
+        """Receive the next frame sent from ``src`` to ``dst``."""
         mailbox = self._queue(src, dst)
         try:
             data = mailbox.get(timeout=timeout)
@@ -168,11 +169,6 @@ class _Mailboxes:
             mailbox.put(_ABORTED)
 
 
-# ``send`` and ``recv`` are defined on each transport class itself, not
-# inherited, so that code which patches one class's methods and later
-# restores them leaves the other class untouched.
-
-
 class BusTransport(_Mailboxes):
     """In-process transport: one FIFO per channel.
 
@@ -183,10 +179,6 @@ class BusTransport(_Mailboxes):
 
     def send(self, src, dst, frame):
         self._queue(src, dst).put(encode_frame(frame))
-
-    def recv(self, src, dst, timeout=30.0):
-        """Receive the next frame sent from ``src`` to ``dst``."""
-        return self._recv(src, dst, timeout)
 
     def close(self):
         self.abort(TransportFailure("transport closed"))
@@ -288,10 +280,6 @@ class TcpTransport(_Mailboxes):
             cause = "" if self._error is None else f"{self._error}; "
             raise TransportFailure(
                 f"{cause}send {src} -> {dst} failed: {exc}") from exc
-
-    def recv(self, src, dst, timeout=30.0):
-        """Receive the next frame sent from ``src`` to ``dst``."""
-        return self._recv(src, dst, timeout)
 
     def abort(self, exc):
         """Fail the run, then shut every connection down to end its waits."""

@@ -267,6 +267,34 @@ def test_runs_send_on_exactly_the_run_channels(monkeypatch, k):
         assert used == set(channels(k))
 
 
+@pytest.mark.parametrize("transport", ["bus", "tcp"])
+@pytest.mark.parametrize("cv", [False, True], ids=["linear", "cv"])
+def test_at_most_one_frame_is_in_flight(monkeypatch, transport, cv):
+    """Every ring, each shard's included, runs one hop at a time: at no
+    moment has the transport carried more sends than receives plus one."""
+    in_flight, peak = 0, 0
+    for cls in (BusTransport, TcpTransport):
+        def sending(self, src, dst, frame, _send=cls.send):
+            nonlocal in_flight, peak
+            in_flight += 1
+            peak = max(peak, in_flight)
+            return _send(self, src, dst, frame)
+
+        def receiving(self, src, dst, *args, _recv=cls.recv, **kwargs):
+            nonlocal in_flight
+            frame = _recv(self, src, dst, *args, **kwargs)
+            in_flight -= 1
+            return frame
+        monkeypatch.setattr(cls, "send", sending)
+        monkeypatch.setattr(cls, "recv", receiving)
+    datasets = make_datasets(4, 48, 3, seed=38)
+    config = RunConfig(k=4, mode="ridge" if cv else "linear", block_size=8,
+                       folds=3, seed=38, transport=transport)
+    entry = cross_validate_encrypted if cv else run_protocol
+    assert entry(datasets, config).verify.verdict == "accepted"
+    assert (in_flight, peak) == (0, 1)
+
+
 def test_tcp_run_at_k32_fits_a_256_descriptor_limit():
     """One connection per channel: a k=32 run over TCP holds 4k+3
     descriptors (both ends of 2k+1 channels and the reader's selector),
