@@ -108,7 +108,7 @@ def cross_validate(x, y, lambda_grid, fold_indices):
 
     `fold_indices` is a sequence of row-index arrays (the test rows of each
     fold); using the same assignment as the masked run makes the two
-    procedures directly comparable. Ties on mean MSE go to the smallest
+    procedures directly comparable. Ties on mean MSE go to the first
     lambda in grid order.
     """
     x = np.asarray(x, dtype=float)

@@ -28,7 +28,8 @@ X_1..X_K (row-partitioned across agencies):
    triangular, with a non-negative diagonal;
 3. the shard's last holder sends it to the cloud. The cloud stacks the
    factors, takes the R factor of every keyed row from them and
-   back-substitutes, and gets a masked estimate; it derives each fold's
+   back-substitutes (a ridge fit takes one SVD instead,
+   ``solve_factor``), and gets a masked estimate; it derives each fold's
    row count from the public row counts. With one agency, the origin
    sends its round-1 factors to the cloud;
 4. the masked estimate travels one decryption round per agency; what
@@ -359,43 +360,75 @@ def r_factor(a):
 def solve_factor(r, mode, lam=0.0, r_b=None):
     """Masked (p, 3) estimate R_xx⁻¹·R_xy from the R factor of [X* | Y*].
 
-    For ridge, √λ·[R_B | 0] is stacked under R and factored again, which
-    adds λ·R_BᵀR_B = λ·(ΠB)ᵀ(ΠB) to the Gram of the triangle: the exact
-    regularizer that makes the masked solve decrypt to a plaintext ridge
-    fit. ``r`` may be a stack (..., q, q) of factors and ``lam`` an array
-    that broadcasts against the stack's leading axes; every member is then
-    re-factored by one batched QR and solved by one batched solve, giving
-    a (..., p, 3) stack. Raises :class:`SingularResult` when, in any
-    member, a diagonal entry of R_xx is at most ``SINGULAR_RTOL`` of the
-    largest.
+    For ridge the estimate minimises |R_xx·β − R_xy|² + λ·|R_B·β|²: the
+    penalty λ·R_BᵀR_B = λ·(ΠB)ᵀ(ΠB) is the exact regularizer that makes the
+    masked solve decrypt to a plaintext ridge fit. With γ = R_B·β this is
+    a standard ridge problem in M = R_xx·R_B⁻¹ = U·diag(σ)·Vᵀ, so
+
+        β(λ) = R_B⁻¹·V·diag(σ / (σ² + λ))·Uᵀ·R_xy
+
+    for every λ from one SVD of each factor (Golub, Heath & Wahba,
+    Technometrics 1979); at λ = 0 it is the least-squares solve. MᵀM is
+    Q_BᵀXᵀXQ_B, with Q_B the orthogonal factor of ΠB = Q_B·R_B, so σ are
+    the singular values of the unmasked design, whatever the keys'
+    condition number. The Gram R_xxᵀR_xx is never formed: it would square
+    cond(X) (DECISIONS.md, "A ridge solve diagonalises each factor once").
+
+    ``r`` may be a stack (..., q, q) of factors and ``lam`` an array that
+    broadcasts against the stack's leading axes, giving a (..., p, 3)
+    stack. Each factor is decomposed once, whatever the number of λ, and
+    one solve forms R_B⁻¹·V for every factor, so the cost is O(F·p³) for
+    F factors plus O(L·F·p²) for L values of λ. Raises
+    :class:`SingularResult` when, in any member, the smallest R_xx
+    diagonal entry (linear) or regularized singular value √(σ² + λ)
+    (ridge) is at most ``SINGULAR_RTOL`` of the largest.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p = r.shape[-1] - 3
-    if mode == "ridge":
-        lam = np.asarray(lam, dtype=np.float64)
-        if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails both
-            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-        if r_b is None:
-            raise ProtocolOrderViolation(
-                "ridge fit requested before the key factor was released"
-            )
-        stack = np.broadcast_shapes(r.shape[:-2], lam.shape)
-        penalty = np.zeros(stack + (p, p + 3))
-        penalty[..., :p] = np.sqrt(lam)[..., None, None] * r_b
-        r = np.linalg.qr(np.concatenate(
-            [np.broadcast_to(r, stack + r.shape[-2:]), penalty], axis=-2
-        ), mode="r")
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1)[..., :p])
-    low, high = np.ravel(diag.min(axis=-1)), np.ravel(diag.max(axis=-1))
+    r_xx, r_xy = r[..., :p, :p], r[..., :p, p:]
+    if mode == "linear":
+        diag = np.abs(np.diagonal(r_xx, axis1=-2, axis2=-1))
+        _check_rank(diag.min(axis=-1), diag.max(axis=-1), "R diagonal")
+        return np.linalg.solve(r_xx, r_xy)
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails both
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    if r_b is None:
+        raise ProtocolOrderViolation(
+            "ridge fit requested before the key factor was released"
+        )
+    m = _left_solve(r_b.T, r_xx.swapaxes(-1, -2)).swapaxes(-1, -2)
+    u, s, vt = np.linalg.svd(m)
+    root = np.sqrt(lam)
+    _check_rank(np.hypot(s[..., -1], root), np.hypot(s[..., 0], root),
+                "regularized singular value")
+    shrink = s / (s * s + lam[..., None])
+    return _left_solve(r_b, vt.swapaxes(-1, -2)) @ (
+        shrink[..., None] * (u.swapaxes(-1, -2) @ r_xy))
+
+
+def _check_rank(low, high, what):
+    """Raise :class:`SingularResult` for the first member of the stacks
+    ``low`` and ``high`` (a masked design's smallest and largest ``what``)
+    with ``low`` at most ``SINGULAR_RTOL`` of ``high``."""
+    low, high = np.ravel(low), np.ravel(high)
     singular = np.flatnonzero(low <= SINGULAR_RTOL * high)
     if singular.size:
         i = singular[0]
         raise SingularResult(
-            f"masked design is numerically singular: smallest R diagonal "
+            f"masked design is numerically singular: smallest {what} "
             f"{low[i]:.3g}, largest {high[i]:.3g}"
         )
-    return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
+
+
+def _left_solve(a, b):
+    """a⁻¹·b for every member of the stack ``b`` (..., p, c), as one
+    solve of the p×p ``a`` against all the stack's columns: a solve
+    broadcast over the stack would factor ``a`` once per member."""
+    cols = np.moveaxis(b, -2, 0)
+    x = np.linalg.solve(a, cols.reshape(cols.shape[0], -1))
+    return np.moveaxis(x.reshape(cols.shape), 0, -2)
 
 
 def residual_gram(r, values):
@@ -447,14 +480,13 @@ def gram_release_step(ctx, r):
 def residual_gram_decrypt_step(ctx, s):
     """One conjugation step that strips this agency's response key from
     every masked residual Gram in a vertical stack ``s`` of m 3×3 blocks,
-    shape (3m, 3): each block S becomes C_i^{-T} S C_i^{-1}."""
-    c = ctx.keys.c_key
+    shape (3m, 3): each block S becomes C_i⁻ᵀ·S·C_i⁻¹. C_i is inverted
+    once, and the whole stack is conjugated by two batched matmuls."""
     try:
-        half = np.linalg.solve(c.T, s.reshape(-1, 3, 3))
-        out = np.linalg.solve(c.T, half.swapaxes(-1, -2)).swapaxes(-1, -2)
+        c_inv = np.linalg.inv(ctx.keys.c_key)
     except np.linalg.LinAlgError as exc:
         raise SingularResult(f"response key is singular: {exc}") from exc
-    return out.reshape(s.shape)
+    return (c_inv.T @ s.reshape(-1, 3, 3) @ c_inv).reshape(s.shape)
 
 
 def verify_estimate(values, mode, tol=VERIFY_TOL):

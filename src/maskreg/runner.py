@@ -317,11 +317,13 @@ def run_protocol(datasets, config):
 def cross_validate_encrypted(datasets, config):
     """K-fold ridge cross-validation entirely on masked data.
 
-    Fits every (lambda, fold) pair on the masked aggregate in one batched
-    solve, decrypts only their 3x3 residual Grams (never per-fold
-    estimates), all stacked in one matrix that makes one decryption ring
-    whatever the grid and fold count, picks the lambda with the smallest
-    mean fold MSE (ties favor the smallest lambda), refits on all rows from
+    Fits every (lambda, fold) pair on the masked aggregate from one SVD
+    per fold (``protocol.solve_factor``), decrypts only their 3x3
+    residual Grams (never per-fold estimates), all stacked in one matrix
+    that makes one decryption ring whatever the grid and fold count, and
+    picks the lambda with the smallest mean fold MSE. Ties go to the first
+    lambda in grid order, as in ``model.cross_validate``: on an unsorted
+    grid that need not be the smallest. It then refits on all rows from
     the fold factors and decrypts that single final estimate.
     """
     if config.mode != "ridge":
@@ -335,9 +337,10 @@ def _select_lambda(contexts, transport, agg, config):
     The masking phase left each fold's R factor on ``agg.fold_factors``; a
     fold's training factor is the R of the other folds' stacked factors,
     all folds in one stacked ``r_factor``. All L·F (lambda, fold) fits are
-    one stacked ``solve_factor`` call, each O(p³) whatever the row count.
-    Their L·F masked residual Grams go around the decryption ring once, as
-    one (3·L·F, 3) stack.
+    one stacked ``solve_factor`` call: one SVD per training factor, O(p³)
+    whatever the row count, then O(p²) per lambda. Their L·F masked
+    residual Grams go around the decryption ring once, as one (3·L·F, 3)
+    stack.
     """
     test_r = agg.fold_factors
     q = test_r.shape[-1]

@@ -260,6 +260,37 @@ def test_stacked_solve_factor_flags_one_singular_member():
         solve_factor(stack, "ridge", np.array([[0.0], [1.0]]), r_b)
 
 
+def test_stacked_ridge_solve_matches_ridge_fit_over_a_64_lambda_grid():
+    # Identity keys release R_B = I, so every (lambda, fold) member of one
+    # stacked solve is the plaintext ridge fit of that fold's rows
+    from maskreg.runner import fold_rows
+
+    sizes, block_size, folds = (40, 35), 8, 3
+    contexts = _identity_contexts(sizes, block_size,
+                                  np.random.default_rng(20))
+    agg = assemble_aggregate(  # each shard's last holder is the other agency
+        (pass_encrypt(contexts[1 - o], s, o + 1)
+         for o, s in enumerate(pass_rings(contexts, folds))),
+        sizes, block_size, folds)
+    z = np.vstack([explicit_rows(c) for c in contexts])
+    grid = np.concatenate([[0.0], np.logspace(-4, 4, 63)])
+    got = solve_factor(agg.fold_factors, "ridge", grid[:, None], np.eye(4))
+    assert got.shape == (64, folds, 4, 3)
+    rows = fold_rows(fold_layout(sizes, block_size), folds)
+    for li, lam in enumerate(grid):
+        for f, fold in enumerate(rows):
+            want = model.ridge_fit(z[fold, :4], z[fold, 4:], lam)
+            assert rel_err(got[li, f], want) <= 1e-10
+
+
+def test_ridge_solve_at_zero_lambda_is_the_linear_solve():
+    z, r_b = _fold_factors(21)
+    stack = np.stack([r_factor(a) for a in z])
+    ridge = solve_factor(stack, "ridge", 0.0, r_b)
+    linear = solve_factor(stack, "linear")
+    assert rel_err(ridge, linear) <= 1e-12
+
+
 def test_stacked_residual_gram_matches_single_calls():
     z, _ = _fold_factors(19)
     stack = np.stack([r_factor(a) for a in z])
@@ -551,6 +582,17 @@ def test_residual_gram_stack_round_trip():
         stack = residual_gram_decrypt_step(ctx, stack)
     assert stack.shape == (15, 3)
     np.testing.assert_allclose(stack, np.vstack(grams), atol=1e-8)
+
+
+def test_residual_gram_decrypt_step_conjugates_every_block():
+    contexts, _, _ = build_contexts(9, (10, 10), 3)
+    c = contexts[0].keys.c_key
+    stack = np.random.default_rng(10).standard_normal((3 * 40, 3))
+    got = residual_gram_decrypt_step(contexts[0], stack)
+    assert got.shape == stack.shape
+    for block, s in zip(got.reshape(-1, 3, 3), stack.reshape(-1, 3, 3)):
+        want = np.linalg.solve(c.T, np.linalg.solve(c.T, s.T).T)
+        assert rel_err(block, want) <= 1e-13
 
 
 @pytest.mark.parametrize("action", [a for a in TAMPER_ACTIONS

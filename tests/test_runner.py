@@ -592,6 +592,21 @@ def test_encrypted_cv_matches_plaintext_oracle():
     ) < 1e-8
 
 
+def test_encrypted_cv_over_a_200_lambda_grid_matches_plaintext_oracle():
+    datasets = make_datasets(3, 96, 5, seed=27, noise=2.0)
+    config = RunConfig(
+        k=3, mode="ridge", block_size=8, folds=4,
+        lambda_grid=tuple(np.logspace(-3, 3, 200)), seed=27,
+    )
+    report = cross_validate_encrypted(datasets, config)
+    assert report.verify.verdict == "accepted"
+    folds = fold_rows(_layout(datasets, config), config.folds)
+    x, y = stacked(datasets)
+    oracle = cross_validate(x, y, config.lambda_grid, folds)
+    assert rel_err(np.asarray(report.cv["fold_mse"]), oracle.fold_mse) < 1e-8
+    assert report.cv["chosen_lambda"] == oracle.chosen_lambda
+
+
 def test_encrypted_cv_fold_mse_exact():
     datasets = make_datasets(3, 400, 6, seed=23, noise=0.5)
     config = RunConfig(
