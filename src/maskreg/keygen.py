@@ -190,17 +190,17 @@ def random_ortho_blocks(*args, **kwargs):
     raise NotImplementedError("keygen draws no row masks")
 
 
-def make_responses(x, y, mode, rng):
-    """The response columns an origin factors, and its pseudo-response
+def make_responses(x, y, mode):
+    """The response column an origin factors, and its pseudo-response
     weights.
 
-    Returns the (n, 2) columns [y | decoy], the real response and a
-    standard-normal decoy, and the (p,) weights w of the verification
-    column v = x·w: ones for a linear fit, so its decrypted coefficients
-    must all equal one, and zeros for a ridge fit, so they must all equal
-    zero. v lies in the span of x, so its column of x's R factor is R_xx·w
-    over zeros, and the origin writes it there (``protocol.local_encrypt``)
-    instead of summing its rows.
+    Returns ``y`` as a float (n,) array and the (p,) weights w of the
+    verification column v = x·w: ones for a linear fit, so its decrypted
+    coefficients must all equal one, and zeros for a ridge fit, so they
+    must all equal zero. v lies in the span of x, so its column of x's R
+    factor is R_xx·w over zeros, and the origin writes it there, beside
+    the decoy column it draws (``protocol.local_encrypt``), instead of
+    summing its rows.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -216,8 +216,7 @@ def make_responses(x, y, mode, rng):
         weights = np.zeros(x.shape[1])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    decoy = rng.standard_normal(x.shape[0])
-    return np.column_stack([y, decoy]), weights
+    return y, weights
 
 
 def agency_rng(master_seed, agency_id):

@@ -6,15 +6,19 @@ X_1..X_K (row-partitioned across agencies):
 1. every agency factors its own shard: the rows of [X + Δ | Y], with Δ
    its local-DP offset, added to its rows once when its context is built
    (``runner.build_contexts``), and Y = [y | v | decoy] the three response
-   columns. The verification column v = (X + Δ)·w, with w all ones for a
-   linear fit and all zeros for ridge, lies in the span of X + Δ, so the
-   agency factors only [X + Δ | y, decoy] and writes v's column of each
-   factor as R_xx·w over zeros. The rows fall into ``block_size``-row
-   blocks, block j into fold j mod F, and each fold's rows give one
-   (q, q) R factor. The agency keys each factor with its feature key B
-   and its response key C, R ← R(R·diag(B, C)), and sends the (F·q, q)
-   stack on as round 1. No row leaves the agency, and no row count
-   either: every agency's is public (``AgencyKeys.row_counts``);
+   columns. The rows fall into ``block_size``-row blocks, block j into
+   fold j mod F, and each fold's rows give one (q, q) R factor. The agency
+   factors only [X + Δ | y], one copy and one batched QR per chunk of
+   rows, and writes the other two columns of each factor itself. The
+   verification column v = (X + Δ)·w, with w all ones for a linear fit
+   and all zeros for ridge, lies in the span of X + Δ, so its column is
+   R_xx·w over zeros. The decoy is i.i.d. N(0, 1) in every row, so its
+   column has a known law given the rest, and the agency draws it: p + 1
+   standard normals above a zero and √χ² on the diagonal
+   (``_decoy_column``). It keys each factor with its feature key B and
+   its response key C, R ← R(R·diag(B, C)), and sends the (F·q, q) stack
+   on as round 1. No row leaves the agency, and no row count either:
+   every agency's is public (``AgencyKeys.row_counts``);
 2. the shard travels around a ring, and every other agency checks the
    factors and keys them the same way, one round on. With M the shard's
    rows and K the product of the keys so far, (M·K)ᵀ(M·K) = (R·K)ᵀ(R·K),
@@ -77,8 +81,8 @@ VERIFY_TOL = 1e-6
 #: Rows per block in each level of :func:`r_factor`; 2q for wider q columns.
 TSQR_ROWS = 256
 
-#: Most elements of [X + Δ | y, decoy] that :func:`shard_factors` copies
-#: and factors at once (512 KB).
+#: Most elements of [X + Δ | y] that :func:`shard_factors` copies and
+#: factors at once (512 KB).
 SHARD_CHUNK = 2**16
 
 #: A diagonal entry of R_xx at or below this fraction of the largest one
@@ -155,9 +159,10 @@ class VerifyReport:
 class AgencyContext:
     """One agency's private state for a protocol run. ``x`` is the rows it
     encrypts: its features with its local-DP offset already added, if the
-    run has one. ``responses`` is the (n, 2) columns [y | decoy] it factors
-    beside them, and ``verify_weights`` the (p,) w of its verification
-    column x·w (``keygen.make_responses``)."""
+    run has one. ``y`` is the response it factors beside them, and
+    ``verify_weights`` the (p,) w of its verification column x·w
+    (``keygen.make_responses``). ``rng`` draws its keys and, when it
+    encrypts, its decoy column."""
 
     def __init__(self, agency_id, x, y, keys, bases, mode, rng):
         if mode not in MODES:
@@ -172,8 +177,7 @@ class AgencyContext:
         self.keys = keys
         self.bases = bases
         self.rng = rng
-        self.responses, self.verify_weights = keygen.make_responses(
-            self.x, y, mode, rng)
+        self.y, self.verify_weights = keygen.make_responses(self.x, y, mode)
 
     @property
     def num_agencies(self):
@@ -194,30 +198,64 @@ def _keyed(ctx, r):
 
 def local_encrypt(ctx, folds):
     """Round 1 of an origin's own shard: the keyed factors of each fold of
-    its [X + Δ | y, v, decoy]. It factors [X + Δ | y, decoy] (``ctx.x``
-    and ``ctx.responses``, ``shard_factors``) and writes in the column of
-    v = (X + Δ)·w (``_with_pseudo_response``). The agency's own rows are
-    read, never written or sent."""
-    r = shard_factors(ctx.x, ctx.responses, ctx.keys.block_size, folds)
-    return _keyed(ctx, _with_pseudo_response(r, ctx.verify_weights))
+    its [X + Δ | y, v, decoy]. It factors [X + Δ | y] (``ctx.x`` and
+    ``ctx.y``, ``shard_factors``), draws each fold's decoy column from
+    ``ctx.rng`` and writes in it and the column of v = (X + Δ)·w
+    (``_with_responses``). The agency's own rows are read, never written
+    or sent."""
+    n, p = ctx.x.shape
+    block_size = ctx.keys.block_size
+    r = shard_factors(ctx.x, ctx.y, block_size, folds)
+    decoy = _decoy_column(ctx.rng, fold_sizes(n, block_size, folds), p + 1)
+    return _keyed(ctx, _with_responses(r, ctx.verify_weights, decoy))
 
 
-def _with_pseudo_response(r, w):
-    """The (..., q, q) factors of [X | y, X·w, decoy], given the
-    (..., q − 1, q − 1) factors ``r`` of [X | y, decoy] and the (p,)
-    weights ``w``.
+def fold_sizes(n, block_size, folds):
+    """(folds,) row counts of the folds of ``n`` rows: block j of
+    ``block_size`` rows (the last may be short) is in fold j mod
+    ``folds``, as in ``runner.fold_rows``. O(folds) whatever ``n``."""
+    rounds, rest = divmod(n, block_size * folds)
+    return rounds * block_size + np.clip(
+        rest - block_size * np.arange(folds), 0, block_size)
 
-    X·w lies in the span of X, so its column of R is R_xx·w over zeros:
-    the decoy's column and diagonal move one place right, and the row
-    beneath R_xx·w is zero. RᵀR is then the Gram of [X | y, X·w, decoy]
-    whenever ``r``'s is that of [X | y, decoy]. The R of these
+
+def _decoy_column(rng, sizes, q):
+    """(folds, q + 1) decoy column of each fold's R factor, drawn from
+    ``rng``, beside the (q, q) factor of that fold's ``sizes`` rows of
+    q columns A: q entries above the diagonal, then the diagonal.
+
+    For a decoy d ~ N(0, I) in every row, independent of A = Q·R, the
+    column of R([A | d]) is [Qᵀd; ‖d − Q·Qᵀd‖]. Q has orthonormal columns,
+    so Qᵀd ~ N(0, I_q), and the rest is √χ² with n_f − q degrees of
+    freedom, independent of it (DECISIONS.md, "An origin draws its
+    decoy's factor column"). A fold of n_f ≤ q rows gets n_f normals,
+    zeros below them and a zero diagonal. The normals come first, fold by
+    fold in row order, then one gamma draw per fold."""
+    sizes = np.asarray(sizes)
+    column = np.zeros((sizes.size, q + 1))
+    drawn = np.arange(q) < sizes[:, None]
+    column[:, :q][drawn] = rng.standard_normal(np.count_nonzero(drawn))
+    column[:, q] = np.sqrt(
+        2.0 * rng.standard_gamma(np.maximum(sizes - q, 0) / 2.0))
+    return column
+
+
+def _with_responses(r, w, decoy):
+    """The (..., q, q) factors of [X | y, X·w, d], given the
+    (..., q − 2, q − 2) factors ``r`` of [X | y], the (p,) weights ``w``
+    and the (..., q − 1) decoy columns ``decoy`` (``_decoy_column``).
+
+    X·w lies in the span of X, so its column of R is R_xx·w over zeros,
+    and the row beneath it is zero. The decoy's column is ``decoy`` above
+    that zero row, its last entry on the diagonal. RᵀR is then the Gram of
+    [X | y, X·w, d] whenever ``r``'s is that of [X | y]. The R of these
     rank-deficient rows is not unique below the dependent column, and this
     is one valid choice."""
     p = w.shape[0]
-    keep = np.r_[:p + 1, p + 2]
     full = np.zeros(r.shape[:-2] + (p + 3, p + 3))
-    full[..., keep[:, None], keep] = r
-    full[..., :p, p + 1] = full[..., :p, :p] @ w
+    full[..., :p + 1, :p + 1] = r
+    full[..., :p, p + 1] = r[..., :p, :p] @ w
+    full[..., np.r_[:p + 1, p + 2], p + 2] = decoy
     return full
 
 
@@ -230,19 +268,24 @@ def pass_encrypt(ctx, shard, origin):
 
 
 def shard_factors(x, y, block_size, folds):
-    """(folds, q, q) stack of the R factors of each fold's rows of [x | y].
+    """(folds, q, q) stack of the R factors of each fold's rows of [x | y];
+    ``y`` is (n,) or (n, c).
 
     Block j of the rows (the full blocks in row order, then the tail)
-    belongs to fold j mod ``folds``, as in ``runner.fold_rows``. The rows
-    are copied into one small buffer a chunk of whole rounds of ``folds``
-    blocks at a time, at most ``SHARD_CHUNK`` elements, and each chunk's
-    folds are factored by one stacked ``r_factor``, so no temporary grows
-    with the shard. The last chunk is padded with zero rows, which leave
-    every R unchanged, to whole rounds.
+    belongs to fold j mod ``folds``, as in ``runner.fold_rows``. A chunk
+    of whole rounds of ``folds`` blocks is copied once, fold-major, into
+    one buffer of TSQR leaves that every chunk reuses: each leaf holds
+    rows of one fold, at most ``max(TSQR_ROWS, 2q)`` of them, and the
+    buffer at most ``SHARD_CHUNK`` elements, or one leaf per fold or one
+    round of blocks when that is more. Each chunk's leaves are factored
+    by one batched QR and reduced, with the factors so far, by one
+    ``r_factor``, so no temporary grows with the shard. Rows a chunk
+    leaves unwritten are zero, which leaves every R unchanged.
     Raises :class:`FoldBlockMisaligned` when the rows make fewer blocks
     than folds.
     """
     n, p = x.shape
+    y = y.reshape(n, -1)
     q = p + y.shape[1]
     blocks = len(split_block_sizes(n, block_size))
     if blocks < folds:
@@ -251,19 +294,36 @@ def shard_factors(x, y, block_size, folds):
             f"{folds} folds; lower the block size or folds"
         )
     span = block_size * folds
-
-    def fold_factors(lo, hi):
-        """(folds, q, q) R factors of rows lo:hi of [x | y]."""
-        buf = np.zeros((-(-(hi - lo) // span) * span, q))
-        buf[:hi - lo, :p] = x[lo:hi]
-        buf[:hi - lo, p:] = y[lo:hi]
-        return r_factor(buf.reshape(-1, folds, block_size, q)
-                        .swapaxes(0, 1).reshape(folds, -1, q))
-
-    step = span * max(1, SHARD_CHUNK // (span * q))
-    return r_factor(np.concatenate(
-        [fold_factors(lo, min(lo + step, n)) for lo in range(0, n, step)],
-        axis=-2))
+    leaf = max(TSQR_ROWS, 2 * q)
+    # leaves per fold and chunk: within the budget, and few enough that
+    # they and the factors so far fit one leaf of the reducing r_factor
+    leaves = max(1, min(leaf // q - 1, SHARD_CHUNK // (folds * leaf * q)))
+    rounds = min(-(-n // span), max(1, leaves * leaf // block_size))
+    m = rounds * block_size  # rows of one fold in a whole chunk
+    leaves = -(-m // leaf)
+    leaf_rows = -(-m // leaves)
+    buf = np.zeros((folds, leaves, leaf_rows, q))
+    rows = buf.reshape(folds, -1, q)
+    whole = rows[:, :m].reshape(folds, rounds, block_size, q)
+    r = np.empty((folds, 0, q))
+    for lo in range(0, n, rounds * span):
+        full, rest = divmod(min(rounds * span, n - lo), span)
+        used = -(-(full * block_size + min(rest, block_size)) // leaf_rows)
+        for cols, src in ((slice(None, p), x), (slice(p, None), y)):
+            whole[:, :full, :, cols] = src[lo:lo + full * span].reshape(
+                full, folds, block_size, src.shape[1]).swapaxes(0, 1)
+        if full < rounds:  # the last chunk: a part round, then zeros
+            tail = rows[:, full * block_size:used * leaf_rows]
+            tail[:] = 0.0
+            start = lo + full * span
+            for f, size in enumerate(fold_sizes(rest, block_size, folds)):
+                a = start + f * block_size
+                tail[f, :size, :p] = x[a:a + size]
+                tail[f, :size, p:] = y[a:a + size]
+        r = r_factor(np.concatenate(
+            [r, np.linalg.qr(buf[:, :used], mode="r").reshape(folds, -1, q)],
+            axis=-2))
+    return r
 
 
 def _completed_parts(r, where):
@@ -306,10 +366,7 @@ def assemble_aggregate(shards, row_counts, block_size, folds=1):
             raise ProtocolOrderViolation(
                 f"expected one shard per agency 1..{k}, got more")
         parts.append(_completed_parts(s, f"cloud: completed shard {origin}"))
-        n = row_counts[origin - 1]
-        rounds, rest = divmod(n, block_size * folds)
-        sizes += rounds * block_size + np.clip(
-            rest - block_size * np.arange(folds), 0, block_size)
+        sizes += fold_sizes(row_counts[origin - 1], block_size, folds)
     if len(parts) != k:
         raise ProtocolOrderViolation(
             f"expected one shard per agency 1..{k}, got {len(parts)}"

@@ -173,31 +173,18 @@ def test_make_responses_linear():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 4))
     y = rng.standard_normal(6)
-    state = rng.bit_generator.state
-    cols, weights = make_responses(x, y, "linear", rng)
-    assert cols.shape == (6, 2)
-    assert np.array_equal(cols[:, 0], y)
+    col, weights = make_responses(x, y, "linear")
+    assert np.array_equal(col, y)
     assert np.array_equal(weights, np.ones(4))
-    # the decoy is the stream's next six normals: no row pass comes first
-    rng.bit_generator.state = state
-    assert np.array_equal(cols[:, 1], rng.standard_normal(6))
 
 
 def test_make_responses_ridge_targets_zero():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
     y = rng.standard_normal(6)
-    cols, weights = make_responses(x, y, "ridge", rng)
+    col, weights = make_responses(x, y, "ridge")
     assert np.array_equal(weights, np.zeros(4))
-    np.testing.assert_allclose(cols[:, 0], y)
-
-
-def test_decoy_response_varies_with_rng():
-    x = np.ones((4, 2))
-    y = np.ones(4)
-    r1, _ = make_responses(x, y, "linear", np.random.default_rng(1))
-    r2, _ = make_responses(x, y, "linear", np.random.default_rng(2))
-    assert not np.array_equal(r1[:, 1], r2[:, 1])
+    np.testing.assert_allclose(col, y)
 
 
 def test_agency_rng_deterministic_and_distinct():

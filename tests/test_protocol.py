@@ -17,14 +17,17 @@ from maskreg.errors import (
 from maskreg.matrix_core import random_orthogonal
 from maskreg.protocol import (
     MODES,
+    SHARD_CHUNK,
     TAMPER_ACTIONS,
     TSQR_ROWS,
     AgencyContext,
     TamperPlan,
+    _decoy_column,
     _fresh_key,
     assemble_aggregate,
     cloud_fit,
     decrypt_round,
+    fold_sizes,
     gram_release_step,
     inject_tamper,
     local_encrypt,
@@ -37,6 +40,7 @@ from maskreg.protocol import (
     verify_estimate,
 )
 
+from explicit_rows import explicit_rows, record_decoys
 from fold_layout import fold_layout
 
 
@@ -76,13 +80,6 @@ def run_rings(contexts):
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
-
-
-def explicit_rows(ctx):
-    """[X + Δ | y, (X + Δ)·w, decoy]: the rows whose Gram an origin's fold
-    factors carry."""
-    y, decoy = ctx.responses.T
-    return np.column_stack([ctx.x, y, ctx.x @ ctx.verify_weights, decoy])
 
 
 def factor_err(r, rows):
@@ -260,11 +257,13 @@ def test_stacked_solve_factor_flags_one_singular_member():
         solve_factor(stack, "ridge", np.array([[0.0], [1.0]]), r_b)
 
 
-def test_stacked_ridge_solve_matches_ridge_fit_over_a_64_lambda_grid():
+def test_stacked_ridge_solve_matches_ridge_fit_over_a_64_lambda_grid(
+        monkeypatch):
     # Identity keys release R_B = I, so every (lambda, fold) member of one
     # stacked solve is the plaintext ridge fit of that fold's rows
     from maskreg.runner import fold_rows
 
+    decoys = record_decoys(monkeypatch)
     sizes, block_size, folds = (40, 35), 8, 3
     contexts = _identity_contexts(sizes, block_size,
                                   np.random.default_rng(20))
@@ -272,7 +271,7 @@ def test_stacked_ridge_solve_matches_ridge_fit_over_a_64_lambda_grid():
         (pass_encrypt(contexts[1 - o], s, o + 1)
          for o, s in enumerate(pass_rings(contexts, folds))),
         sizes, block_size, folds)
-    z = np.vstack([explicit_rows(c) for c in contexts])
+    z = np.vstack([explicit_rows(c, folds, decoys[c.rng]) for c in contexts])
     grid = np.concatenate([[0.0], np.logspace(-4, 4, 63)])
     got = solve_factor(agg.fold_factors, "ridge", grid[:, None], np.eye(4))
     assert got.shape == (64, folds, 4, 3)
@@ -323,8 +322,9 @@ def _identity_contexts(sizes, block_size, rng):
     return [SimpleNamespace(agency_id=i, keys=keys,
                             num_agencies=len(sizes),
                             x=rng.standard_normal((n, 4)),
-                            responses=rng.standard_normal((n, 2)),
-                            verify_weights=rng.standard_normal(4))
+                            y=rng.standard_normal(n),
+                            verify_weights=rng.standard_normal(4),
+                            rng=np.random.default_rng(rng.integers(2**32)))
             for i, n in enumerate(sizes, start=1)]
 
 
@@ -344,14 +344,15 @@ def test_aggregate_factors_match_stacked_rows(monkeypatch, sizes,
     from maskreg.runner import fold_rows
 
     monkeypatch.setattr(protocol, "SHARD_CHUNK", 3 * block_size * folds * 7)
+    decoys = record_decoys(monkeypatch)
     rng = np.random.default_rng(len(sizes) + folds)
     k = len(sizes)
     contexts = _identity_contexts(sizes, block_size, rng)
-    z = np.vstack([explicit_rows(c) for c in contexts])
     agg = assemble_aggregate(
         (pass_encrypt(contexts[(o + k - 1) % k], s, o + 1)
          for o, s in enumerate(pass_rings(contexts, folds))),
         sizes, block_size, folds)
+    z = np.vstack([explicit_rows(c, folds, decoys[c.rng]) for c in contexts])
     assert agg.x_star.shape == (sum(sizes), 4)
     assert factor_err(agg.z_factor, z) < 1e-12
     rows = fold_rows(fold_layout(sizes, block_size), folds)
@@ -381,14 +382,15 @@ def test_fold_aligned_row_mask_leaves_shard_factors_unchanged(n, block_size,
     assert rel_err(masked, bare) < 1e-13
 
 
-def test_completed_shard_keys_the_fold_factors():
+def test_completed_shard_keys_the_fold_factors(monkeypatch):
     # R(R_f·K) = R(M_f·K) with K = diag(B, C): the factors each hop sends
     # are those of the origin's fold rows times every key applied so far
+    decoys = record_decoys(monkeypatch)
     contexts, _, _ = build_contexts(17, (75, 60), 4)
     origin, holder = contexts
     shard = pass_rings(contexts, 3)[0]
     done = pass_encrypt(holder, shard, 1)
-    rows = explicit_rows(origin)
+    rows = explicit_rows(origin, 3, decoys[origin.rng])
     keyed = np.hstack([rows[:, :4] @ origin.keys.b_key @ holder.keys.b_key,
                        rows[:, 4:] @ origin.keys.c_key @ holder.keys.c_key])
     block = np.arange(75) // 8
@@ -401,11 +403,13 @@ def test_completed_shard_keys_the_fold_factors():
 @pytest.mark.parametrize("folds", [1, 3])
 @pytest.mark.parametrize("delta", [None, 0.5])
 @pytest.mark.parametrize("mode", ["linear", "ridge"])
-def test_round1_factors_carry_the_pseudo_response_column(mode, delta, folds):
+def test_round1_factors_carry_the_pseudo_response_column(monkeypatch, mode,
+                                                         delta, folds):
     """An origin writes its verification column into each fold factor as
     R_xx·w, bit for bit, over a zero row, and RᵀR is the Gram of that
     fold's explicit rows [X + Δ | y, (X + Δ)·w, decoy]. Identity keys make
     the round-1 shard the origin's factors as they are."""
+    decoys = record_decoys(monkeypatch)
     rng = np.random.default_rng(40)
     datasets = [(rng.standard_normal((300, 5)), rng.standard_normal(300))
                 for _ in range(2)]
@@ -418,11 +422,134 @@ def test_round1_factors_carry_the_pseudo_response_column(mode, delta, folds):
         r = local_encrypt(ctx, folds).reshape(folds, 8, 8)
         assert np.array_equal(r[:, :5, 6], r[:, :5, :5] @ want)
         assert not np.any(r[:, 6]) and not np.any(r[:, 5:, 6])
-        rows = explicit_rows(ctx)
+        rows = explicit_rows(ctx, folds, decoys[ctx.rng])
         block = np.arange(300) // ctx.keys.block_size
         for f in range(folds):
             fold = rows[block % folds == f]
             assert rel_err(r[f].T @ r[f], fold.T @ fold) < 1e-12
+
+
+@pytest.mark.parametrize("n, block_size, folds", [
+    (75, 8, 3),     # a partial last round ending in a tail block
+    (43, 4, 5),
+    (41, 4, 3),
+    (48, 8, 3),     # whole rounds only
+    (1541, 16, 5),
+])
+def test_fold_sizes_match_fold_rows(n, block_size, folds):
+    rows = runner.fold_rows(fold_layout((n,), block_size), folds)
+    assert list(fold_sizes(n, block_size, folds)) == [r.size for r in rows]
+
+
+@pytest.mark.parametrize("n, block_size, folds", [
+    (75, 8, 3),   # folds of 27, 24 and 24 rows
+    (9, 4, 3),    # folds of 4, 4 and 1 rows, none above p + 1 = 5
+    (40, 8, 1),
+])
+def test_decoy_column_is_the_streams_next_draws(n, block_size, folds):
+    """Identity keys make the round-1 shard the origin's factors as they
+    are. Each fold's decoy column holds the stream's next min(n_f, p + 1)
+    normals, fold by fold, above zeros, and after every fold's normals
+    come the diagonals, √χ²(n_f − p − 1), or 0 when n_f ≤ p + 1."""
+    ctx, = _identity_contexts((n,), block_size, np.random.default_rng(n))
+    stream = copy.deepcopy(ctx.rng)
+    r = local_encrypt(ctx, folds).reshape(folds, 7, 7)
+    sizes = fold_sizes(n, block_size, folds)
+    drawn = np.minimum(sizes, 5)
+    normals = np.split(stream.standard_normal(drawn.sum()),
+                       np.cumsum(drawn)[:-1])
+    for f, (size, z) in enumerate(zip(sizes, normals)):
+        assert np.array_equal(r[f, :drawn[f], 6], z)
+        assert not np.any(r[f, drawn[f]:6, 6])
+        want = np.sqrt(stream.chisquare(size - 5)) if size > 5 else 0.0
+        assert r[f, 6, 6] == want
+
+
+def test_decoy_column_varies_with_rng():
+    col = [_decoy_column(np.random.default_rng(seed), (8, 8), 3)
+           for seed in (1, 2)]
+    assert not np.array_equal(*col)
+
+
+def test_short_folds_are_zero_below_their_rows():
+    # fold sizes 4, 4 and 1 against q = 7 columns: a factor of n_f rows
+    # has no entry below its row n_f, the decoy's column included
+    ctx, = _identity_contexts((9,), 4, np.random.default_rng(9))
+    r = local_encrypt(ctx, 3).reshape(3, 7, 7)
+    for f, size in enumerate(fold_sizes(9, 4, 3)):
+        assert not np.any(r[f, size:])
+        assert np.all(r[f, :size, 6] != 0.0)
+
+
+def test_decoy_column_has_the_law_of_a_row_decoy():
+    """Over 2,000 streams the drawn column [z; s] of each fold, beside the
+    factor R of its rows A, has the law of the decoy column of
+    R([A | d]) for d ~ N(0, I): dᵀd = ‖z‖² + s² has mean n_f and variance
+    2·n_f, and Aᵀd = Rᵀz has covariance AᵀA. Every moment is checked
+    within 5 standard errors of its exact value, for the drawn column and
+    for row decoys factored by ``r_factor``, and the two within 5
+    standard errors of each other."""
+    trials, q = 2000, 6  # p = 5
+    sizes = np.array([40, 6, 4])  # n_f above, at and below p + 1
+    drawn = np.stack([_decoy_column(np.random.default_rng([51, t]), sizes, q)
+                      for t in range(trials)])
+    rng = np.random.default_rng(52)
+    for f, n_f in enumerate(sizes):
+        a = rng.standard_normal((n_f, q))
+        r = r_factor(a)
+        rows = r_factor(np.concatenate(
+            [np.broadcast_to(a, (trials, n_f, q)),
+             rng.standard_normal((trials, n_f, 1))], axis=-1))[..., q]
+        gram = a.T @ a
+        cov_se = np.sqrt((np.outer(np.diag(gram), np.diag(gram)) + gram ** 2)
+                         / trials)
+        stats = []
+        for column in (drawn[:, f], rows):
+            dd = np.sum(column ** 2, axis=-1)
+            ad = column[:, :q] @ r
+            mean, var, cov = dd.mean(), dd.var(ddof=1), ad.T @ ad / trials
+            assert abs(mean - n_f) <= 5 * np.sqrt(2 * n_f / trials)
+            var_se = np.sqrt((8 * n_f ** 2 + 48 * n_f) / trials)
+            assert abs(var - 2 * n_f) <= 5 * var_se
+            assert np.all(np.abs(cov - gram) <= 5 * cov_se)
+            stats.append((mean, var, cov))
+        (m0, v0, c0), (m1, v1, c1) = stats
+        assert abs(m0 - m1) <= 5 * np.sqrt(4 * n_f / trials)
+        assert abs(v0 - v1) <= 5 * np.sqrt(2) * var_se
+        assert np.all(np.abs(c0 - c1) <= 5 * np.sqrt(2) * cov_se)
+
+
+@pytest.mark.parametrize("n, p, folds, chunks", [
+    (24_000, 16, 1, 7),   # tall_fit's shard: 3,584-row chunks
+    (12_000, 24, 5, 5),   # cv_select's: 2,560-row chunks, 512 per fold
+])
+def test_local_encrypt_takes_one_leaf_qr_per_chunk(monkeypatch, n, p, folds,
+                                                   chunks):
+    """An origin factors each chunk of its rows with one batched QR of its
+    leaves and reduces them, with the factors so far, with one more; a
+    last QR keys the factors. No QR sees more than max(TSQR_ROWS, 2q)
+    rows, so none is large enough for BLAS to thread (DECISIONS.md, "No
+    BLAS call on an op's path is large enough to thread")."""
+    rng = np.random.default_rng(n)
+    datasets = [(rng.standard_normal((n, p)), rng.standard_normal(n))]
+    ctx, = runner.build_contexts(datasets, runner.RunConfig(k=1, seed=n))
+    seen = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        seen.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    local_encrypt(ctx, folds)
+    *chunked, keying = seen
+    leaves, reductions = chunked[::2], chunked[1::2]
+    assert keying == (folds, p + 3, p + 3)
+    assert len(leaves) == len(reductions) == chunks
+    assert all(len(s) == 4 and s[0] == folds and np.prod(s) <= SHARD_CHUNK
+               for s in leaves)
+    assert all(len(s) == 3 and s[0] == folds for s in reductions)
+    assert max(s[-2] for s in seen) <= max(TSQR_ROWS, 2 * (p + 1))
 
 
 def test_shard_factors_reject_fewer_blocks_than_folds():
@@ -508,6 +635,7 @@ def test_ldp_offset_frame_equals_masking_the_explicit_sum():
         assert np.array_equal(ctx.verify_weights, np.ones(5))
         summed = copy.copy(ctx)
         summed.x = shifted
+        summed.rng = copy.deepcopy(ctx.rng)  # the same decoy draws
         assert np.array_equal(local_encrypt(ctx, 1),
                               local_encrypt(summed, 1))
 

@@ -42,6 +42,7 @@ from maskreg.transport import (
     TcpTransport,
 )
 
+from explicit_rows import explicit_rows, record_decoys
 from fold_layout import fold_layout
 
 
@@ -724,9 +725,11 @@ def test_ring_hop_with_wrong_applied_ids_rejected(monkeypatch, msg_type,
 def _capture_cloud_view(monkeypatch):
     """Record each shard's rows times the keys of every agency that keyed
     its factors, [(X + Δ)·ΠB | Y·ΠC], and the aggregate each ``cloud_fit``
-    call sees."""
+    call sees. Y's decoy rows are rebuilt from the columns the origins
+    drew (``explicit_rows``)."""
     shards, fits = {}, []
     local, passing = protocol.local_encrypt, protocol.pass_encrypt
+    decoys = record_decoys(monkeypatch)
 
     def keyed(ctx, rows):
         p = ctx.keys.b_key.shape[0]
@@ -734,10 +737,10 @@ def _capture_cloud_view(monkeypatch):
                           rows[:, p:] @ ctx.keys.c_key])
 
     def recording_local(ctx, folds):
-        y, decoy = ctx.responses.T
-        shards[ctx.agency_id] = keyed(ctx, np.column_stack(
-            [ctx.x, y, ctx.x @ ctx.verify_weights, decoy]))
-        return local(ctx, folds)
+        shard = local(ctx, folds)
+        shards[ctx.agency_id] = keyed(
+            ctx, explicit_rows(ctx, folds, decoys[ctx.rng]))
+        return shard
 
     def recording_pass(ctx, shard, origin):
         shards[origin] = keyed(ctx, shards[origin])

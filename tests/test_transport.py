@@ -526,23 +526,23 @@ FINGERPRINT = "4c7342d64a6f42aa5c55d58bede8301d9c750237c573339e3d0a0ec0eac65599"
 #: before its receiver, so no key repeats.
 WIRE_SHA256 = {
     (1, (1,)):
-        "51345cc9c3ab8847a767ac3a9e07a81005e0c8c4c01ff00e50ddf0e4c4ddfaf6",
+        "5e26c99a1fccc1e66695fed11f05de1a0e8b5a01fea8625b8bff435430865198",
     (1, (1, 2)):
-        "15371752d19d8ddcecf3cba55dc510f1e416d3dd74060cf5eb2c15e839442acf",
+        "22cc1b7d79c42296d48295bf8c4ad58a4741b83542617d342540d5244fbc2eb5",
     (1, (1, 2, 3)):
-        "91562f382f8840fde96dafa7c162c12caeb59286900fe5ab8a9854a91c249c13",
+        "e82098f433e32555dc2889ef01c269da27fd4586c92b91b1e84d609a271ca93f",
     (1, (2,)):
-        "0b3da5776bbf7725991a1658a89cb180f91b5165f7393d03d0135b6a5a9db0e7",
+        "29b1bd38fc9ccb34fbe475a3672ba26115bae09a89a740c93d0827490666bb37",
     (1, (2, 3)):
-        "bda2f8fd1adbcb93ae53d2532742bd87bc9af95c64255b54fc417cc20e6b47de",
+        "34d829d9b5ecf0905b5fdbd834b44cc1eebc4516ce81751ebe31f12e89e1f239",
     (1, (2, 3, 1)):
-        "007d911f806167932e4bf0d03f7ea8cddaf28b5eb96d6334933f8c6d30e28254",
+        "67a88a501647e0c9b00b1e505a5cbc23b7e91d7e48dfc704c9ebe4b335ae0016",
     (1, (3,)):
-        "4c4ba37bcb7e0fb8f54e352b7c2ec5b25ed49ee70a1b4721286dbc433e8f6330",
+        "51ca3eea267b129d465caa809a071d4bf641951f50444d29908e0853c87f3515",
     (1, (3, 1)):
-        "0f584f006a1fe10fad1596369fa7eb61d87dd2ca6f7e9b456111336aa60fec99",
+        "243a26e84464c47e76f9105256986758abb11833174a8a6b95b893e2286523e0",
     (1, (3, 1, 2)):
-        "e8b236bdf72ed28d7679ab17dcebf35940ee7f0a09c51703655134f9c6bb2385",
+        "6cfca4b7b30bbd7fa7f914d5c6263b91d0b393a20ebad89233eadaff677bd3d7",
     (2, ()):
         "49672aa6aed62eaeda09e0f00ec6f55b1c0aac1682f36d1680e904a8868b1e91",
     (2, (1,)):
@@ -552,21 +552,21 @@ WIRE_SHA256 = {
     (2, (1, 2, 3)):
         "2296de5657d54284cc6f7ebec425047465237c1ed483104214d32ea513443f8c",
     (3, ()):
-        "cf4e42d49be4424b3af70036f72a630c96173c0b2c6e5d6f40d4d2288d1581c9",
+        "55cd70d38dcdf4e95a1e6637d6be84266ff25c92973639f2f60f76aba185d197",
     (3, (1,)):
-        "a3fd3fb19bd9bc14ce851bdca9fbe6fa6c07fdab1c479db40108711ee29c9be6",
+        "62efa6e7c09c91040dd29e01fffc386079cbea4130ad3dc5d5ef13ae2a95877a",
     (3, (1, 2)):
-        "d45cd054e0a8f7bf3c5b505795466fb5091dcd408d1741c635307305f7640d58",
+        "5aa15a41cc1ac422269bdd8598b608b239b82bb0f682222c491a1d875ad5fc11",
     (3, (1, 2, 3)):
-        "6e572869797beabd2ac38458e80eca56032ac8242501fcd2eee96839610474cd",
+        "8cdfaad0b97c1f63c5d990a0a01df4f6a125e81e392335959e45b28aa119f4a0",
     (4, ()):
-        "ab086c1bd80d601f29426b412ffb8beb3cd56be76b4de642ddb74d64360765ad",
+        "9824bc022f0a29631663cba37aff9e463fb2bed0b5a141e9d269e9bafe4c2827",
     (4, (1,)):
-        "9858494d8c1e9b6ab1c2ec29dd81ad964877ee476ffce2430b57a1cdae163f5f",
+        "a2746e6a8bca56e1f1be80f56e1c99f3d92cdfc7ba7589ec2baf9b533740ebdc",
     (4, (1, 2)):
-        "97be17c89d14d9273223ae2e42adf30455c9e11a549039e73c57c0e4721fd3a5",
+        "bfe7c0ce0dd8806f7c377d2e03a297ac1e4cedc3a77fef6b679a2f5fb76e21ca",
     (4, (1, 2, 3)):
-        "a41b18f30f0a257119cdd8e79c5d424a1a7f3e34b8cfd79184513baea1d00fe5",
+        "cbe8cb80e4cc64a7ea665e87ee365c3cd6a2b90cfc8bacc872d93fe917e4b089",
 }
 
 
@@ -640,7 +640,7 @@ def test_wire_bytes_match_golden(kind):
 #: decrypted estimate's bytes, in a k=3 linear run with an LDP offset on
 #: the golden rows, recorded with ``WIRE_SHA256``'s arithmetic.
 OFFSET_RUN_SHA256 = (
-    "9d5812267f9b917b16ac6cf61a320ad8344d9321ec2c6e09db1ee803220d960d")
+    "892695fdbef110cf8dd49cda361c37a36908903339e418fd1893d12d516d468e")
 
 
 def _offset_run_sha256(kind):
